@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import conic, model
-from .calibrate import binom_cdf
+from .calibrate import _check_prob, binom_cdf
 from .errors import InvalidArgumentError, UnsupportedCombinationError
 
 __all__ = [
@@ -24,13 +24,6 @@ __all__ = [
     "safe_hoeffding",
     "safe_gaussian",
 ]
-
-
-def _check_prob(value: float, name: str) -> float:
-    value = float(value)
-    if not (0.0 < value < 1.0):
-        raise InvalidArgumentError(f"{name} must lie strictly between 0 and 1")
-    return value
 
 
 def _log_tail_ok(n: int, epsilon: float, tail_k: int, log_budget: float) -> bool:

@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import baselines, calibrate, conic, harness, model, reformulate, shapes
+from . import baselines, calibrate, conic, harness, model, shapes
 from .errors import InfeasibleCalibrationError, RosetError
 
 TABLE_PAIRS = (
@@ -109,18 +109,17 @@ def _assemble(args):
     data = model.load_dataset_csv(args.data)
     n = data.points.shape[0]
     n1 = _split_sizes(n, args.split)
-    split = model.split_data(data, n1, args.seed)
     _log(f"split {n} rows into {n1} Phase-1 / {n - n1} Phase-2 (seed {args.seed})")
-    fitted = harness.fit_shape(args.shape, split.phase1.points, args.shape_options)
-    pset = shapes.build_prediction_set(fitted, split.phase2.points,
-                                       spec.epsilon, spec.delta)
-    _log(f"calibrated size {pset.size:.6g} at rank {pset.calib.i_star} "
-         f"of {pset.calib.n2}")
-    return spec, pset, reformulate.assemble_ro(spec, pset)
+    rp = harness.two_phase_ro(spec, data, n1, args.seed, args.shape,
+                              args.shape_options)
+    _log(f"calibrated size {rp.set.size:.6g} at rank {rp.set.calib.i_star} "
+         f"of {rp.set.calib.n2}")
+    return rp
 
 
 def _cmd_solve(args) -> int:
-    spec, pset, rp = _assemble(args)
+    rp = _assemble(args)
+    spec, pset = rp.spec, rp.set
     sol = conic.solve(rp.program)
     optimal = sol.status is conic.SolveStatus.OPTIMAL
     x = sol.x[: spec.d] if optimal else None
@@ -197,7 +196,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    _, _, rp = _assemble(args)
+    rp = _assemble(args)
     text = conic.export(rp.program, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -12,6 +12,7 @@ the epsilon target.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import math
@@ -40,6 +41,7 @@ __all__ = [
     "mc_violation",
     "fit_shape",
     "SHAPE_KINDS",
+    "two_phase_ro",
     "ExperimentConfig",
     "ReplicationRecord",
     "ExperimentReport",
@@ -50,16 +52,11 @@ __all__ = [
     "report_to_json",
 ]
 
-# fixed odd stride so evaluation draws never reuse a replication's data stream
-EVAL_SEED_STRIDE = 0x9E3779B97F4A7C15
 
-
-def _rep_seed(master_seed: int, r: int) -> int:
-    return int(master_seed) ^ int(r)
-
-
-def _eval_seed(master_seed: int, r: int) -> int:
-    return int(master_seed) ^ int(r) ^ EVAL_SEED_STRIDE
+def _rep_seeds(master_seed: int, r: int) -> tuple[int, int]:
+    """(data, evaluation) seeds of replication r, independent across (master, r)."""
+    children = np.random.SeedSequence([int(master_seed), int(r)]).spawn(2)
+    return tuple(int(child.generate_state(1, np.uint64)[0]) for child in children)
 
 
 # ---------------------------------------------------------------------------
@@ -125,20 +122,7 @@ class Sampler:
 
     @property
     def dim(self) -> int:
-        p = self.params
-        if self.kind == "gaussian":
-            return p["mu"].size
-        if self.kind == "mixture":
-            return p["means"].shape[1]
-        if self.kind == "scaled_beta":
-            return p["a0"].size
-        if self.kind == "quadratic_wishart":
-            return p["d"] * p["d"] + p["d"] + 1
-        if self.kind == "sdp_wishart":
-            return p["a_mats"].shape[0] * p["a_mats"].shape[1] ** 2
-        if self.kind == "pca_synthetic":
-            return p["projection"].shape[0]
-        raise InvalidArgumentError(f"unknown sampler kind {self.kind!r}")
+        return self.draw(np.random.default_rng(0), 0).shape[1]
 
 
 def _spd_chol(sigma, what: str) -> np.ndarray:
@@ -224,53 +208,39 @@ def pca_synthetic_sampler(mu, sigma, projection, noise: float = 0.0005) -> Sampl
                                      "noise": float(noise)})
 
 
-_SAMPLER_FACTORIES = {
-    "gaussian": lambda p: gaussian_sampler(p["mu"], p["sigma"]),
-    "mixture": lambda p: mixture_sampler(p["weights"], p["means"], p["sigmas"]),
-    "scaled_beta": lambda p: scaled_beta_sampler(
-        p["a0"], p["a_rows"], p.get("alpha", 2.0), p.get("beta", 2.0)),
-    "quadratic_wishart": lambda p: quadratic_wishart_sampler(
-        p["d"], p["q"], p.get("mu_low", 0.0), p.get("mu_high", 5.0), p.get("dof")),
-    "sdp_wishart": lambda p: sdp_wishart_sampler(p["a_mats"], p.get("dof")),
-    "pca_synthetic": lambda p: pca_synthetic_sampler(
-        p["mu"], p["sigma"], p["projection"], p.get("noise", 0.0005)),
-}
-
-# parameters worth serializing, per kind (derived arrays like chol excluded)
-_SAMPLER_FIELDS = {
-    "gaussian": ("mu", "sigma"),
-    "mixture": ("weights", "means", "sigmas"),
-    "scaled_beta": ("a0", "a_rows", "alpha", "beta"),
-    "quadratic_wishart": ("d", "dof", "q", "mu_low", "mu_high"),
-    "sdp_wishart": ("a_mats", "dof"),
-    "pca_synthetic": ("mu", "sigma", "projection", "noise"),
+_SAMPLERS = {
+    "gaussian": gaussian_sampler,
+    "mixture": mixture_sampler,
+    "scaled_beta": scaled_beta_sampler,
+    "quadratic_wishart": quadratic_wishart_sampler,
+    "sdp_wishart": sdp_wishart_sampler,
+    "pca_synthetic": pca_synthetic_sampler,
 }
 
 
 def sampler_to_obj(sampler: Sampler) -> dict:
-    out = {"kind": sampler.kind, "params": {}}
-    for name in _SAMPLER_FIELDS[sampler.kind]:
-        value = sampler.params[name]
-        out["params"][name] = value.tolist() if isinstance(value, np.ndarray) else value
-    return out
+    """{"kind", "params"}: params are the factory's arguments, as JSON data."""
+    names = inspect.signature(_SAMPLERS[sampler.kind]).parameters
+    return {"kind": sampler.kind,
+            "params": {name: np.asarray(sampler.params[name]).tolist()
+                       for name in names}}
 
 
 def sampler_from_obj(obj: dict) -> Sampler:
+    """Call the kind's factory with params, which must name its arguments."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InvalidArgumentError("sampler object needs a 'kind' field")
     kind = obj["kind"]
-    factory = _SAMPLER_FACTORIES.get(kind)
+    factory = _SAMPLERS.get(kind) if isinstance(kind, str) else None
     if factory is None:
         raise InvalidArgumentError(f"unknown sampler kind {kind!r}")
-    raw = obj.get("params", {})
-    if not isinstance(raw, dict):
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
         raise InvalidArgumentError("sampler params must be an object")
-    params = {k: (np.asarray(v, dtype=float) if isinstance(v, list) else v)
-              for k, v in raw.items()}
     try:
-        return factory(params)
-    except KeyError as exc:
-        raise InvalidArgumentError(f"sampler params missing {exc}") from exc
+        return factory(**params)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"malformed {kind} sampler params: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -335,40 +305,33 @@ def mc_violation(x, sampler: Sampler, spec: model.CcpSpec,
 # shape fitting by name
 
 
-SHAPE_KINDS = ("ellipsoid", "diag_ellipsoid", "ball", "polytope_box", "pca",
-               "cluster_union", "ball_basis", "box_grid")
+# shape kind -> fitter(phase1, options)
+_SHAPE_FITTERS = {
+    "ellipsoid": lambda pts, opts: shapes.fit_ellipsoid(pts, mode="full"),
+    "diag_ellipsoid": lambda pts, opts: shapes.fit_ellipsoid(pts, mode="diag"),
+    "ball": lambda pts, opts: shapes.fit_ellipsoid(pts, mode="ball"),
+    "polytope_box": lambda pts, opts: shapes.fit_polytope_box(pts),
+    "pca": lambda pts, opts: shapes.pca_ellipsoid(pts, **opts),
+    "cluster_union": lambda pts, opts: shapes.cluster_union(
+        pts, k=int(opts.get("k", 2)), mode=opts.get("mode", "full"),
+        seed=int(opts.get("seed", 0))),
+    "ball_basis": lambda pts, opts: shapes.ball_basis(pts),
+    "box_grid": lambda pts, opts: shapes.grid_histogram(
+        pts, width=float(opts["width"])),
+}
+SHAPE_KINDS = tuple(_SHAPE_FITTERS)
 
 
 def fit_shape(kind: str, phase1, options: dict | None = None):
     """Fit a Phase-1 shape by its registry name."""
-    opts = dict(options or {})
-    if kind == "ellipsoid":
-        return shapes.fit_ellipsoid(phase1, mode="full")
-    if kind == "diag_ellipsoid":
-        return shapes.fit_ellipsoid(phase1, mode="diag")
-    if kind == "ball":
-        return shapes.fit_ellipsoid(phase1, mode="ball")
-    if kind == "polytope_box":
-        return shapes.fit_polytope_box(phase1)
-    if kind == "pca":
-        return shapes.pca_ellipsoid(phase1, **opts)
-    if kind == "cluster_union":
-        return shapes.cluster_union(phase1, k=int(opts.get("k", 2)),
-                                    mode=opts.get("mode", "full"),
-                                    seed=int(opts.get("seed", 0)))
-    if kind == "ball_basis":
-        return shapes.ball_basis(phase1)
-    if kind == "box_grid":
-        return shapes.grid_histogram(phase1, width=float(opts["width"]))
-    raise InvalidArgumentError(
-        f"unknown shape kind {kind!r}; known: {', '.join(SHAPE_KINDS)}")
+    if kind not in _SHAPE_FITTERS:
+        raise InvalidArgumentError(
+            f"unknown shape kind {kind!r}; known: {', '.join(SHAPE_KINDS)}")
+    return _SHAPE_FITTERS[kind](phase1, dict(options or {}))
 
 
 # ---------------------------------------------------------------------------
 # experiment configuration and report
-
-
-_METHODS = ("ro", "ro_reconstructed", "sg", "safe_hoeffding", "safe_gaussian")
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,7 +412,7 @@ class ExperimentReport:
     config_echo: dict
 
 
-def _violation_of(config: ExperimentConfig, x, master_seed: int, r: int) -> float:
+def _violation_of(config: ExperimentConfig, x, eval_seed: int) -> float:
     mode = config.violation
     analytic_ok = (config.sampler.kind == "gaussian"
                    and isinstance(config.spec.family, model.SingleLinear))
@@ -461,68 +424,82 @@ def _violation_of(config: ExperimentConfig, x, master_seed: int, r: int) -> floa
         p = config.sampler.params
         return gaussian_violation(x, p["mu"], p["sigma"], float(config.spec.rhs[0]))
     return mc_violation(x, config.sampler, config.spec, config.n_eval,
-                        seed=_eval_seed(master_seed, r))
+                        seed=eval_seed)
 
 
-def _solve_ro(config: ExperimentConfig, data_rows: np.ndarray, seed: int):
-    split = model.split_data(model.Dataset(data_rows), config.n1, seed)
-    shape = fit_shape(config.shape, split.phase1.points, config.shape_options)
-    pset = shapes.build_prediction_set(shape, split.phase2.points,
-                                       config.spec.epsilon, config.spec.delta)
-    rp = reformulate.assemble_ro(config.spec, pset)
-    sol = conic.solve(rp.program)
-    return sol, sol.x[: config.spec.d] if sol.status is conic.SolveStatus.OPTIMAL else None
+def two_phase_ro(spec: model.CcpSpec, data: model.Dataset, n1: int, seed: int,
+                 shape: str, shape_options: dict | None):
+    """Split, fit the Phase-1 shape, calibrate on Phase 2, reformulate."""
+    split = model.split_data(data, n1, seed)
+    fitted = fit_shape(shape, split.phase1.points, shape_options)
+    pset = shapes.build_prediction_set(fitted, split.phase2.points,
+                                       spec.epsilon, spec.delta)
+    return reformulate.assemble_ro(spec, pset)
+
+
+def _solved(config: ExperimentConfig, sol):
+    x = sol.x[: config.spec.d] if sol.status is conic.SolveStatus.OPTIMAL else None
+    return sol.status.value, x, ""
+
+
+def _method_ro(config: ExperimentConfig, data_rows, seed: int):
+    rp = two_phase_ro(config.spec, model.Dataset(data_rows), config.n1, seed,
+                      config.shape, config.shape_options)
+    return _solved(config, conic.solve(rp.program))
+
+
+def _method_ro_reconstructed(config: ExperimentConfig, data_rows, seed: int):
+    rec = reconstruction_pipeline(data_rows, config.spec, config.n1, seed=seed,
+                                  shape=config.shape,
+                                  shape_options=config.shape_options,
+                                  scale=config.scale)
+    note = f"rho={rec.rho:.6g}" if rec.rho is not None else ""
+    return rec.status_reconstructed, rec.x_tilde, note
+
+
+def _method_sg(config: ExperimentConfig, data_rows, seed: int):
+    return _solved(config, baselines.sg_solve(config.spec, data_rows))
+
+
+def _method_safe_hoeffding(config: ExperimentConfig, data_rows, seed: int):
+    pert = config.perturbation
+    prog = baselines.safe_hoeffding(
+        config.spec.objective, pert["a0"], pert["a_rows"],
+        float(config.spec.rhs[0]), config.spec.epsilon, det=config.spec.det)
+    return _solved(config, conic.solve(prog))
+
+
+def _method_safe_gaussian(config: ExperimentConfig, data_rows, seed: int):
+    pert = config.perturbation
+    prog = baselines.safe_gaussian(
+        config.spec.objective, pert["a0"], pert["a_rows"],
+        pert["mu_minus"], pert["mu_plus"], pert["sigma"],
+        float(config.spec.rhs[0]), config.spec.epsilon, det=config.spec.det)
+    return _solved(config, conic.solve(prog))
+
+
+# method name -> (config, data rows, split seed) -> (status, x or None, note)
+_METHODS = {
+    "ro": _method_ro,
+    "ro_reconstructed": _method_ro_reconstructed,
+    "sg": _method_sg,
+    "safe_hoeffding": _method_safe_hoeffding,
+    "safe_gaussian": _method_safe_gaussian,
+}
 
 
 def _run_one(config: ExperimentConfig, master_seed: int, r: int) -> ReplicationRecord:
-    seed = _rep_seed(master_seed, r)
+    seed, eval_seed = _rep_seeds(master_seed, r)
     rng = np.random.Generator(np.random.PCG64(seed))
-    note = ""
     try:
         data_rows = config.sampler.draw(rng, config.n)
-        if config.method == "ro":
-            sol, x = _solve_ro(config, data_rows, seed)
-            status = sol.status.value
-        elif config.method == "ro_reconstructed":
-            rec = reconstruction_pipeline(data_rows, config.spec, config.n1,
-                                          seed=seed, shape=config.shape,
-                                          shape_options=config.shape_options,
-                                          scale=config.scale)
-            status = rec.status_reconstructed
-            x = rec.x_tilde
-            note = f"rho={rec.rho:.6g}" if rec.rho is not None else ""
-        elif config.method == "sg":
-            sol = baselines.sg_solve(config.spec, data_rows)
-            status = sol.status.value
-            x = sol.x[: config.spec.d] if sol.status is conic.SolveStatus.OPTIMAL else None
-        elif config.method == "safe_hoeffding":
-            pert = config.perturbation
-            prog = baselines.safe_hoeffding(
-                config.spec.objective, pert["a0"], pert["a_rows"],
-                float(config.spec.rhs[0]), config.spec.epsilon,
-                det=config.spec.det)
-            sol = conic.solve(prog)
-            status = sol.status.value
-            x = sol.x[: config.spec.d] if sol.status is conic.SolveStatus.OPTIMAL else None
-        else:  # safe_gaussian
-            pert = config.perturbation
-            prog = baselines.safe_gaussian(
-                config.spec.objective, pert["a0"], pert["a_rows"],
-                pert["mu_minus"], pert["mu_plus"], pert["sigma"],
-                float(config.spec.rhs[0]), config.spec.epsilon,
-                det=config.spec.det)
-            sol = conic.solve(prog)
-            status = sol.status.value
-            x = sol.x[: config.spec.d] if sol.status is conic.SolveStatus.OPTIMAL else None
+        status, x, note = _METHODS[config.method](config, data_rows, seed)
     except RosetError as exc:
-        return ReplicationRecord(replication=r, status="error", objective=None,
-                                 violation_probability=None,
-                                 note=f"{type(exc).__name__}: {exc}")
-    if x is None:
-        return ReplicationRecord(replication=r, status=status, objective=None,
-                                 violation_probability=None, note=note)
-    objective = float(config.spec.objective @ x)
-    viol = _violation_of(config, x, master_seed, r)
+        status, x, note = "error", None, f"{type(exc).__name__}: {exc}"
+    objective = viol = None
+    if x is not None:
+        objective = float(config.spec.objective @ x)
+        viol = _violation_of(config, x, eval_seed)
     return ReplicationRecord(replication=r, status=status, objective=objective,
                              violation_probability=viol, note=note)
 

@@ -9,7 +9,7 @@ every consumer agrees on orientation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -344,34 +344,10 @@ def save_dataset_csv(data: Dataset, path) -> None:
     np.savetxt(path, data.points, delimiter=",", fmt="%.17g")
 
 
-def _family_to_json(family) -> dict:
-    out = {"kind": family.kind}
-    if isinstance(family, JointLinear):
-        out["l"] = family.l
-    elif isinstance(family, Quadratic):
-        out["q"] = family.q
-    elif isinstance(family, Semidefinite):
-        out["p"] = family.p
-    return out
-
-
-def _family_from_json(obj: dict):
-    kind = obj.get("kind")
-    if kind == "single_linear":
-        return SingleLinear()
-    if kind == "joint_linear":
-        return JointLinear(l=int(obj["l"]))
-    if kind == "quadratic":
-        return Quadratic(q=int(obj["q"]))
-    if kind == "semidefinite":
-        return Semidefinite(p=int(obj["p"]))
-    raise InvalidArgumentError(f"unknown constraint family kind: {kind!r}")
-
-
 def spec_to_json(spec: CcpSpec) -> str:
     doc = {
         "objective": spec.objective.tolist(),
-        "family": _family_to_json(spec.family),
+        "family": {"kind": spec.family.kind, **asdict(spec.family)},
         "rhs": spec.rhs.tolist(),
         "det_constraints": None
         if spec.det is None
@@ -382,25 +358,40 @@ def spec_to_json(spec: CcpSpec) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _family_from_json(obj):
+    """A family from {"kind", **fields}; every family field is a row count."""
+    params = dict(obj) if isinstance(obj, dict) else {}
+    kind = params.pop("kind", None)
+    cls = _FAMILY_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InvalidArgumentError(f"unknown constraint family kind: {kind!r}")
+    try:
+        return cls(**{name: int(value) for name, value in params.items()})
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"malformed {kind} family: {exc}") from exc
+
+
 def spec_from_json(text: str) -> CcpSpec:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"invalid CcpSpec JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidArgumentError("CcpSpec JSON must be an object")
     for key in ("objective", "family", "rhs", "epsilon", "delta"):
         if key not in doc:
             raise InvalidArgumentError(f"CcpSpec JSON missing field {key!r}")
-    det = None
-    if doc.get("det_constraints") is not None:
-        det = DetConstraints(
-            a_ub=np.asarray(doc["det_constraints"]["A_ub"], dtype=float),
-            b_ub=np.asarray(doc["det_constraints"]["b_ub"], dtype=float),
+    try:
+        det = doc.get("det_constraints")
+        if det is not None:
+            det = DetConstraints(a_ub=det["A_ub"], b_ub=det["b_ub"])
+        return CcpSpec(
+            objective=np.asarray(doc["objective"], dtype=float),
+            family=_family_from_json(doc["family"]),
+            rhs=np.asarray(doc["rhs"], dtype=float),
+            epsilon=float(doc["epsilon"]),
+            delta=float(doc["delta"]),
+            det=det,
         )
-    return CcpSpec(
-        objective=np.asarray(doc["objective"], dtype=float),
-        family=_family_from_json(doc["family"]),
-        rhs=np.asarray(doc["rhs"], dtype=float),
-        epsilon=float(doc["epsilon"]),
-        delta=float(doc["delta"]),
-        det=det,
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"malformed CcpSpec document: {exc!r}") from exc

@@ -444,6 +444,18 @@ def polytope_level_offsets(shape: shapes.Polytope, s: float) -> np.ndarray:
     return anchor + float(s) * (shape.offsets - anchor)
 
 
+_ELLIPSOIDS = (shapes.Ellipsoid, shapes.DiagEllipsoid, shapes.Ball)
+
+
+def _ellipsoid_factor(shape) -> np.ndarray:
+    """F with the unit level set {center + F u : ||u|| <= 1}."""
+    if isinstance(shape, shapes.Ellipsoid):
+        return shape.chol
+    if isinstance(shape, shapes.DiagEllipsoid):
+        return np.diag(np.sqrt(shape.variances))
+    return np.eye(shape.dim)
+
+
 def _basic_linear_blocks(comp, s: float, rhs: np.ndarray, l: int, d: int) -> list:
     """RC blocks protecting all l rows against one basic shape at size s."""
     m = l * d
@@ -452,13 +464,8 @@ def _basic_linear_blocks(comp, s: float, rhs: np.ndarray, l: int, d: int) -> lis
             f"shape dimension {comp.dim} does not match the data dimension {m}"
         )
     rho = _rho_of_size(s)
-    if isinstance(comp, (shapes.Ellipsoid, shapes.DiagEllipsoid, shapes.Ball)):
-        if isinstance(comp, shapes.Ellipsoid):
-            factor = comp.chol
-        elif isinstance(comp, shapes.DiagEllipsoid):
-            factor = np.diag(np.sqrt(comp.variances))
-        else:
-            factor = np.eye(m)
+    if isinstance(comp, _ELLIPSOIDS):
+        factor = _ellipsoid_factor(comp)
         if l == 1:
             return [rc_linear_ellipsoid(comp.center, factor, rho, float(rhs[0]))]
         abar = comp.center.reshape(l, d)
@@ -643,7 +650,7 @@ def _shape_blocks(spec: model.CcpSpec, pset: shapes.PredictionSet) -> list:
         return [(f"robust[{i}]", blk) for i, blk in enumerate(blocks)]
 
     if isinstance(family, model.Quadratic):
-        if not isinstance(shape, (shapes.Ellipsoid, shapes.DiagEllipsoid, shapes.Ball)):
+        if not isinstance(shape, _ELLIPSOIDS):
             raise UnsupportedCombinationError(
                 f"quadratic family with shape {shape.variant!r} is not supported; "
                 f"supported pairs: {SUPPORTED_PAIRS}"
@@ -651,12 +658,7 @@ def _shape_blocks(spec: model.CcpSpec, pset: shapes.PredictionSet) -> list:
         m = spec.data_dim
         if shape.dim != m:
             raise InvalidArgumentError("shape dimension does not match (vec A, b, c)")
-        if isinstance(shape, shapes.Ellipsoid):
-            factor = shape.chol
-        elif isinstance(shape, shapes.DiagEllipsoid):
-            factor = np.diag(np.sqrt(shape.variances))
-        else:
-            factor = np.eye(m)
+        factor = _ellipsoid_factor(shape)
         rho = _rho_of_size(s)
         nominal = model.split_quadratic_point(shape.center, family.q, d)
         directions = [

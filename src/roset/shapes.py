@@ -9,7 +9,7 @@ covers the whole composite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional, Union as TUnion
 
 import numpy as np
@@ -630,35 +630,26 @@ def build_prediction_set(shape: Shape, phase2, epsilon: float,
 # serialization
 
 
-def _shape_params(shape: Shape) -> dict:
-    if isinstance(shape, Ellipsoid):
-        return {"center": shape.center.tolist(), "sigma": shape.sigma.tolist()}
-    if isinstance(shape, DiagEllipsoid):
-        return {"center": shape.center.tolist(),
-                "variances": shape.variances.tolist()}
-    if isinstance(shape, Ball):
-        return {"center": shape.center.tolist()}
-    if isinstance(shape, Polytope):
-        return {"rows": shape.rows.tolist(), "offsets": shape.offsets.tolist(),
-                "interior": shape.interior.tolist()}
-    if isinstance(shape, PcaEllipsoid):
-        return {"projection": shape.projection.tolist(),
-                "center_reduced": shape.center_reduced.tolist(),
-                "sigma_reduced": shape.sigma_reduced.tolist()}
-    if isinstance(shape, BoxGrid):
-        return {"centers": shape.centers.tolist(), "half_width": shape.half_width}
-    if isinstance(shape, Union):
-        return {"components": [shape_to_obj(c) for c in shape.components]}
-    if isinstance(shape, Intersection):
-        out = {"components": [shape_to_obj(c) for c in shape.components]}
-        if shape.blocks is not None:
-            out["blocks"] = [list(blk) for blk in shape.blocks]
-        return out
-    raise InvalidArgumentError(f"unknown shape {shape!r}")
+_VARIANTS = {cls.variant: cls for cls in (*_BASIC, Union, Intersection)}
+
+
+def _plain(value):
+    """A shape field as JSON-ready data; component shapes become documents."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if is_dataclass(value):
+        return shape_to_obj(value)
+    return value
 
 
 def shape_to_obj(shape: Shape) -> dict:
-    return {"variant": shape.variant, "parameters": _shape_params(shape)}
+    """{"variant", "parameters"}: the parameters are the dataclass fields."""
+    params = {f.name: _plain(getattr(shape, f.name))
+              for f in fields(shape)
+              if getattr(shape, f.name) is not None}
+    return {"variant": shape.variant, "parameters": params}
 
 
 def shape_to_json(shape: Shape) -> str:
@@ -666,45 +657,22 @@ def shape_to_json(shape: Shape) -> str:
 
 
 def shape_from_obj(obj: dict) -> Shape:
+    """Inverse of shape_to_obj; the parameters must name exactly the fields."""
     try:
         variant = obj["variant"]
         par = obj["parameters"]
     except (KeyError, TypeError) as exc:
         raise InvalidArgumentError("shape document needs variant and parameters") from exc
+    cls = _VARIANTS.get(variant) if isinstance(variant, str) else None
+    if cls is None:
+        raise InvalidArgumentError(f"unknown shape variant {variant!r}")
     try:
-        if variant == "ellipsoid":
-            return Ellipsoid(center=np.array(par["center"], dtype=float),
-                             sigma=np.array(par["sigma"], dtype=float))
-        if variant == "diag_ellipsoid":
-            return DiagEllipsoid(center=np.array(par["center"], dtype=float),
-                                 variances=np.array(par["variances"], dtype=float))
-        if variant == "ball":
-            return Ball(center=np.array(par["center"], dtype=float))
-        if variant == "polytope":
-            return Polytope(rows=np.array(par["rows"], dtype=float),
-                            offsets=np.array(par["offsets"], dtype=float),
-                            interior=np.array(par["interior"], dtype=float))
-        if variant == "pca_ellipsoid":
-            return PcaEllipsoid(
-                projection=np.array(par["projection"], dtype=float),
-                center_reduced=np.array(par["center_reduced"], dtype=float),
-                sigma_reduced=np.array(par["sigma_reduced"], dtype=float))
-        if variant == "box_grid":
-            return BoxGrid(centers=np.array(par["centers"], dtype=float),
-                           half_width=float(par["half_width"]))
-        if variant == "union":
-            return Union(components=tuple(shape_from_obj(c)
-                                          for c in par["components"]))
-        if variant == "intersection":
-            blocks = par.get("blocks")
-            if blocks is not None:
-                blocks = tuple(tuple(int(i) for i in blk) for blk in blocks)
-            return Intersection(components=tuple(shape_from_obj(c)
-                                                 for c in par["components"]),
-                                blocks=blocks)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"malformed {variant} parameters") from exc
-    raise InvalidArgumentError(f"unknown shape variant {variant!r}")
+        if "components" in par:
+            par = {**par, "components": tuple(shape_from_obj(c)
+                                              for c in par["components"])}
+        return cls(**par)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"malformed {variant} parameters: {exc}") from exc
 
 
 def shape_from_json(text: str) -> Shape:

@@ -229,6 +229,17 @@ def test_experiment_runs_and_is_deterministic(capsys, fixtures, tmp_path):
     assert lines[0].startswith("replication,status,objective")
 
 
+def test_solve_malformed_spec_is_domain_error(capsys, fixtures, tmp_path):
+    bad = tmp_path / "bad_spec.json"
+    bad.write_text('{"objective": [1.0], "family": {"kind": "joint_linear"},'
+                   ' "rhs": [0.0], "epsilon": 0.1, "delta": 0.1}')
+    code, out, err = run_cli(capsys, ["solve", "--spec", str(bad),
+                                      "--data", fixtures["data"]])
+    assert code == 1 and out == ""
+    doc = json.loads(err.strip().splitlines()[-1])
+    assert doc["error"]["type"] == "InvalidArgumentError"
+
+
 def test_experiment_bad_config_is_domain_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

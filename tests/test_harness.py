@@ -173,6 +173,9 @@ def test_sampler_validation():
         hz.quadratic_wishart_sampler(3, q=1.0, dof=2)
     with pytest.raises(InvalidArgumentError):
         hz.sampler_from_obj({"kind": "nope", "params": {}})
+    with pytest.raises(InvalidArgumentError):
+        hz.sampler_from_obj({"kind": "scaled_beta", "params": {
+            "a0": [0.0], "a_rows": [[1.0]], "alpah": 3.0}})
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +193,18 @@ def test_run_replications_deterministic_and_parallel():
     assert rep_a.delta_hat == rep_c.delta_hat
     rep_d = hz.run_replications(cfg, 6, master_seed=12)
     assert rep_d.records != rep_a.records
+
+
+def test_master_seeds_share_no_replication_data():
+    spec, samp, _, _ = gaussian_instance(7, d=3, b=6.0)
+    cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method="sg", n=30)
+    objectives = [
+        {rec.objective for rec in hz.run_replications(cfg, 8, master_seed=s).records
+         if rec.objective is not None}
+        for s in (0, 1)
+    ]
+    assert len(objectives[0]) == len(objectives[1]) == 8
+    assert not objectives[0] & objectives[1]
 
 
 def test_run_replications_aggregates():

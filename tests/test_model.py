@@ -119,6 +119,16 @@ def test_spec_json_rejects_garbage():
             '{"objective": [1.0], "family": {"kind": "mystery"}, "rhs": [0.0],'
             ' "epsilon": 0.1, "delta": 0.1}'
         )
+    with pytest.raises(InvalidArgumentError):
+        model.spec_from_json(
+            '{"objective": [1.0], "family": {"kind": "joint_linear"}, "rhs": [0.0],'
+            ' "epsilon": 0.1, "delta": 0.1}'
+        )
+    with pytest.raises(InvalidArgumentError):
+        model.spec_from_json(
+            '{"objective": [1.0], "family": {"kind": "single_linear"}, "rhs": [0.0],'
+            ' "epsilon": 0.1, "delta": 0.1, "det_constraints": {"A_ub": [[1.0]]}}'
+        )
 
 
 def test_vectorize_round_trip():

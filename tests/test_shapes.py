@@ -368,6 +368,9 @@ def test_shape_json_rejects_garbage():
         shape_from_json("[1, 2]")
     with pytest.raises(InvalidArgumentError):
         shape_from_json('{"variant": "blob", "parameters": {}}')
+    with pytest.raises(InvalidArgumentError):
+        shape_from_json('{"variant": "ball", "parameters": {"center": [0.0],'
+                        ' "radius": 1.0}}')
 
 
 def test_intersection_blocks_transform_and_dim():
