@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from . import conic, model
+from . import conic, model, reformulate
 from .calibrate import _check_prob, binom_cdf
 from .errors import InvalidArgumentError, UnsupportedCombinationError
 
@@ -103,19 +103,13 @@ def sg_solve(spec: model.CcpSpec, scenarios) -> conic.Solution:
         raise InvalidArgumentError(
             f"scenario rows must have {l * d} columns, got {pts.shape}"
         )
-    n = pts.shape[0]
-    rows = pts.reshape(n * l, d)
-    offsets = np.tile(spec.rhs, n)
-    if spec.det is not None:
-        rows = np.vstack([rows, spec.det.a_ub]) if rows.size else spec.det.a_ub
-        offsets = np.concatenate([offsets, spec.det.b_ub])
-    if rows.shape[0] == 0:
-        # vacuous row so the program is well formed; does not constrain x
-        rows = np.zeros((1, d))
-        offsets = np.ones(1)
-    prog = conic.ConicProgram(c=spec.objective, A=rows, b=offsets,
-                              cones=(conic.Nonneg(rows.shape[0]),))
-    return conic.solve(prog)
+    blocks = reformulate.det_blocks(spec.det)
+    n = pts.shape[0] * l
+    if n:
+        blocks.append(("scenario", reformulate.Block(
+            rows_x=pts.reshape(n, d), rows_aux=np.zeros((n, 0)),
+            offsets=np.tile(spec.rhs, pts.shape[0]), cones=(conic.Nonneg(n),))))
+    return conic.solve(reformulate.assemble(spec.objective, blocks)[0])
 
 
 def _perturbation_arrays(a0, a_rows):
@@ -133,15 +127,6 @@ def _perturbation_arrays(a0, a_rows):
     return a0, a_rows
 
 
-def _with_det(rows, offsets, cone_list, det, n_vars, n_aux):
-    if det is None:
-        return rows, offsets, cone_list
-    pad = np.hstack([det.a_ub, np.zeros((det.a_ub.shape[0], n_aux))])
-    rows = np.vstack([pad, rows])
-    offsets = np.concatenate([det.b_ub, offsets])
-    return rows, offsets, [conic.Nonneg(det.a_ub.shape[0])] + cone_list
-
-
 def safe_hoeffding(objective, a0, a_rows, b: float, epsilon: float,
                    det: model.DetConstraints | None = None) -> conic.ConicProgram:
     """Hoeffding-based safe approximation of P(xi'x <= b) >= 1 - epsilon.
@@ -149,26 +134,16 @@ def safe_hoeffding(objective, a0, a_rows, b: float, epsilon: float,
     For xi = a0 + sum_i zeta_i a_i with independent zero-mean zeta_i in
     [-1, 1], the chance constraint is implied by
 
-        eta * sqrt(sum_i (a_i'x)^2) <= b - a0'x,   eta = sqrt(2 log(1/eps)).
+        eta * sqrt(sum_i (a_i'x)^2) <= b - a0'x,   eta = sqrt(2 log(1/eps)),
+
+    which is the ellipsoidal robust row with factor a_rows' and radius eta.
     """
     epsilon = _check_prob(epsilon, "epsilon")
     a0, a_rows = _perturbation_arrays(a0, a_rows)
-    c = np.asarray(objective, dtype=float).reshape(-1)
-    if c.size != a0.size:
-        raise InvalidArgumentError("objective length must match the dimension")
     eta = math.sqrt(2.0 * math.log(1.0 / epsilon))
-    tail = eta * a_rows
-    if np.all(tail == 0.0):
-        rows = a0[None, :]
-        offsets = np.array([float(b)])
-        cones = [conic.Nonneg(1)]
-    else:
-        rows = np.vstack([a0[None, :], tail])
-        offsets = np.zeros(1 + a_rows.shape[0])
-        offsets[0] = float(b)
-        cones = [conic.SecondOrder(1 + a_rows.shape[0])]
-    rows, offsets, cones = _with_det(rows, offsets, cones, det, c.size, 0)
-    return conic.ConicProgram(c=c, A=rows, b=offsets, cones=tuple(cones))
+    row = reformulate.rc_linear_ellipsoid(a0, a_rows.T, eta, b)
+    return reformulate.assemble(objective, reformulate.det_blocks(det)
+                                + [("safe", row)])[0]
 
 
 def safe_gaussian(objective, a0, a_rows, mu_minus, mu_plus, sigma, b: float,
@@ -182,52 +157,36 @@ def safe_gaussian(objective, a0, a_rows, mu_minus, mu_plus, sigma, b: float,
         (a0'x - b) + sum_i max[a_i'x mu_i^-, a_i'x mu_i^+]
             + sqrt(2 log(1/eps)) * sqrt(sum_i sigma_i^2 (a_i'x)^2) <= 0.
 
-    The max terms get one epigraph variable each (two linear rows); the norm
-    becomes a second-order cone row.
+    The max terms get one epigraph variable t_i each (two linear rows); the
+    rest is the ellipsoidal robust row a0'x + sum_i t_i + eta ||.|| <= b.
     """
     epsilon = _check_prob(epsilon, "epsilon")
     a0, a_rows = _perturbation_arrays(a0, a_rows)
     big = np.asarray(mu_plus, dtype=float).reshape(-1)
     small = np.asarray(mu_minus, dtype=float).reshape(-1)
     sig = np.asarray(sigma, dtype=float).reshape(-1)
-    L, d = a_rows.shape
+    L = a_rows.shape[0]
     if big.size != L or small.size != L or sig.size != L:
         raise InvalidArgumentError("mean bounds and sigma must have length L")
     if np.any(small > big):
         raise InvalidArgumentError("need mu_minus <= mu_plus componentwise")
     if np.any(sig < 0.0):
         raise InvalidArgumentError("sigma must be nonnegative")
-    c = np.asarray(objective, dtype=float).reshape(-1)
-    if c.size != d:
-        raise InvalidArgumentError("objective length must match the dimension")
 
     eta = math.sqrt(2.0 * math.log(1.0 / epsilon))
-    # variables (x, t) with t the epigraphs of the max terms
-    n_vars = d + L
-    # epigraph rows: t_i - mu^- a_i'x >= 0 and t_i - mu^+ a_i'x >= 0
-    epi = np.zeros((2 * L, n_vars))
-    for i in range(L):
-        epi[2 * i, :d] = small[i] * a_rows[i]
-        epi[2 * i, d + i] = -1.0
-        epi[2 * i + 1, :d] = big[i] * a_rows[i]
-        epi[2 * i + 1, d + i] = -1.0
-    cones = [conic.Nonneg(2 * L)]
-
-    head = np.zeros((1, n_vars))
-    head[0, :d] = a0
-    head[0, d:] = 1.0
-    tail = eta * sig[:, None] * a_rows
-    if np.all(tail == 0.0):
-        main = head
-        offsets = np.array([float(b)])
-        cones.append(conic.Nonneg(1))
-    else:
-        main = np.vstack([head, np.hstack([tail, np.zeros((L, L))])])
-        offsets = np.zeros(1 + L)
-        offsets[0] = float(b)
-        cones.append(conic.SecondOrder(1 + L))
-    rows = np.vstack([epi, main])
-    offsets = np.concatenate([np.zeros(2 * L), offsets])
-    rows, offsets, cones = _with_det(rows, offsets, cones, det, d, L)
-    c_full = np.concatenate([c, np.zeros(L)])
-    return conic.ConicProgram(c=c_full, A=rows, b=offsets, cones=tuple(cones))
+    norm = reformulate.rc_linear_ellipsoid(a0, (sig[:, None] * a_rows).T, eta, b)
+    # epigraph rows t_i - mu^- a_i'x >= 0 and t_i - mu^+ a_i'x >= 0, then the
+    # norm row with sum_i t_i added to its head
+    epi_x = np.empty((2 * L, a0.size))
+    epi_x[0::2] = small[:, None] * a_rows
+    epi_x[1::2] = big[:, None] * a_rows
+    rows_aux = np.zeros((2 * L + norm.offsets.size, L))
+    rows_aux[: 2 * L] = -np.repeat(np.eye(L), 2, axis=0)
+    rows_aux[2 * L] = 1.0
+    row = reformulate.Block(
+        rows_x=np.vstack([epi_x, norm.rows_x]), rows_aux=rows_aux,
+        offsets=np.concatenate([np.zeros(2 * L), norm.offsets]),
+        cones=(conic.Nonneg(2 * L),) + norm.cones,
+        aux_spans=(reformulate.Span("epigraph", "t", 0, L),))
+    return reformulate.assemble(objective, reformulate.det_blocks(det)
+                                + [("safe", row)])[0]

@@ -120,11 +120,9 @@ def _assemble(args):
 def _cmd_solve(args) -> int:
     rp = _assemble(args)
     spec, pset = rp.spec, rp.set
-    sol = conic.solve(rp.program)
-    optimal = sol.status is conic.SolveStatus.OPTIMAL
-    x = sol.x[: spec.d] if optimal else None
+    status, x, _ = harness._solved(spec, conic.solve(rp.program))
     _emit({
-        "status": sol.status.value,
+        "status": status,
         "objective": None if x is None else float(spec.objective @ x),
         "x": None if x is None else x.tolist(),
         "calibration": {

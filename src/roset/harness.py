@@ -18,7 +18,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -437,15 +437,16 @@ def two_phase_ro(spec: model.CcpSpec, data: model.Dataset, n1: int, seed: int,
     return reformulate.assemble_ro(spec, pset)
 
 
-def _solved(config: ExperimentConfig, sol):
-    x = sol.x[: config.spec.d] if sol.status is conic.SolveStatus.OPTIMAL else None
+def _solved(spec: model.CcpSpec, sol):
+    """(status, decision x or None unless optimal, note) of one solve."""
+    x = sol.x[: spec.d] if sol.status is conic.SolveStatus.OPTIMAL else None
     return sol.status.value, x, ""
 
 
 def _method_ro(config: ExperimentConfig, data_rows, seed: int):
     rp = two_phase_ro(config.spec, model.Dataset(data_rows), config.n1, seed,
                       config.shape, config.shape_options)
-    return _solved(config, conic.solve(rp.program))
+    return _solved(config.spec, conic.solve(rp.program))
 
 
 def _method_ro_reconstructed(config: ExperimentConfig, data_rows, seed: int):
@@ -458,7 +459,7 @@ def _method_ro_reconstructed(config: ExperimentConfig, data_rows, seed: int):
 
 
 def _method_sg(config: ExperimentConfig, data_rows, seed: int):
-    return _solved(config, baselines.sg_solve(config.spec, data_rows))
+    return _solved(config.spec, baselines.sg_solve(config.spec, data_rows))
 
 
 def _method_safe_hoeffding(config: ExperimentConfig, data_rows, seed: int):
@@ -466,7 +467,7 @@ def _method_safe_hoeffding(config: ExperimentConfig, data_rows, seed: int):
     prog = baselines.safe_hoeffding(
         config.spec.objective, pert["a0"], pert["a_rows"],
         float(config.spec.rhs[0]), config.spec.epsilon, det=config.spec.det)
-    return _solved(config, conic.solve(prog))
+    return _solved(config.spec, conic.solve(prog))
 
 
 def _method_safe_gaussian(config: ExperimentConfig, data_rows, seed: int):
@@ -475,7 +476,7 @@ def _method_safe_gaussian(config: ExperimentConfig, data_rows, seed: int):
         config.spec.objective, pert["a0"], pert["a_rows"],
         pert["mu_minus"], pert["mu_plus"], pert["sigma"],
         float(config.spec.rhs[0]), config.spec.epsilon, det=config.spec.det)
-    return _solved(config, conic.solve(prog))
+    return _solved(config.spec, conic.solve(prog))
 
 
 # method name -> (config, data rows, split seed) -> (status, x or None, note)
@@ -652,48 +653,55 @@ def reconstruction_pipeline(data, spec: model.CcpSpec, n1: int, seed: int = 0,
 # experiment configuration files
 
 
+# field name -> (to document, from document); the other fields are plain
+# values, coerced on input by their annotation
+_CONFIG_CODECS = {
+    "spec": (lambda spec: json.loads(model.spec_to_json(spec)),
+             lambda obj: model.spec_from_json(json.dumps(obj))),
+    "sampler": (sampler_to_obj, sampler_from_obj),
+    "perturbation": (
+        lambda pert: None if pert is None else {
+            k: np.asarray(v, dtype=float).tolist() for k, v in pert.items()},
+        lambda obj: None if obj is None else {
+            k: np.asarray(v, dtype=float) for k, v in obj.items()}),
+}
+_CONFIG_SCALARS = {"int": int, "str": str}
+
+
 def config_to_obj(config: ExperimentConfig) -> dict:
-    pert = None
-    if config.perturbation is not None:
-        pert = {k: (np.asarray(v, dtype=float).tolist())
-                for k, v in config.perturbation.items()}
-    return {
-        "spec": json.loads(model.spec_to_json(config.spec)),
-        "sampler": sampler_to_obj(config.sampler),
-        "method": config.method,
-        "n": config.n,
-        "n1": config.n1,
-        "shape": config.shape,
-        "shape_options": config.shape_options,
-        "n_eval": config.n_eval,
-        "violation": config.violation,
-        "perturbation": pert,
-        "scale": config.scale,
-    }
+    """One entry per ExperimentConfig field, in field order."""
+    return {f.name: (_CONFIG_CODECS[f.name][0](getattr(config, f.name))
+                     if f.name in _CONFIG_CODECS else getattr(config, f.name))
+            for f in fields(ExperimentConfig)}
 
 
 def config_from_obj(obj: dict) -> ExperimentConfig:
+    """Inverse of config_to_obj; absent fields take the dataclass defaults."""
     if not isinstance(obj, dict):
         raise InvalidArgumentError("experiment config must be an object")
-    for key in ("spec", "sampler", "method", "n"):
-        if key not in obj:
-            raise InvalidArgumentError(f"experiment config missing field {key!r}")
-    pert = obj.get("perturbation")
-    if pert is not None:
-        pert = {k: np.asarray(v, dtype=float) for k, v in pert.items()}
-    return ExperimentConfig(
-        spec=model.spec_from_json(json.dumps(obj["spec"])),
-        sampler=sampler_from_obj(obj["sampler"]),
-        method=str(obj["method"]),
-        n=int(obj["n"]),
-        n1=int(obj.get("n1", 0)),
-        shape=str(obj.get("shape", "ellipsoid")),
-        shape_options=obj.get("shape_options"),
-        n_eval=int(obj.get("n_eval", 10_000)),
-        violation=str(obj.get("violation", "auto")),
-        perturbation=pert,
-        scale=str(obj.get("scale", "auto")),
-    )
+    known = fields(ExperimentConfig)
+    unknown = sorted(set(obj) - {f.name for f in known})
+    if unknown:
+        raise InvalidArgumentError(
+            f"unknown experiment config field(s): {', '.join(unknown)}")
+    kwargs = {}
+    for f in known:
+        if f.name not in obj:
+            if f.default is MISSING:
+                raise InvalidArgumentError(
+                    f"experiment config missing field {f.name!r}")
+            continue
+        value = obj[f.name]
+        try:
+            if f.name in _CONFIG_CODECS:
+                value = _CONFIG_CODECS[f.name][1](value)
+            elif f.type in _CONFIG_SCALARS:
+                value = _CONFIG_SCALARS[f.type](value)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise InvalidArgumentError(
+                f"malformed experiment config field {f.name!r}: {exc}") from exc
+        kwargs[f.name] = value
+    return ExperimentConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------

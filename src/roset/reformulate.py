@@ -39,6 +39,8 @@ __all__ = [
     "rc_union",
     "rc_partition",
     "build_reconstruction_set",
+    "det_blocks",
+    "assemble",
     "assemble_ro",
     "polytope_level_offsets",
 ]
@@ -132,8 +134,9 @@ def rc_linear_ellipsoid(a0, delta, rho: float, b: float) -> Block:
     """Protect a0'x + worst ellipsoidal perturbation <= b.
 
     The uncertain row is a = a0 + rho * delta u with ||u|| <= 1, giving the
-    second-order row a0'x + rho ||delta' x|| <= b.  With rho = 0 the row
-    degenerates to the nominal half-space.
+    second-order row a0'x + rho ||delta' x|| <= b.  All-zero columns of delta
+    do not change the norm and are dropped; with rho = 0 or no column left the
+    row degenerates to the nominal half-space.
     """
     a0 = np.asarray(a0, dtype=float).reshape(-1)
     delta = np.atleast_2d(np.asarray(delta, dtype=float))
@@ -143,11 +146,12 @@ def rc_linear_ellipsoid(a0, delta, rho: float, b: float) -> Block:
     rho = float(rho)
     if not (rho >= 0 and np.isfinite(rho)):
         raise InvalidArgumentError("rho must be finite and >= 0")
-    if rho == 0.0:
+    tail = delta.T[np.any(delta != 0.0, axis=0)]
+    if rho == 0.0 or tail.shape[0] == 0:
         return Block(rows_x=a0[None, :], rows_aux=_no_aux(1),
                      offsets=[float(b)], cones=(conic.Nonneg(1),))
-    t = delta.shape[1]
-    rows_x = np.vstack([a0[None, :], -rho * delta.T])
+    t = tail.shape[0]
+    rows_x = np.vstack([a0[None, :], -rho * tail])
     offsets = np.zeros(1 + t)
     offsets[0] = float(b)
     return Block(rows_x=rows_x, rows_aux=_no_aux(1 + t), offsets=offsets,
@@ -188,37 +192,21 @@ def rc_linear_polytope(halfspace_rows, halfspace_offsets, b: float, *,
 
 def _vecnorm_blocks(abar: np.ndarray, tails: np.ndarray, rho: float,
                     b: np.ndarray) -> Block:
-    """Joint rows a_i'x + rho ||tails[:, block_i] @ x|| <= b_i.
+    """Joint rows a_i'x + rho ||tails[:, block_i] @ x|| <= b_i, stacked.
 
     ``tails`` is the (m, m) matrix whose columns at block i produce the
-    worst-case direction for row i; all-zero tail rows are dropped since they
-    do not change the norm.
+    worst-case direction for row i; each row is one rc_linear_ellipsoid.
     """
     l, d = abar.shape
     m = l * d
     if tails.shape != (m, m):
         raise InvalidArgumentError("tail factor must be m x m over vec(A)")
-    rows_x = []
-    offsets = []
-    cones = []
-    for i in range(l):
-        cols = tails[:, i * d: (i + 1) * d]
-        keep = np.any(cols != 0.0, axis=1)
-        tail = rho * cols[keep]
-        if rho == 0.0 or tail.shape[0] == 0:
-            rows_x.append(abar[i][None, :])
-            offsets.append([float(b[i])])
-            cones.append(conic.Nonneg(1))
-            continue
-        rows_x.append(np.vstack([abar[i][None, :], -tail]))
-        off = np.zeros(1 + tail.shape[0])
-        off[0] = float(b[i])
-        offsets.append(off)
-        cones.append(conic.SecondOrder(1 + tail.shape[0]))
-    rows_x = np.vstack(rows_x)
-    offsets = np.concatenate(offsets)
-    return Block(rows_x=rows_x, rows_aux=_no_aux(offsets.size),
-                 offsets=offsets, cones=tuple(cones))
+    rows = [rc_linear_ellipsoid(abar[i], tails[:, i * d: (i + 1) * d].T, rho, b[i])
+            for i in range(l)]
+    offsets = np.concatenate([blk.offsets for blk in rows])
+    return Block(rows_x=np.vstack([blk.rows_x for blk in rows]),
+                 rows_aux=_no_aux(offsets.size), offsets=offsets,
+                 cones=tuple(cone for blk in rows for cone in blk.cones))
 
 
 def rc_linear_vecnorm(abar, m_factor, rho: float, b) -> Block:
@@ -237,9 +225,6 @@ def rc_linear_vecnorm(abar, m_factor, rho: float, b) -> Block:
     m_factor = np.atleast_2d(np.asarray(m_factor, dtype=float))
     if m_factor.shape != (m, m):
         raise InvalidArgumentError("M must be square over vec(A)")
-    rho = float(rho)
-    if not (rho >= 0 and np.isfinite(rho)):
-        raise InvalidArgumentError("rho must be finite and >= 0")
     try:
         tails = np.linalg.solve(m_factor.T, np.eye(m))
     except np.linalg.LinAlgError as exc:
@@ -465,11 +450,8 @@ def _basic_linear_blocks(comp, s: float, rhs: np.ndarray, l: int, d: int) -> lis
         )
     rho = _rho_of_size(s)
     if isinstance(comp, _ELLIPSOIDS):
-        factor = _ellipsoid_factor(comp)
-        if l == 1:
-            return [rc_linear_ellipsoid(comp.center, factor, rho, float(rhs[0]))]
         abar = comp.center.reshape(l, d)
-        return [_vecnorm_blocks(abar, factor.T, rho, rhs)]
+        return [_vecnorm_blocks(abar, _ellipsoid_factor(comp).T, rho, rhs)]
     if isinstance(comp, shapes.Polytope):
         offs = polytope_level_offsets(comp, s)
         return [
@@ -686,41 +668,39 @@ def _shape_blocks(spec: model.CcpSpec, pset: shapes.PredictionSet) -> list:
     )
 
 
-def assemble_ro(spec: model.CcpSpec, pset: shapes.PredictionSet) -> RobustProgram:
-    """Assemble min c'x subject to deterministic rows plus all RC blocks.
+def det_blocks(det: model.DetConstraints | None) -> list:
+    """The labeled block of deterministic rows A_ub x <= b_ub, if any."""
+    if det is None or det.b_ub.size == 0:
+        return []
+    return [("det", Block(rows_x=det.a_ub, rows_aux=_no_aux(det.b_ub.size),
+                          offsets=det.b_ub, cones=(conic.Nonneg(det.b_ub.size),)))]
 
-    Returns the program together with the variable mapping; programs with an
-    LMI block are export-only and refuse the internal solver.
+
+def assemble(objective, labeled_blocks) -> tuple:
+    """Stack labeled blocks into min c'x over (x, aux) subject to every block.
+
+    Each block's auxiliary columns are appended after x in order.  Returns
+    the program, the variable mapping (spans over x and the aux columns) and
+    the row spans, tagged deterministic for the "det" block and robust
+    otherwise.
     """
-    if pset.dim != spec.data_dim:
-        raise InvalidArgumentError(
-            f"prediction set dimension {pset.dim} does not match "
-            f"the family's data dimension {spec.data_dim}"
-        )
-    d = spec.d
-    labeled = []
-    if spec.det is not None:
-        det_block = Block(rows_x=spec.det.a_ub,
-                          rows_aux=_no_aux(spec.det.b_ub.size),
-                          offsets=spec.det.b_ub,
-                          cones=(conic.Nonneg(spec.det.b_ub.size),))
-        labeled.append(("det", det_block))
-    labeled.extend(_shape_blocks(spec, pset))
-
-    n_aux = sum(blk.n_aux for _, blk in labeled)
-    n_rows = sum(blk.offsets.size for _, blk in labeled)
-    n = d + n_aux
-    A = np.zeros((n_rows, n))
+    c = np.asarray(objective, dtype=float).reshape(-1)
+    d = c.size
+    n_aux = sum(blk.n_aux for _, blk in labeled_blocks)
+    n_rows = sum(blk.offsets.size for _, blk in labeled_blocks)
+    A = np.zeros((n_rows, d + n_aux))
     b = np.zeros(n_rows)
     cones = []
     mapping = [Span("x", "x", 0, d)]
     row_spans = []
     aux_base = d
     r0 = 0
-    for label, blk in labeled:
+    for label, blk in labeled_blocks:
         k = blk.offsets.size
         if blk.n_x != d:
-            raise InvalidArgumentError("block x-width does not match the spec")
+            raise InvalidArgumentError(
+                f"block {label!r} has {blk.n_x} x-columns but the objective "
+                f"has {d} entries")
         A[r0: r0 + k, :d] = blk.rows_x
         if blk.n_aux:
             A[r0: r0 + k, aux_base: aux_base + blk.n_aux] = blk.rows_aux
@@ -733,7 +713,23 @@ def assemble_ro(spec: model.CcpSpec, pset: shapes.PredictionSet) -> RobustProgra
         role = "deterministic" if label == "det" else "robust"
         row_spans.append(Span(role, label, r0, r0 + k))
         r0 += k
-    c = np.concatenate([spec.objective, np.zeros(n_aux)])
+    c = np.concatenate([c, np.zeros(n_aux)])
     program = conic.ConicProgram(c=c, A=A, b=b, cones=tuple(cones))
+    return program, tuple(mapping), tuple(row_spans)
+
+
+def assemble_ro(spec: model.CcpSpec, pset: shapes.PredictionSet) -> RobustProgram:
+    """Assemble min c'x subject to deterministic rows plus all RC blocks.
+
+    Returns the program together with the variable mapping; programs with an
+    LMI block are export-only and refuse the internal solver.
+    """
+    if pset.dim != spec.data_dim:
+        raise InvalidArgumentError(
+            f"prediction set dimension {pset.dim} does not match "
+            f"the family's data dimension {spec.data_dim}"
+        )
+    program, mapping, rows = assemble(
+        spec.objective, det_blocks(spec.det) + _shape_blocks(spec, pset))
     return RobustProgram(spec=spec, set=pset, program=program,
-                         mapping=tuple(mapping), rows=tuple(row_spans))
+                         mapping=mapping, rows=rows)

@@ -228,18 +228,21 @@ class BoxGrid:
 _BASIC = (Ellipsoid, DiagEllipsoid, Ball, Polytope, PcaEllipsoid, BoxGrid)
 
 
-def _check_components(components):
+def _basic_components(components) -> tuple:
     components = tuple(components)
     if not components:
         raise InvalidArgumentError("combinator needs at least one component")
-    dims = set()
-    for comp in components:
-        if not isinstance(comp, _BASIC):
-            raise InvalidArgumentError(
-                "combinators accept basic shapes only (no nesting)"
-            )
-        dims.add(comp.dim)
-    if len(dims) != 1:
+    if not all(isinstance(comp, _BASIC) for comp in components):
+        raise InvalidArgumentError(
+            "combinators accept basic shapes only (no nesting)"
+        )
+    return components
+
+
+def _check_components(components) -> tuple:
+    """Basic shapes of one common dimension."""
+    components = _basic_components(components)
+    if len({comp.dim for comp in components}) != 1:
         raise InvalidArgumentError("component dimensions differ")
     return components
 
@@ -280,16 +283,12 @@ class Intersection:
         if self.blocks is None:
             object.__setattr__(self, "components", _check_components(self.components))
             return
-        components = tuple(self.components)
+        components = _basic_components(self.components)
         blocks = tuple(tuple(int(i) for i in blk) for blk in self.blocks)
-        if len(blocks) != len(components) or not components:
+        if len(blocks) != len(components):
             raise InvalidArgumentError("need one coordinate block per component")
         seen = []
         for comp, blk in zip(components, blocks):
-            if not isinstance(comp, _BASIC):
-                raise InvalidArgumentError(
-                    "combinators accept basic shapes only (no nesting)"
-                )
             if len(blk) == 0 or any(i < 0 for i in blk):
                 raise InvalidArgumentError("coordinate blocks must be non-empty")
             if comp.dim != len(blk):
@@ -681,44 +680,3 @@ def shape_from_json(text: str) -> Shape:
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"invalid shape JSON: {exc}") from exc
     return shape_from_obj(obj)
-
-
-def prediction_set_to_obj(pset: PredictionSet) -> dict:
-    c = pset.calib
-    return {
-        "shape": shape_to_obj(pset.shape),
-        "size": pset.size,
-        "calib": {
-            "i_star": c.i_star,
-            "s": c.s,
-            "n2": c.n2,
-            "epsilon": c.epsilon,
-            "delta": c.delta,
-            "tie_warning": c.tie_warning,
-        },
-    }
-
-
-def prediction_set_to_json(pset: PredictionSet) -> str:
-    return json.dumps(prediction_set_to_obj(pset), indent=2, sort_keys=True)
-
-
-def prediction_set_from_obj(obj: dict) -> PredictionSet:
-    try:
-        shape = shape_from_obj(obj["shape"])
-        cal = obj["calib"]
-        calib = CalibResult(i_star=int(cal["i_star"]), s=float(cal["s"]),
-                            n2=int(cal["n2"]), epsilon=float(cal["epsilon"]),
-                            delta=float(cal["delta"]),
-                            tie_warning=bool(cal["tie_warning"]))
-        return PredictionSet(shape=shape, size=float(obj["size"]), calib=calib)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidArgumentError("malformed prediction-set document") from exc
-
-
-def prediction_set_from_json(text: str) -> PredictionSet:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidArgumentError(f"invalid prediction-set JSON: {exc}") from exc
-    return prediction_set_from_obj(obj)

@@ -115,6 +115,18 @@ def test_sg_solve_zero_scenarios_is_det_lp():
     assert abs(sol.obj + 3.0) <= 1e-7
 
 
+def test_sg_solve_without_rows_is_unconstrained():
+    spec = model.CcpSpec(objective=[-1.0, 0.5], family=model.SingleLinear(),
+                         rhs=[1.0], epsilon=0.1, delta=0.1)
+    sol = bl.sg_solve(spec, np.zeros((0, 2)))
+    assert sol.status is conic.SolveStatus.UNBOUNDED
+    flat = model.CcpSpec(objective=[0.0, 0.0], family=model.SingleLinear(),
+                         rhs=[1.0], epsilon=0.1, delta=0.1)
+    sol = bl.sg_solve(flat, np.zeros((0, 2)))
+    assert sol.status is conic.SolveStatus.OPTIMAL
+    assert sol.obj == pytest.approx(0.0, abs=1e-9)
+
+
 def test_sg_solve_imposes_every_scenario():
     rng = np.random.default_rng(1)
     spec = model.CcpSpec(objective=[-1.0, -1.0], family=model.SingleLinear(),

@@ -1,5 +1,6 @@
 """Violation metrics, replication determinism, reconstruction pipeline."""
 
+import json
 import math
 
 import numpy as np
@@ -250,6 +251,27 @@ def test_experiment_config_validation():
             2, q=1.0), method="ro", n=10, n1=5)
 
 
+def test_experiment_config_document_round_trip_and_strictness():
+    spec, samp, _, _ = gaussian_instance(10, d=3, b=6.0)
+    cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method="ro", n=40,
+                              n1=20, shape="ball", n_eval=500)
+    obj = hz.config_to_obj(cfg)
+    back = hz.config_from_obj(json.loads(json.dumps(obj)))
+    assert hz.config_to_obj(back) == obj
+    # absent optional fields take the dataclass defaults
+    minimal = {k: obj[k] for k in ("spec", "sampler", "method", "n")}
+    dflt = hz.config_from_obj(minimal)
+    assert (dflt.n1, dflt.shape, dflt.n_eval, dflt.violation, dflt.scale) == \
+        (0, "ellipsoid", 10_000, "auto", "auto")
+    # a misspelled key is rejected instead of silently ignored
+    with pytest.raises(InvalidArgumentError, match="shape_option"):
+        hz.config_from_obj({**obj, "shape_option": {"k": 3}})
+    with pytest.raises(InvalidArgumentError, match="'n'"):
+        hz.config_from_obj({k: v for k, v in obj.items() if k != "n"})
+    with pytest.raises(InvalidArgumentError):
+        hz.config_from_obj({**obj, "n": "many"})
+
+
 def test_theorem_confidence_end_to_end():
     """Across replications, the violation target holds at rate >= 1 - delta."""
     spec, samp, _, _ = gaussian_instance(11, d=3, b=8.0)
@@ -352,7 +374,6 @@ def test_report_csv_and_json_shapes():
     assert lines[0] == "replication,status,objective,violation_probability,note"
     assert len(lines) == 5
     doc = hz.report_to_json(rep)
-    import json
     parsed = json.loads(doc)
     assert parsed["aggregates"]["replications"] == 4
     assert parsed["config"]["method"] == "ro"

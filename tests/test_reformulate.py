@@ -85,6 +85,11 @@ def test_ellipsoid_rc_rho_zero_is_nominal_row():
     assert block.cones == (conic.Nonneg(1),)
     assert np.array_equal(block.rows_x, [[1.0, 0.0]])
     assert np.array_equal(block.offsets, [1.0])
+    # an all-zero factor leaves no norm term even at rho > 0
+    block = rf.rc_linear_ellipsoid([1.0, 0.0], np.zeros((2, 2)), 2.0, 1.0)
+    assert block.cones == (conic.Nonneg(1),)
+    assert np.array_equal(block.rows_x, [[1.0, 0.0]])
+    assert np.array_equal(block.offsets, [1.0])
 
 
 def test_ellipsoid_rc_rejects_negative_rho():
