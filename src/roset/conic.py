@@ -203,7 +203,9 @@ class Solution:
     For OPTIMAL the primal/dual points satisfy the advertised tolerances.
     For INFEASIBLE, (y, z) is a Farkas certificate with b'y + h'z = -1; for
     UNBOUNDED, x is a ray with c'x = -1.  cert_residual measures certificate
-    quality; it is None for other statuses.
+    quality; it is None for other statuses.  For ITER_LIMIT, reason says why
+    the solver stopped (a numerical breakdown or "iteration limit") and the
+    point is the best iterate seen; it is None for other statuses.
     """
 
     status: SolveStatus
@@ -219,6 +221,7 @@ class Solution:
     iterations: int
     cert_residual: Optional[float] = None
     trace: tuple = ()
+    reason: Optional[str] = None
 
 
 def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,

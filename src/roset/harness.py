@@ -580,7 +580,8 @@ def reconstruction_pipeline(data, spec: model.CcpSpec, n1: int, seed: int = 0,
     Phase 1 fits the shape and sizes it to cover ceil(n1(1-eps)) of its own
     points; solving that RO gives x_hat. The set is then rebuilt around
     x_hat's constraint margins and recalibrated on Phase 2, and the
-    reconstructed RO is solved for x_tilde.
+    reconstructed RO, the ray LP over x = lambda x_hat of
+    reformulate.rc_reconstruction, is solved for x_tilde.
     """
     if scale not in ("auto", "margin", "std"):
         raise InvalidArgumentError("scale must be auto, margin, or std")
@@ -635,7 +636,17 @@ def reconstruction_pipeline(data, spec: model.CcpSpec, n1: int, seed: int = 0,
     pset_rec = reformulate.build_reconstruction_set(
         x_hat, spec, k, ph2, spec.epsilon, spec.delta)
     rho = float(pset_rec.calib.s)
-    sol1 = conic.solve(reformulate.assemble_ro(spec, pset_rec).program)
+    det = spec.det
+    if det is not None:
+        # x_hat may end a solver tolerance outside a det row; widen each row
+        # by that residual so that lambda = 1 (x = x_hat) stays feasible and
+        # rho <= 0 keeps obj_tilde <= obj_hat
+        det = model.DetConstraints(
+            det.a_ub, det.b_ub + np.maximum(det.a_ub @ x_hat - det.b_ub, 0.0))
+    robust = reformulate.rc_reconstruction(x_hat, pset_rec.shape.offsets, spec.rhs)
+    program, _, _ = reformulate.assemble(
+        spec.objective, reformulate.det_blocks(det) + [("robust", robust)])
+    sol1 = conic.solve(program)
     if sol1.status is not conic.SolveStatus.OPTIMAL:
         return ReconstructionResult(
             x_hat=x_hat, x_tilde=None, obj_hat=obj_hat, obj_tilde=None,

@@ -65,7 +65,12 @@ def _split(prog: ConicProgram) -> _Split:
         if isinstance(cone, Zero):
             eq_rows.extend(rows)
         elif isinstance(cone, Nonneg):
-            blocks.append(("l", slice(pos, pos + cone.dim)))
+            start = pos
+            if blocks and blocks[-1][0] == "l":
+                # Zero rows are routed out, so neighbouring Nonneg blocks,
+                # also across Zero rows, form one "l" block
+                start = blocks.pop()[1].start
+            blocks.append(("l", slice(start, pos + cone.dim)))
             ineq_rows.extend(rows)
             pos += cone.dim
             nu += cone.dim
@@ -291,7 +296,7 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
     best_score = math.inf
     trace = []
     it = 0
-    status_on_break = SolveStatus.ITER_LIMIT
+    reason = "iteration limit"
 
     def _deflated():
         return x / tau, y / tau, z / tau, s / tau
@@ -427,10 +432,11 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
             kappa = kappa + a * dkappa
             if tau <= 0.0 or kappa <= 0.0:
                 raise _Breakdown("tau/kappa left the positive orthant")
-        except _Breakdown:
+        except _Breakdown as exc:
+            reason = str(exc)
             break
 
     xt, yt, zt, st, pcost, relgap, gap_abs, pres, dres = best
-    return Solution(status=status_on_break, x=xt, y=yt, z=zt, s=st, obj=pcost,
-                    gap=relgap, gap_abs=gap_abs, pres=pres, dres=dres,
-                    iterations=it, trace=tuple(trace))
+    return Solution(status=SolveStatus.ITER_LIMIT, x=xt, y=yt, z=zt, s=st,
+                    obj=pcost, gap=relgap, gap_abs=gap_abs, pres=pres, dres=dres,
+                    iterations=it, trace=tuple(trace), reason=reason)

@@ -39,6 +39,7 @@ __all__ = [
     "rc_union",
     "rc_partition",
     "build_reconstruction_set",
+    "rc_reconstruction",
     "det_blocks",
     "assemble",
     "assemble_ro",
@@ -578,6 +579,34 @@ def build_reconstruction_set(x_hat, spec: model.CcpSpec, scale, phase2,
         interior[j * d: (j + 1) * d] = ((offsets[j] - 1.0) / norm2) * x_hat
     shape = shapes.Polytope(rows=rows, offsets=offsets, interior=interior)
     return shapes.PredictionSet(shape=shape, size=1.0, calib=calib)
+
+
+def rc_reconstruction(x_hat, offsets, rhs) -> Block:
+    """Protect every row j against the reconstructed set, over (x, lambda).
+
+    Over {xi : x_hat'xi_j <= o_j for all j} the worst case of xi_j'x is
+    finite only on the ray x = lambda x_hat with lambda >= 0, where it is
+    lambda o_j.  So the exact counterpart is the rows x - lambda x_hat = 0,
+    lambda >= 0 and lambda o_j <= b_j: rc_linear_polytope's dual with the
+    duals solved out, one scalar for all rows.
+    """
+    x_hat = np.asarray(x_hat, dtype=float).reshape(-1)
+    offs = np.asarray(offsets, dtype=float).reshape(-1)
+    b = np.asarray(rhs, dtype=float).reshape(-1)
+    d, l = x_hat.size, offs.size
+    if b.size != l:
+        raise InvalidArgumentError("need one rhs entry per reconstructed offset")
+    if not np.any(x_hat != 0.0):
+        raise InvalidArgumentError("x_hat must be nonzero")
+    rows_x = np.vstack([np.eye(d), np.zeros((1 + l, d))])
+    rows_aux = np.concatenate([-x_hat, [-1.0], offs])[:, None]
+    return Block(
+        rows_x=rows_x,
+        rows_aux=rows_aux,
+        offsets=np.concatenate([np.zeros(d + 1), b]),
+        cones=(conic.Zero(d), conic.Nonneg(1 + l)),
+        aux_spans=(Span("ray-scale", "lambda", 0, 1),),
+    )
 
 
 # ---------------------------------------------------------------------------

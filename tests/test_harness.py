@@ -361,6 +361,33 @@ def test_reconstruction_collinear_single_row():
     assert abs(abs(cosine) - 1.0) <= 1e-6
 
 
+def test_reconstruction_x_hat_on_det_bound_keeps_guarantee():
+    """x_hat a solver tolerance outside a det row must not force x_tilde = 0.
+
+    The scaled-beta JointLinear(3) instance with x >= 0 added; on the 126th
+    input of data seed 11 the initial solve puts x_hat[1] about 4e-8 below
+    its bound while rho <= 0, so x = x_hat must stay feasible.
+    """
+    rng = np.random.default_rng(20170413)
+    d, l = 5, 3
+    sampler = hz.scaled_beta_sampler(rng.uniform(1.0, 2.0, size=l * d),
+                                     rng.normal(size=(l * d, l * d)) * 0.15)
+    spec = model.CcpSpec(objective=-rng.uniform(1.0, 2.0, size=d),
+                         family=model.JointLinear(l), rhs=np.full(l, 10.0),
+                         epsilon=0.05, delta=0.05,
+                         det=model.DetConstraints(-np.eye(d), np.zeros(d)))
+    data_rng = np.random.default_rng(11)
+    for _ in range(126):
+        data = sampler.draw(data_rng, 200)
+        split_seed = int(data_rng.integers(2**63))
+        data_rng.integers(2**63)  # the evaluation seed of the same input
+    rec = hz.reconstruction_pipeline(data, spec, 100, seed=split_seed)
+    assert rec.status_reconstructed == "optimal"
+    assert rec.rho <= 0
+    assert rec.obj_tilde <= rec.obj_hat + 1e-8
+    assert rec.improved
+
+
 # ---------------------------------------------------------------------------
 # reports
 

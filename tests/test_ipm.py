@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from roset import conic
+from roset import conic, ipm
 from roset.conic import ConicProgram, Nonneg, SecondOrder, SolveStatus, Zero
 
 
@@ -241,3 +241,54 @@ def test_dual_point_certifies_objective():
     dual_obj = -float(h @ sol.z)
     assert abs(dual_obj - sol.obj) < 1e-6
     assert np.all(sol.z >= -1e-9)
+
+
+def _split_and_merged(rng, n=4, k=5):
+    """One LP whose Nonneg rows sit around a Zero row, and its merged form."""
+    G = np.vstack([rng.normal(size=(k, n)), np.eye(n), -np.eye(n)])
+    x0 = rng.normal(size=n)
+    h = G @ x0 + rng.uniform(0.1, 1.0, size=G.shape[0])
+    eq = rng.normal(size=(1, n))
+    c = rng.normal(size=n)
+    split = ConicProgram(c=c, A=np.vstack([G[:k], eq, G[k:]]),
+                         b=np.concatenate([h[:k], eq @ x0, h[k:]]),
+                         cones=(Nonneg(k), Zero(1), Nonneg(2 * n)))
+    merged = ConicProgram(c=c, A=np.vstack([G, eq]),
+                          b=np.concatenate([h, eq @ x0]),
+                          cones=(Nonneg(G.shape[0]), Zero(1)))
+    return split, merged
+
+
+def test_nonneg_blocks_merge_across_zero_rows():
+    rng = np.random.default_rng(31)
+    for trial in range(5):
+        split, merged = _split_and_merged(rng)
+        assert ipm._split(split).blocks == [("l", slice(0, 13))]
+        a, b = conic.solve(split), conic.solve(merged)
+        assert a.status is b.status is SolveStatus.OPTIMAL, trial
+        assert np.array_equal(a.x, b.x), trial
+        assert a.iterations == b.iterations, trial
+    soc_between = ConicProgram(c=[1.0, 1.0], A=np.zeros((5, 2)), b=np.ones(5),
+                               cones=(Nonneg(1), SecondOrder(3), Nonneg(1)))
+    assert [kind for kind, _ in ipm._split(soc_between).blocks] == ["l", "q", "l"]
+
+
+def test_iteration_limit_reports_reason():
+    split, _ = _split_and_merged(np.random.default_rng(32))
+    sol = conic.solve(split, max_iter=1)
+    assert sol.status is SolveStatus.ITER_LIMIT
+    assert sol.reason == "iteration limit"
+    assert sol.iterations == 1 and sol.x is not None
+    assert conic.solve(split).reason is None
+
+
+def test_breakdown_reports_its_reason(monkeypatch):
+    def singular(K, B, n):
+        raise ipm._Breakdown("singular KKT system")
+
+    monkeypatch.setattr(ipm, "_kkt_solve", singular)
+    split, _ = _split_and_merged(np.random.default_rng(33))
+    sol = conic.solve(split)
+    assert sol.status is SolveStatus.ITER_LIMIT
+    assert sol.reason == "singular KKT system"
+    assert sol.iterations == 1

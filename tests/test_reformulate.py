@@ -850,6 +850,55 @@ def test_reconstruction_optimizer_collinear_with_x_hat():
     assert abs(cross) <= 1e-6 * (1.0 + np.linalg.norm(sol.x[:2]))
 
 
+def test_rc_reconstruction_ray_lp_shape():
+    blk = rf.rc_reconstruction([1.0, -2.0], [3.0, 5.0, -1.0], [4.0, 4.0, 4.0])
+    assert blk.cones == (conic.Zero(2), conic.Nonneg(4))
+    assert (blk.n_x, blk.n_aux) == (2, 1)
+    assert blk.aux_spans[0].label == "lambda"
+    # x = lam*x_hat at lam = 0.5 lands every row in its cone
+    x, lam = np.array([0.5, -1.0]), 0.5
+    val = blk.offsets - blk.rows_x @ x - blk.rows_aux @ [lam]
+    assert np.array_equal(val, [0.0, 0.0, 0.5, 2.5, 1.5, 4.5])
+    with pytest.raises(InvalidArgumentError):
+        rf.rc_reconstruction([0.0, 0.0], [1.0], [1.0])
+    with pytest.raises(InvalidArgumentError):
+        rf.rc_reconstruction([1.0, 0.0], [1.0, 2.0], [1.0])
+
+
+def test_rc_reconstruction_matches_polytope_dual():
+    """The ray LP and the generic polytope dual of the same set agree."""
+    rng = np.random.default_rng(29)
+    seen = set()
+    for trial in range(60):
+        d, l = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        x_hat = rng.normal(size=d)
+        x_hat[0] += np.sign(x_hat[0]) * 0.1
+        det = None
+        if trial % 2:
+            a_ub = rng.normal(size=(2, d))
+            det = model.DetConstraints(a_ub, rng.uniform(-1.0, 3.0, size=2))
+        spec = model.CcpSpec(objective=rng.normal(size=d),
+                             family=model.JointLinear(l=l),
+                             rhs=rng.uniform(1.0, 10.0, size=l),
+                             epsilon=0.2, delta=0.2, det=det)
+        # shift the margins so that the offsets o_j take both signs
+        shift = rng.uniform(-15.0, 2.0) / float(x_hat @ x_hat)
+        phase2 = rng.normal(size=(40, l * d)) + shift * np.tile(x_hat, l)
+        scale = rng.uniform(0.5, 2.0, size=l)
+        pset = rf.build_reconstruction_set(x_hat, spec, scale, phase2, 0.2, 0.2)
+        ray = rf.rc_reconstruction(x_hat, pset.shape.offsets, spec.rhs)
+        prog, _, _ = rf.assemble(spec.objective,
+                                 rf.det_blocks(det) + [("robust", ray)])
+        got = conic.solve(prog)
+        want = conic.solve(rf.assemble_ro(spec, pset).program)
+        assert got.status is want.status, trial
+        if want.status is conic.SolveStatus.OPTIMAL:
+            assert abs(got.obj - want.obj) <= 1e-7 * max(1.0, abs(want.obj)), trial
+        seen.add(want.status)
+    assert seen == {conic.SolveStatus.OPTIMAL, conic.SolveStatus.UNBOUNDED,
+                    conic.SolveStatus.INFEASIBLE}
+
+
 def test_reconstruction_scale_validation():
     spec = model.CcpSpec(objective=[-1.0, -1.0], family=model.JointLinear(l=2),
                          rhs=[3.0, 3.0], epsilon=0.5, delta=0.5)
