@@ -87,8 +87,16 @@ class Sampler:
                 out[mask] = p["means"][j] + z[mask] @ p["chols"][j].T
             return out
         if self.kind == "scaled_beta":
-            zeta = 2.0 * rng.beta(p["alpha"], p["beta"], size=(n, p["a_rows"].shape[0])) - 1.0
-            return p["a0"] + zeta @ p["a_rows"]
+            size = (n, p["a_rows"].shape[0])
+            if p["alpha"] == p["beta"] == 2.0:
+                zeta = _beta22(rng, size)
+            else:
+                zeta = rng.beta(p["alpha"], p["beta"], size=size)
+            zeta *= 2.0
+            zeta -= 1.0
+            out = zeta @ p["a_rows"]
+            out += p["a0"]
+            return out
         if self.kind == "quadratic_wishart":
             d, dof, q = p["d"], p["dof"], p["q"]
             out = np.empty((n, d * d + d + 1))
@@ -123,6 +131,32 @@ class Sampler:
     @property
     def dim(self) -> int:
         return self.draw(np.random.default_rng(0), 0).shape[1]
+
+
+def _beta22(rng: np.random.Generator, size) -> np.ndarray:
+    """Beta(2, 2) draws as the median of three uniforms.
+
+    The k-th smallest of n uniforms is Beta(k, n + 1 - k) (Devroye,
+    Non-Uniform Random Variate Generation, 1986, on uniform order
+    statistics).  Blocks of 1024 output rows take their three uniforms
+    from one reused buffer, so the working memory beyond the result stays
+    small; several times faster than rng.beta.  The block size is part of
+    the stream: changing it changes the draws.
+    """
+    n, m = size
+    rows = 1024
+    out = np.empty(size)
+    buf = np.empty(3 * rows * m)
+    for i in range(0, n, rows):
+        r = min(rows, n - i)
+        a, b, c = rng.random(out=buf[: 3 * r * m].reshape(3, r, m))
+        med = out[i: i + r]
+        # median = min(max(a, b), max(min(a, b), c))
+        np.minimum(a, b, out=med)
+        np.maximum(a, b, out=a)
+        np.maximum(med, c, out=med)
+        np.minimum(med, a, out=med)
+    return out
 
 
 def _spd_chol(sigma, what: str) -> np.ndarray:
@@ -269,10 +303,8 @@ def violation_rate(spec: model.CcpSpec, x, points) -> float:
         raise InvalidArgumentError(
             f"points must be (n, {spec.data_dim}), got {pts.shape}")
     fam = spec.family
-    if isinstance(fam, model.SingleLinear):
-        return float(np.mean(pts @ x > spec.rhs[0]))
-    if isinstance(fam, model.JointLinear):
-        lhs = pts.reshape(pts.shape[0], fam.l, spec.d) @ x
+    if isinstance(fam, (model.SingleLinear, model.JointLinear)):
+        lhs = reformulate.linear_row_values(pts, x, fam.n_rows())
         return float(np.mean(np.any(lhs > spec.rhs, axis=1)))
     if isinstance(fam, model.Quadratic):
         q, d = fam.q, spec.d
@@ -438,9 +470,12 @@ def two_phase_ro(spec: model.CcpSpec, data: model.Dataset, n1: int, seed: int,
 
 
 def _solved(spec: model.CcpSpec, sol):
-    """(status, decision x or None unless optimal, note) of one solve."""
+    """(status, decision x or None unless optimal, note) of one solve.
+
+    The note is the solver's reason for stopping short, if it gave one.
+    """
     x = sol.x[: spec.d] if sol.status is conic.SolveStatus.OPTIMAL else None
-    return sol.status.value, x, ""
+    return sol.status.value, x, sol.reason or ""
 
 
 def _method_ro(config: ExperimentConfig, data_rows, seed: int):
@@ -611,13 +646,12 @@ def reconstruction_pipeline(data, spec: model.CcpSpec, n1: int, seed: int = 0,
     obj_hat = float(spec.objective @ x_hat)
 
     l = spec.family.n_rows()
-    blocks = ph1.reshape(ph1.shape[0], l, spec.d)
-    lhs_rows = blocks @ x_hat  # (n1, l)
+    lhs_rows = reformulate.linear_row_values(ph1, x_hat, l)
     if scale == "std":
         k = lhs_rows.std(axis=0, ddof=0)
         fallback = tuple(range(l))
     else:
-        mu_rows = blocks.mean(axis=0)
+        mu_rows = ph1.reshape(ph1.shape[0], l, spec.d).mean(axis=0)
         k = spec.rhs - mu_rows @ x_hat
         bad = np.flatnonzero(k <= 0.0)
         if bad.size and scale == "margin":

@@ -532,6 +532,16 @@ def rc_partition(shape: shapes.Intersection, s: float, rhs, d: int) -> list:
 # reconstruction
 
 
+def linear_row_values(points, x, l: int) -> np.ndarray:
+    """a_j(xi)'x for each point xi (a row of l blocks a_j) and row j: (n, l).
+
+    One matrix-vector product over the (n*l, d) stack of blocks, several
+    times faster than the batched (n, l, d) @ x.
+    """
+    n = points.shape[0]
+    return (points.reshape(n * l, len(x)) @ x).reshape(n, l)
+
+
 def build_reconstruction_set(x_hat, spec: model.CcpSpec, scale, phase2,
                              epsilon: float, delta: float) -> shapes.PredictionSet:
     """Recalibrate around a candidate solution x_hat (linear families only).
@@ -565,7 +575,7 @@ def build_reconstruction_set(x_hat, spec: model.CcpSpec, scale, phase2,
         raise InvalidArgumentError(
             f"phase2 points have dimension {pts.shape[1]}, expected {l * d}"
         )
-    margins = (pts.reshape(pts.shape[0], l, d) @ x_hat - spec.rhs) / k
+    margins = (linear_row_values(pts, x_hat, l) - spec.rhs) / k
     values = margins.max(axis=1)
     calib = calibrate_size(values, epsilon, delta)
     s = calib.s

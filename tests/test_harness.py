@@ -2,12 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from roset import harness as hz, model
+from roset import conic, harness as hz, model
 from roset.errors import InvalidArgumentError
 
 EPS = DELTA = 0.05
@@ -129,6 +130,47 @@ def test_scaled_beta_bounded_support():
     assert np.allclose(pts.mean(axis=0), a0, atol=0.1)
 
 
+def test_scaled_beta_22_draw_has_the_beta22_law():
+    samp = hz.scaled_beta_sampler(np.zeros(2), np.eye(2))
+    u = (samp.draw(np.random.default_rng(12), 50_000).reshape(-1) + 1.0) / 2.0
+    assert u.size == 100_000
+    assert np.all((u >= 0.0) & (u <= 1.0))
+    assert stats.kstest(u, lambda x: x * x * (3.0 - 2.0 * x)).pvalue > 0.01
+    assert abs(u.mean() - 0.5) < 4e-3
+    assert abs(u.var() - 0.05) < 2e-3
+
+
+def test_scaled_beta_other_parameters_keep_the_rng_beta_stream():
+    rng = np.random.default_rng(13)
+    a0, a_rows = rng.normal(size=4), rng.normal(size=(6, 4))
+    for alpha, beta in ((0.5, 3.0), (2.0, 3.0), (1.0, 1.0)):
+        samp = hz.scaled_beta_sampler(a0, a_rows, alpha=alpha, beta=beta)
+        got = samp.draw(np.random.default_rng(14), 300)
+        ref_rng = np.random.default_rng(14)
+        ref = a0 + (2.0 * ref_rng.beta(alpha, beta, size=(300, 6)) - 1.0) @ a_rows
+        assert np.array_equal(got, ref)
+
+
+def test_scaled_beta_22_draw_needs_no_more_memory_than_rng_beta():
+    rng = np.random.default_rng(15)
+    a0, a_rows = rng.uniform(1.0, 2.0, size=15), rng.normal(size=(15, 15))
+    n = 10_000
+
+    def peak(samp):
+        samp.draw(np.random.default_rng(0), n)  # warm caches
+        tracemalloc.start()
+        try:
+            samp.draw(np.random.default_rng(0), n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    median = peak(hz.scaled_beta_sampler(a0, a_rows))
+    beta = peak(hz.scaled_beta_sampler(a0, a_rows, alpha=2.0, beta=3.0))
+    # interpreter bookkeeping aside: one more (n, 15) array would be 1.2 MB
+    assert median <= beta + 1024
+
+
 def test_quadratic_wishart_layout():
     samp = hz.quadratic_wishart_sampler(3, q=4.0)
     pts = samp.draw(np.random.default_rng(3), 50)
@@ -233,6 +275,24 @@ def test_run_replications_counts_failures_against_delta():
                if r.violation_probability is not None
                and r.violation_probability > EPS)
     assert rep.delta_hat == pytest.approx((bad + over) / 8)
+
+
+def test_replication_note_carries_the_solver_reason(monkeypatch):
+    def stalled(prog, **kwargs):
+        return conic.Solution(
+            status=conic.SolveStatus.ITER_LIMIT, x=np.zeros(prog.n_vars),
+            y=None, z=None, s=None, obj=None, gap=None, gap_abs=None,
+            pres=None, dres=None, iterations=3, reason="singular KKT system")
+
+    monkeypatch.setattr(conic, "solve", stalled)
+    spec, samp, _, _ = gaussian_instance(10, d=3, b=6.0)
+    cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method="ro", n=80, n1=20)
+    rep = hz.run_replications(cfg, 2, master_seed=3)
+    for rec in rep.records:
+        assert rec.status == "iter-limit"
+        assert rec.note == "singular KKT system"
+        assert rec.violation_probability is None
+    assert rep.failures == 2
 
 
 def test_experiment_config_validation():
@@ -370,18 +430,21 @@ def test_reconstruction_x_hat_on_det_bound_keeps_guarantee():
     """
     rng = np.random.default_rng(20170413)
     d, l = 5, 3
-    sampler = hz.scaled_beta_sampler(rng.uniform(1.0, 2.0, size=l * d),
-                                     rng.normal(size=(l * d, l * d)) * 0.15)
+    a0 = rng.uniform(1.0, 2.0, size=l * d)
+    a_rows = rng.normal(size=(l * d, l * d)) * 0.15
     spec = model.CcpSpec(objective=-rng.uniform(1.0, 2.0, size=d),
                          family=model.JointLinear(l), rhs=np.full(l, 10.0),
                          epsilon=0.05, delta=0.05,
                          det=model.DetConstraints(-np.eye(d), np.zeros(d)))
     data_rng = np.random.default_rng(11)
     for _ in range(126):
-        data = sampler.draw(data_rng, 200)
+        # the data is drawn with rng.beta, as the scaled-beta sampler did
+        # before its Beta(2, 2) draw became the median of three uniforms
+        data = a0 + (2.0 * data_rng.beta(2.0, 2.0, size=(200, l * d)) - 1.0) @ a_rows
         split_seed = int(data_rng.integers(2**63))
         data_rng.integers(2**63)  # the evaluation seed of the same input
     rec = hz.reconstruction_pipeline(data, spec, 100, seed=split_seed)
+    assert rec.x_hat.min() < 0  # the input still puts x_hat outside a bound
     assert rec.status_reconstructed == "optimal"
     assert rec.rho <= 0
     assert rec.obj_tilde <= rec.obj_hat + 1e-8

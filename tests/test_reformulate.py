@@ -800,6 +800,20 @@ def test_assemble_semidefinite_ball():
 # reconstruction
 
 
+def test_linear_row_values_matches_a_row_loop():
+    rng = np.random.default_rng(29)
+    for l in range(1, 4):
+        for d in range(1, 6):
+            pts = rng.normal(size=(37, l * d))
+            x = rng.normal(size=d)
+            got = rf.linear_row_values(pts, x, l)
+            ref = np.array([[pt[j * d: (j + 1) * d] @ x for j in range(l)]
+                            for pt in pts])
+            assert got.shape == (37, l)
+            assert np.allclose(got, ref, rtol=1e-13, atol=1e-13)
+    assert rf.linear_row_values(np.empty((0, 6)), np.ones(3), 2).shape == (0, 2)
+
+
 def test_reconstruction_halfspace_for_single_row():
     rng = np.random.default_rng(26)
     spec = model.CcpSpec(objective=[-1.0, -1.0], family=model.SingleLinear(),
