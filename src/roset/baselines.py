@@ -94,7 +94,7 @@ def sg_solve(spec: model.CcpSpec, scenarios) -> conic.Solution:
             "scenario generation is implemented for linear constraint "
             "families only"
         )
-    l = getattr(fam, "l", 1)
+    l = fam.n_rows()
     d = spec.d
     pts = np.asarray(scenarios, dtype=float)
     if pts.size == 0:

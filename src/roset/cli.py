@@ -182,9 +182,8 @@ def _cmd_experiment(args) -> int:
         raise RosetError(f"invalid experiment config JSON: {exc}") from exc
     config = harness.config_from_obj(obj)
     _log(f"running {args.reps} replications of {config.method} "
-         f"(n={config.n}, jobs={args.jobs}, seed={args.seed})")
-    report = harness.run_replications(config, args.reps, args.seed,
-                                      jobs=args.jobs)
+         f"(n={config.n}, seed={args.seed})")
+    report = harness.run_replications(config, args.reps, args.seed)
     if args.records_csv:
         with open(args.records_csv, "w", encoding="utf-8") as fh:
             fh.write(harness.report_to_csv(report))
@@ -222,7 +221,7 @@ def _add_two_phase_flags(sub, with_scale=False):
                      help="seed for the data split")
     if with_scale:
         sub.add_argument("--scale", default="auto",
-                         choices=("auto", "margin", "std"))
+                         choices=harness.SCALE_POLICIES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="max worker threads for replications")
     p.add_argument("--records-csv", default=None,
                    help="also write per-replication records to this file")
     p.set_defaults(func=_cmd_experiment)

@@ -17,7 +17,7 @@ import io
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -41,6 +41,8 @@ __all__ = [
     "mc_violation",
     "fit_shape",
     "SHAPE_KINDS",
+    "SCALE_POLICIES",
+    "VIOLATION_MODES",
     "two_phase_ro",
     "ExperimentConfig",
     "ReplicationRecord",
@@ -366,6 +368,10 @@ def fit_shape(kind: str, phase1, options: dict | None = None):
 # experiment configuration and report
 
 
+SCALE_POLICIES = ("auto", "margin", "std")      # reconstruction scale
+VIOLATION_MODES = ("auto", "mc", "analytic")    # violation evaluation
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """One experiment: a CCP, a data law, a method, and split sizes."""
@@ -378,9 +384,9 @@ class ExperimentConfig:
     shape: str = "ellipsoid"
     shape_options: dict | None = None
     n_eval: int = 10_000
-    violation: str = "auto"  # auto | mc | analytic
+    violation: str = "auto"  # one of VIOLATION_MODES
     perturbation: dict | None = None
-    scale: str = "auto"      # reconstruction scale policy: auto | margin | std
+    scale: str = "auto"      # one of SCALE_POLICIES
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -393,9 +399,9 @@ class ExperimentConfig:
             raise InvalidArgumentError("n must be >= 1")
         if not (0 <= self.n1 <= self.n):
             raise InvalidArgumentError("need 0 <= n1 <= n")
-        if self.violation not in ("auto", "mc", "analytic"):
+        if self.violation not in VIOLATION_MODES:
             raise InvalidArgumentError("violation must be auto, mc, or analytic")
-        if self.scale not in ("auto", "margin", "std"):
+        if self.scale not in SCALE_POLICIES:
             raise InvalidArgumentError("scale must be auto, margin, or std")
         if self.sampler.dim != self.spec.data_dim:
             raise InvalidArgumentError(
@@ -406,6 +412,10 @@ class ExperimentConfig:
             raise InvalidArgumentError(
                 "replicated experiments need a linear constraint family; "
                 "conic families build export-only programs")
+        if self.violation == "analytic" and not _has_gaussian_violation(self):
+            raise InvalidArgumentError(
+                "analytic violation needs a gaussian sampler and the single "
+                "linear family")
         if self.method in ("safe_hoeffding", "safe_gaussian"):
             if not isinstance(self.spec.family, model.SingleLinear):
                 raise InvalidArgumentError(
@@ -442,17 +452,17 @@ class ExperimentReport:
     r: int
     failures: int
     config_echo: dict
+    statuses: dict  # replication status -> count
+
+
+def _has_gaussian_violation(config: ExperimentConfig) -> bool:
+    return (config.sampler.kind == "gaussian"
+            and isinstance(config.spec.family, model.SingleLinear))
 
 
 def _violation_of(config: ExperimentConfig, x, eval_seed: int) -> float:
-    mode = config.violation
-    analytic_ok = (config.sampler.kind == "gaussian"
-                   and isinstance(config.spec.family, model.SingleLinear))
-    if mode == "analytic" and not analytic_ok:
-        raise InvalidArgumentError(
-            "analytic violation needs a gaussian sampler and the single "
-            "linear family")
-    if mode == "analytic" or (mode == "auto" and analytic_ok):
+    # the config admits "analytic" only where the closed form applies
+    if config.violation != "mc" and _has_gaussian_violation(config):
         p = config.sampler.params
         return gaussian_violation(x, p["mu"], p["sigma"], float(config.spec.rhs[0]))
     return mc_violation(x, config.sampler, config.spec, config.n_eval,
@@ -489,7 +499,8 @@ def _method_ro_reconstructed(config: ExperimentConfig, data_rows, seed: int):
                                   shape=config.shape,
                                   shape_options=config.shape_options,
                                   scale=config.scale)
-    note = f"rho={rec.rho:.6g}" if rec.rho is not None else ""
+    note = (f"rho={rec.rho:.6g}" if rec.rho is not None
+            else f"initial={rec.status_initial}")
     return rec.status_reconstructed, rec.x_tilde, note
 
 
@@ -540,23 +551,16 @@ def _run_one(config: ExperimentConfig, master_seed: int, r: int) -> ReplicationR
                              violation_probability=viol, note=note)
 
 
-def run_replications(config: ExperimentConfig, r_count: int, master_seed: int,
-                     jobs: int = 1) -> ExperimentReport:
-    """Run R independent replications; aggregation ignores execution order."""
+def run_replications(config: ExperimentConfig, r_count: int,
+                     master_seed: int) -> ExperimentReport:
+    """Run R independent replications, in replication order."""
     r_count = int(r_count)
     if r_count < 1:
         raise InvalidArgumentError("replication count must be >= 1")
-    jobs = max(1, int(jobs))
-    if jobs == 1:
-        records = [_run_one(config, master_seed, r) for r in range(r_count)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(lambda r: _run_one(config, master_seed, r),
-                                    range(r_count)))
-    records.sort(key=lambda rec: rec.replication)
-
+    records = [_run_one(config, master_seed, r) for r in range(r_count)]
+    statuses = dict(Counter(rec.status for rec in records))
+    failures = r_count - statuses.get("optimal", 0)
     good = [rec for rec in records if rec.violation_probability is not None]
-    failures = r_count - len(good)
     eps_hat = (float(np.mean([rec.violation_probability for rec in good]))
                if good else None)
     mean_obj = (float(np.mean([rec.objective for rec in good]))
@@ -580,7 +584,8 @@ def run_replications(config: ExperimentConfig, r_count: int, master_seed: int,
     }
     return ExperimentReport(records=tuple(records), mean_objective=mean_obj,
                             eps_hat=eps_hat, delta_hat=float(delta_hat),
-                            r=r_count, failures=failures, config_echo=echo)
+                            r=r_count, failures=failures, config_echo=echo,
+                            statuses=statuses)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +623,7 @@ def reconstruction_pipeline(data, spec: model.CcpSpec, n1: int, seed: int = 0,
     reconstructed RO, the ray LP over x = lambda x_hat of
     reformulate.rc_reconstruction, is solved for x_tilde.
     """
-    if scale not in ("auto", "margin", "std"):
+    if scale not in SCALE_POLICIES:
         raise InvalidArgumentError("scale must be auto, margin, or std")
     pts = data.points if isinstance(data, model.Dataset) else np.asarray(data, dtype=float)
     split = model.split_data(model.Dataset(pts), int(n1), seed)
@@ -680,18 +685,12 @@ def reconstruction_pipeline(data, spec: model.CcpSpec, n1: int, seed: int = 0,
     robust = reformulate.rc_reconstruction(x_hat, pset_rec.shape.offsets, spec.rhs)
     program, _, _ = reformulate.assemble(
         spec.objective, reformulate.det_blocks(det) + [("robust", robust)])
-    sol1 = conic.solve(program)
-    if sol1.status is not conic.SolveStatus.OPTIMAL:
-        return ReconstructionResult(
-            x_hat=x_hat, x_tilde=None, obj_hat=obj_hat, obj_tilde=None,
-            rho=rho, scale=k, scale_fallback_rows=fallback,
-            status_initial="optimal", status_reconstructed=sol1.status.value)
-    x_tilde = sol1.x[: spec.d]
+    status, x_tilde, _ = _solved(spec, conic.solve(program))
     return ReconstructionResult(
         x_hat=x_hat, x_tilde=x_tilde, obj_hat=obj_hat,
-        obj_tilde=float(spec.objective @ x_tilde), rho=rho, scale=k,
-        scale_fallback_rows=fallback, status_initial="optimal",
-        status_reconstructed="optimal")
+        obj_tilde=None if x_tilde is None else float(spec.objective @ x_tilde),
+        rho=rho, scale=k, scale_fallback_rows=fallback,
+        status_initial="optimal", status_reconstructed=status)
 
 
 # ---------------------------------------------------------------------------
@@ -778,6 +777,7 @@ def report_to_json(report: ExperimentReport) -> str:
             "delta_hat": report.delta_hat,
             "replications": report.r,
             "failures": report.failures,
+            "statuses": report.statuses,
         },
         "config": report.config_echo,
     }

@@ -87,6 +87,10 @@ def test_usage_errors_exit_two(capsys):
         cli.main([])
     assert info.value.code == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as info:  # replications run sequentially
+        cli.main(["experiment", "--config", "cfg.json", "--jobs", "2"])
+    assert info.value.code == 2
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +221,8 @@ def test_experiment_runs_and_is_deterministic(capsys, fixtures, tmp_path):
     assert doc["aggregates"]["failures"] == 0
     assert doc["aggregates"]["delta_hat"] == 0.0
     assert doc["config"]["method"] == "ro"
+    assert doc["aggregates"]["statuses"] == {"optimal": 5}
     assert "running 5 replications" in err
-    _, out2, _ = run_cli(capsys, argv + ["--jobs", "2"])
-    assert out2 == out  # parallel execution does not change the result
 
     rec_file = tmp_path / "records.csv"
     code, out3, _ = run_cli(capsys, argv + ["--records-csv", str(rec_file)])

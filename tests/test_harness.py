@@ -225,15 +225,13 @@ def test_sampler_validation():
 # replication harness
 
 
-def test_run_replications_deterministic_and_parallel():
+def test_run_replications_deterministic():
     spec, samp, _, _ = gaussian_instance(7, d=3, b=6.0)
     cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method="ro", n=80, n1=20)
     rep_a = hz.run_replications(cfg, 6, master_seed=11)
     rep_b = hz.run_replications(cfg, 6, master_seed=11)
-    rep_c = hz.run_replications(cfg, 6, master_seed=11, jobs=3)
-    assert rep_a.records == rep_b.records == rep_c.records
-    assert rep_a.eps_hat == rep_c.eps_hat
-    assert rep_a.delta_hat == rep_c.delta_hat
+    assert rep_a.records == rep_b.records
+    assert [rec.replication for rec in rep_a.records] == list(range(6))
     rep_d = hz.run_replications(cfg, 6, master_seed=12)
     assert rep_d.records != rep_a.records
 
@@ -271,6 +269,7 @@ def test_run_replications_counts_failures_against_delta():
     rep = hz.run_replications(cfg, 8, master_seed=5)
     bad = sum(1 for r in rep.records if r.violation_probability is None)
     assert bad == rep.failures
+    assert sum(rep.statuses.values()) == 8
     over = sum(1 for r in rep.records
                if r.violation_probability is not None
                and r.violation_probability > EPS)
@@ -286,13 +285,21 @@ def test_replication_note_carries_the_solver_reason(monkeypatch):
 
     monkeypatch.setattr(conic, "solve", stalled)
     spec, samp, _, _ = gaussian_instance(10, d=3, b=6.0)
-    cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method="ro", n=80, n1=20)
-    rep = hz.run_replications(cfg, 2, master_seed=3)
-    for rec in rep.records:
-        assert rec.status == "iter-limit"
-        assert rec.note == "singular KKT system"
-        assert rec.violation_probability is None
-    assert rep.failures == 2
+    for method, status, note in (
+            ("ro", "iter-limit", "singular KKT system"),
+            # a failed initial solve skips the reconstruction and says why
+            ("ro_reconstructed", "skipped", "initial=iter-limit")):
+        cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method=method,
+                                  n=80, n1=20)
+        rep = hz.run_replications(cfg, 2, master_seed=3)
+        for rec in rep.records:
+            assert rec.status == status
+            assert rec.note == note
+            assert rec.violation_probability is None
+        assert rep.failures == 2
+        assert rep.statuses == {status: 2}
+        doc = json.loads(hz.report_to_json(rep))
+        assert doc["aggregates"]["statuses"] == {status: 2}
 
 
 def test_experiment_config_validation():
@@ -309,6 +316,16 @@ def test_experiment_config_validation():
     with pytest.raises(InvalidArgumentError):
         hz.ExperimentConfig(spec=spec_q, sampler=hz.quadratic_wishart_sampler(
             2, q=1.0), method="ro", n=10, n1=5)
+    # the closed-form violation needs a gaussian sampler; the config says
+    # so up front instead of failing after the first successful solve
+    mix = hz.mixture_sampler([1.0], np.zeros((1, 3)), np.eye(3)[None])
+    with pytest.raises(InvalidArgumentError, match="analytic"):
+        hz.ExperimentConfig(spec=spec, sampler=mix, method="sg", n=1,
+                            violation="analytic")
+    obj = hz.config_to_obj(hz.ExperimentConfig(spec=spec, sampler=mix,
+                                               method="sg", n=1))
+    with pytest.raises(InvalidArgumentError, match="analytic"):
+        hz.config_from_obj({**obj, "violation": "analytic"})
 
 
 def test_experiment_config_document_round_trip_and_strictness():
@@ -337,7 +354,7 @@ def test_theorem_confidence_end_to_end():
     spec, samp, _, _ = gaussian_instance(11, d=3, b=8.0)
     cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method="ro",
                               n=79, n1=20)  # n2 = 59: the minimum for .05/.05
-    rep = hz.run_replications(cfg, 400, master_seed=21, jobs=4)
+    rep = hz.run_replications(cfg, 400, master_seed=21)
     assert rep.failures == 0
     ok = sum(1 for r in rep.records if r.violation_probability <= EPS)
     mc_slack = 3 * math.sqrt(DELTA * (1 - DELTA) / 400)
@@ -354,8 +371,8 @@ def test_reconstruction_pipeline_improves_on_plain_ro():
                                  n=120, n1=60)
     cfg_rc = hz.ExperimentConfig(spec=spec, sampler=samp,
                                  method="ro_reconstructed", n=120, n1=60)
-    rep_ro = hz.run_replications(cfg_ro, 30, master_seed=7, jobs=4)
-    rep_rc = hz.run_replications(cfg_rc, 30, master_seed=7, jobs=4)
+    rep_ro = hz.run_replications(cfg_ro, 30, master_seed=7)
+    rep_rc = hz.run_replications(cfg_rc, 30, master_seed=7)
     assert rep_rc.mean_objective < rep_ro.mean_objective
     assert rep_ro.delta_hat == 0.0
     assert rep_rc.delta_hat <= 0.2  # paper-scale runs sit near 0.04
