@@ -315,39 +315,24 @@ def _export_sdpa(prog: ConicProgram) -> str:
     sizes: list[int] = []
     # entries[k] holds (block, i, j, value) for matrix F_k; index 0 is F_0
     entries: list[list[tuple[int, int, int, float]]] = [[] for _ in range(m + 1)]
-    blk = 0
-    for cone, sl in prog.cone_slices():
-        blk += 1
-        rows = range(sl.start, sl.stop)
+    for blk, (cone, sl) in enumerate(prog.cone_slices(), start=1):
+        # each row's (i, j, sign) placements, 1-based within the block
         if isinstance(cone, Zero):
             sizes.append(-2 * cone.dim)
-            for local, r in enumerate(rows):
-                for offset, sign in ((0, -1.0), (cone.dim, 1.0)):
-                    i = local + offset + 1
-                    if prog.b[r] != 0.0:
-                        entries[0].append((blk, i, i, sign * prog.b[r]))
-                    for k in range(m):
-                        if prog.A[r, k] != 0.0:
-                            entries[k + 1].append((blk, i, i, sign * prog.A[r, k]))
+            places = [((i, i, -1.0), (i + cone.dim, i + cone.dim, 1.0))
+                      for i in range(1, cone.dim + 1)]
         elif isinstance(cone, Nonneg):
             sizes.append(-cone.dim)
-            for local, r in enumerate(rows):
-                i = local + 1
-                if prog.b[r] != 0.0:
-                    entries[0].append((blk, i, i, -prog.b[r]))
-                for k in range(m):
-                    if prog.A[r, k] != 0.0:
-                        entries[k + 1].append((blk, i, i, -prog.A[r, k]))
+            places = [((i, i, -1.0),) for i in range(1, cone.dim + 1)]
         else:  # PsdExportOnly
             sizes.append(cone.side)
-            pairs = psd_triu_indices(cone.side)
-            for local, r in enumerate(rows):
-                i, j = pairs[local]
+            places = [((i + 1, j + 1, -1.0),) for i, j in psd_triu_indices(cone.side)]
+        for r, row_places in zip(range(sl.start, sl.stop), places):
+            for i, j, sign in row_places:
                 if prog.b[r] != 0.0:
-                    entries[0].append((blk, i + 1, j + 1, -prog.b[r]))
-                for k in range(m):
-                    if prog.A[r, k] != 0.0:
-                        entries[k + 1].append((blk, i + 1, j + 1, -prog.A[r, k]))
+                    entries[0].append((blk, i, j, sign * prog.b[r]))
+                for k in np.flatnonzero(prog.A[r]):
+                    entries[k + 1].append((blk, i, j, sign * prog.A[r, k]))
     lines = [str(m), str(len(sizes)), " ".join(str(s) for s in sizes),
              " ".join(_fmt(v) for v in prog.c)]
     for k in range(m + 1):

@@ -16,14 +16,16 @@ import inspect
 import io
 import json
 import math
+import numbers
 import warnings
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from . import baselines, conic, model, reformulate, shapes
-from .calibrate import CalibResult
+from .calibrate import CalibResult, min_phase2_size
 from .errors import InvalidArgumentError, RosetError
 
 __all__ = [
@@ -339,29 +341,50 @@ def mc_violation(x, sampler: Sampler, spec: model.CcpSpec,
 # shape fitting by name
 
 
-# shape kind -> fitter(phase1, options)
+# shape kind -> (fitter(phase1, **options), {option: type}); an option left
+# out takes the fitter's default, and one without a default must be given
 _SHAPE_FITTERS = {
-    "ellipsoid": lambda pts, opts: shapes.fit_ellipsoid(pts, mode="full"),
-    "diag_ellipsoid": lambda pts, opts: shapes.fit_ellipsoid(pts, mode="diag"),
-    "ball": lambda pts, opts: shapes.fit_ellipsoid(pts, mode="ball"),
-    "polytope_box": lambda pts, opts: shapes.fit_polytope_box(pts),
-    "pca": lambda pts, opts: shapes.pca_ellipsoid(pts, **opts),
-    "cluster_union": lambda pts, opts: shapes.cluster_union(
-        pts, k=int(opts.get("k", 2)), mode=opts.get("mode", "full"),
-        seed=int(opts.get("seed", 0))),
-    "ball_basis": lambda pts, opts: shapes.ball_basis(pts),
-    "box_grid": lambda pts, opts: shapes.grid_histogram(
-        pts, width=float(opts["width"])),
+    "ellipsoid": (partial(shapes.fit_ellipsoid, mode="full"), {}),
+    "diag_ellipsoid": (partial(shapes.fit_ellipsoid, mode="diag"), {}),
+    "ball": (partial(shapes.fit_ellipsoid, mode="ball"), {}),
+    "polytope_box": (shapes.fit_polytope_box, {}),
+    "pca": (shapes.pca_ellipsoid, {"variance_keep": float, "ridge": float}),
+    "cluster_union": (partial(shapes.cluster_union, k=2),
+                      {"k": int, "mode": str, "seed": int}),
+    "ball_basis": (shapes.ball_basis, {}),
+    "box_grid": (shapes.grid_histogram, {"width": float}),
 }
 SHAPE_KINDS = tuple(_SHAPE_FITTERS)
+_OPTION_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
+
+
+def _shape_options(kind: str, options) -> dict:
+    """The kind's fitting options, checked by name and type."""
+    if kind not in _SHAPE_FITTERS:
+        raise InvalidArgumentError(
+            f"unknown shape kind {kind!r}; known: {', '.join(SHAPE_KINDS)}")
+    fitter, types = _SHAPE_FITTERS[kind]
+    options = {} if options is None else options
+    if not isinstance(options, dict):
+        raise InvalidArgumentError("shape options must be an object")
+    params = inspect.signature(fitter).parameters
+    for name in types:
+        if name not in options and params[name].default is params[name].empty:
+            raise InvalidArgumentError(f"{kind} shape needs the option {name!r}")
+    for name, value in options.items():
+        want = types.get(name)
+        if want is None:
+            raise InvalidArgumentError(f"unknown {kind} shape option {name!r}; "
+                                       f"known: {', '.join(types) or 'none'}")
+        if isinstance(value, bool) or not isinstance(value, _OPTION_TYPES[want]):
+            raise InvalidArgumentError(f"{kind} shape option {name!r} must be "
+                                       f"{want.__name__}, got {value!r}")
+    return {name: types[name](value) for name, value in options.items()}
 
 
 def fit_shape(kind: str, phase1, options: dict | None = None):
     """Fit a Phase-1 shape by its registry name."""
-    if kind not in _SHAPE_FITTERS:
-        raise InvalidArgumentError(
-            f"unknown shape kind {kind!r}; known: {', '.join(SHAPE_KINDS)}")
-    return _SHAPE_FITTERS[kind](phase1, dict(options or {}))
+    return _SHAPE_FITTERS[kind][0](phase1, **_shape_options(kind, options))
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +415,16 @@ class ExperimentConfig:
         if self.method not in _METHODS:
             raise InvalidArgumentError(
                 f"method must be one of {', '.join(_METHODS)}")
-        if self.shape not in SHAPE_KINDS:
-            raise InvalidArgumentError(
-                f"unknown shape kind {self.shape!r}; known: {', '.join(SHAPE_KINDS)}")
+        _shape_options(self.shape, self.shape_options)
         if self.n < 1:
             raise InvalidArgumentError("n must be >= 1")
         if not (0 <= self.n1 <= self.n):
             raise InvalidArgumentError("need 0 <= n1 <= n")
+        need = min_phase2_size(self.spec.epsilon, self.spec.delta)
+        if self.method in ("ro", "ro_reconstructed") and self.n2 < need:
+            raise InvalidArgumentError(
+                f"Phase 2 has n - n1 = {self.n2} rows; calibrating at this "
+                f"epsilon and delta needs at least {need}")
         if self.violation not in VIOLATION_MODES:
             raise InvalidArgumentError("violation must be auto, mc, or analytic")
         if self.scale not in SCALE_POLICIES:
@@ -620,8 +646,9 @@ def reconstruction_pipeline(data, spec: model.CcpSpec, n1: int, seed: int = 0,
     Phase 1 fits the shape and sizes it to cover ceil(n1(1-eps)) of its own
     points; solving that RO gives x_hat. The set is then rebuilt around
     x_hat's constraint margins and recalibrated on Phase 2, and the
-    reconstructed RO, the ray LP over x = lambda x_hat of
-    reformulate.rc_reconstruction, is solved for x_tilde.
+    reconstructed RO, a linear program in the one scalar lambda of
+    x = lambda x_hat, is solved in closed form for x_tilde by
+    reformulate.solve_reconstruction.
     """
     if scale not in SCALE_POLICIES:
         raise InvalidArgumentError("scale must be auto, margin, or std")
@@ -674,23 +701,12 @@ def reconstruction_pipeline(data, spec: model.CcpSpec, n1: int, seed: int = 0,
 
     pset_rec = reformulate.build_reconstruction_set(
         x_hat, spec, k, ph2, spec.epsilon, spec.delta)
-    rho = float(pset_rec.calib.s)
-    det = spec.det
-    if det is not None:
-        # x_hat may end a solver tolerance outside a det row; widen each row
-        # by that residual so that lambda = 1 (x = x_hat) stays feasible and
-        # rho <= 0 keeps obj_tilde <= obj_hat
-        det = model.DetConstraints(
-            det.a_ub, det.b_ub + np.maximum(det.a_ub @ x_hat - det.b_ub, 0.0))
-    robust = reformulate.rc_reconstruction(x_hat, pset_rec.shape.offsets, spec.rhs)
-    program, _, _ = reformulate.assemble(
-        spec.objective, reformulate.det_blocks(det) + [("robust", robust)])
-    status, x_tilde, _ = _solved(spec, conic.solve(program))
+    status, x_tilde = reformulate.solve_reconstruction(spec, x_hat, pset_rec)
     return ReconstructionResult(
         x_hat=x_hat, x_tilde=x_tilde, obj_hat=obj_hat,
         obj_tilde=None if x_tilde is None else float(spec.objective @ x_tilde),
-        rho=rho, scale=k, scale_fallback_rows=fallback,
-        status_initial="optimal", status_reconstructed=status)
+        rho=float(pset_rec.calib.s), scale=k, scale_fallback_rows=fallback,
+        status_initial="optimal", status_reconstructed=status.value)
 
 
 # ---------------------------------------------------------------------------

@@ -285,11 +285,10 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
     y = init[n : n + me, 1]
     z = init[n + me :, 1]
     e = _cone_identity(blocks, p)
-    if p > 0:
-        for v in (s, z):
-            t = -_min_eig(blocks, v)
-            if t >= 0.0:
-                v += (1.0 + t) * e
+    for v in (s, z):
+        t = -_min_eig(blocks, v)
+        if t >= 0.0:
+            v += (1.0 + t) * e
     tau, kappa = 1.0, 1.0
 
     best = None
@@ -358,7 +357,7 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
                                 trace=tuple(trace))
 
         try:
-            if p > 0 and (_min_eig(blocks, s) <= 0.0 or _min_eig(blocks, z) <= 0.0):
+            if _min_eig(blocks, s) <= 0.0 or _min_eig(blocks, z) <= 0.0:
                 raise _Breakdown("iterate left the cone interior")
             W, Winv, W2, lam = _scaling(blocks, s, z, p)
             K = _assemble_kkt(sp, W2)
@@ -368,11 +367,11 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
             rhs2[n : n + me, 0] = b
             rhs2[n + me :, 0] = h
 
-            def _direction(sigma, ds_rhs, dtk_rhs, col_rhs_done=False):
+            def _direction(sigma, ds_rhs, dtk_rhs):
                 f = 1.0 - sigma
                 rhs2[:n, 1] = -f * rx
                 rhs2[n : n + me, 1] = -f * ry
-                wlds = W @ _jdiv(blocks, lam, ds_rhs) if p else np.zeros(0)
+                wlds = W @ _jdiv(blocks, lam, ds_rhs)
                 rhs2[n + me :, 1] = -f * rz - wlds
                 sol = _kkt_solve(K, rhs2, n)
                 x1, y1, z1 = sol[:n, 0], sol[n : n + me, 0], sol[n + me :, 0]
@@ -383,19 +382,15 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
                 dx = x2 + dtau * x1
                 dy = y2 + dtau * y1
                 dz = z2 + dtau * z1
-                if p:
-                    dst = W @ (_jdiv(blocks, lam, ds_rhs) - W @ dz)
-                else:
-                    dst = np.zeros(0)
+                dst = W @ (_jdiv(blocks, lam, ds_rhs) - W @ dz)
                 dkappa = (dtk_rhs - kappa * dtau) / tau
                 return dx, dy, dz, dst, dtau, dkappa
 
-            lam2 = _jprod(blocks, lam, lam) if p else np.zeros(0)
+            lam2 = _jprod(blocks, lam, lam)
 
             # predictor
             dxa, dya, dza, dsa, dta, dka = _direction(0.0, -lam2, -tau * kappa)
-            alpha = _max_step(blocks, s, dsa) if p else math.inf
-            alpha = min(alpha, _max_step(blocks, z, dza) if p else math.inf)
+            alpha = min(_max_step(blocks, s, dsa), _max_step(blocks, z, dza))
             if dta < 0.0:
                 alpha = min(alpha, -tau / dta)
             if dka < 0.0:
@@ -406,16 +401,12 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
             sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
             # corrector
-            if p:
-                corr = _jprod(blocks, Winv @ dsa, W @ dza)
-                ds_rhs = sigma * mu * e - lam2 - corr
-            else:
-                ds_rhs = np.zeros(0)
+            corr = _jprod(blocks, Winv @ dsa, W @ dza)
+            ds_rhs = sigma * mu * e - lam2 - corr
             dtk_rhs = sigma * mu - tau * kappa - dta * dka
             dx, dy, dz, dst, dtau, dkappa = _direction(sigma, ds_rhs, dtk_rhs)
 
-            alpha = _max_step(blocks, s, dst) if p else math.inf
-            alpha = min(alpha, _max_step(blocks, z, dz) if p else math.inf)
+            alpha = min(_max_step(blocks, s, dst), _max_step(blocks, z, dz))
             if dtau < 0.0:
                 alpha = min(alpha, -tau / dtau)
             if dkappa < 0.0:

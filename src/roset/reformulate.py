@@ -39,7 +39,7 @@ __all__ = [
     "rc_union",
     "rc_partition",
     "build_reconstruction_set",
-    "rc_reconstruction",
+    "solve_reconstruction",
     "det_blocks",
     "assemble",
     "assemble_ro",
@@ -489,13 +489,8 @@ def rc_union(shape: shapes.Union, s: float, rhs, d: int) -> list:
     if not isinstance(shape, shapes.Union):
         raise InvalidArgumentError("rc_union needs a Union shape")
     rhs = np.asarray(rhs, dtype=float).reshape(-1)
-    l = rhs.size
-    out = []
-    for comp in shape.components:
-        if isinstance(comp, (shapes.Union, shapes.Intersection)):
-            raise InvalidArgumentError("nested unions are not supported")
-        out.extend(_basic_linear_blocks(comp, s, rhs, l, d))
-    return out
+    return [blk for comp in shape.components
+            for blk in _basic_linear_blocks(comp, s, rhs, rhs.size, d)]
 
 
 def rc_partition(shape: shapes.Intersection, s: float, rhs, d: int) -> list:
@@ -591,32 +586,42 @@ def build_reconstruction_set(x_hat, spec: model.CcpSpec, scale, phase2,
     return shapes.PredictionSet(shape=shape, size=1.0, calib=calib)
 
 
-def rc_reconstruction(x_hat, offsets, rhs) -> Block:
-    """Protect every row j against the reconstructed set, over (x, lambda).
+def solve_reconstruction(spec: model.CcpSpec, x_hat,
+                         pset_rec: shapes.PredictionSet) -> tuple:
+    """Solve the reconstructed program in closed form: (status, x or None).
 
-    Over {xi : x_hat'xi_j <= o_j for all j} the worst case of xi_j'x is
-    finite only on the ray x = lambda x_hat with lambda >= 0, where it is
-    lambda o_j.  So the exact counterpart is the rows x - lambda x_hat = 0,
-    lambda >= 0 and lambda o_j <= b_j: rc_linear_polytope's dual with the
-    duals solved out, one scalar for all rows.
+    Over the reconstructed set {xi : x_hat'xi_j <= o_j for all j} the worst
+    case of xi_j'x is finite only on the ray x = lambda x_hat with
+    lambda >= 0, where it is lambda o_j; a det row a'x <= b becomes
+    lambda a'x_hat <= b.  So every row bounds one scalar, lambda a_k <= b_k,
+    the feasible lambda form an interval [lo, hi], and the objective
+    lambda c'x_hat is least at hi if c'x_hat < 0 (unbounded if hi is
+    infinite) and at lo otherwise.
+
+    x_hat comes from an earlier solve and may end a solver tolerance outside
+    a det row; such a row is taken as active at x_hat, a_k = b_k.  So
+    lambda = 1 (x = x_hat) stays feasible, and rho <= 0 keeps
+    obj_tilde <= obj_hat.  (Raising b_k to a'x_hat instead would cap lambda
+    at 1 wherever x_hat misses a row with b_k = 0, such as x >= 0, by 1e-11.)
     """
     x_hat = np.asarray(x_hat, dtype=float).reshape(-1)
-    offs = np.asarray(offsets, dtype=float).reshape(-1)
-    b = np.asarray(rhs, dtype=float).reshape(-1)
-    d, l = x_hat.size, offs.size
-    if b.size != l:
+    a = np.asarray(pset_rec.shape.offsets, dtype=float)
+    b = spec.rhs
+    if a.size != b.size:
         raise InvalidArgumentError("need one rhs entry per reconstructed offset")
-    if not np.any(x_hat != 0.0):
-        raise InvalidArgumentError("x_hat must be nonzero")
-    rows_x = np.vstack([np.eye(d), np.zeros((1 + l, d))])
-    rows_aux = np.concatenate([-x_hat, [-1.0], offs])[:, None]
-    return Block(
-        rows_x=rows_x,
-        rows_aux=rows_aux,
-        offsets=np.concatenate([np.zeros(d + 1), b]),
-        cones=(conic.Zero(d), conic.Nonneg(1 + l)),
-        aux_spans=(Span("ray-scale", "lambda", 0, 1),),
-    )
+    if spec.det is not None:
+        a = np.concatenate([a, np.minimum(spec.det.a_ub @ x_hat, spec.det.b_ub)])
+        b = np.concatenate([b, spec.det.b_ub])
+    up, down = a > 0.0, a < 0.0
+    lo = max(0.0, float(np.max(b[down] / a[down], initial=-np.inf)))
+    hi = float(np.min(b[up] / a[up], initial=np.inf))
+    if lo > hi or np.any((a == 0.0) & (b < 0.0)):
+        return conic.SolveStatus.INFEASIBLE, None
+    if float(spec.objective @ x_hat) >= 0.0:
+        return conic.SolveStatus.OPTIMAL, lo * x_hat
+    if hi == np.inf:
+        return conic.SolveStatus.UNBOUNDED, None
+    return conic.SolveStatus.OPTIMAL, hi * x_hat
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,23 @@ def test_fit_round_trips(capsys, fixtures):
     assert shapes.transform_values(shape, np.zeros((1, 5))).shape == (1,)
 
 
+@pytest.mark.parametrize("shape, options, word", [
+    ("pca", '{"variance_kep": 0.9}', "variance_kep"),
+    ("box_grid", None, "width"),
+    ("cluster_union", '{"kk": 3}', "kk"),
+])
+def test_fit_bad_shape_options_are_domain_errors(capsys, fixtures, shape,
+                                                 options, word):
+    argv = ["fit", "--data", fixtures["data"], "--shape", shape]
+    if options is not None:
+        argv += ["--shape-options", options]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    doc = json.loads(err.strip().splitlines()[-1])
+    assert doc["error"]["type"] == "InvalidArgumentError"
+    assert word in doc["error"]["message"]
+
+
 # ---------------------------------------------------------------------------
 # experiment
 
@@ -250,6 +267,20 @@ def test_experiment_bad_config_is_domain_error(capsys, tmp_path):
     assert code == 1 and out == ""
     doc = json.loads(err.strip().splitlines()[-1])
     assert doc["error"]["type"] == "RosetError"
+
+
+def test_experiment_config_checks_happen_on_load(capsys, fixtures, tmp_path):
+    cfg = json.loads(open(fixtures["config"], encoding="utf-8").read())
+    for change in ({"n": 70},  # n2 = 10 < 59
+                   {"shape": "box_grid"},
+                   {"shape": "cluster_union", "shape_options": {"kk": 3}}):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, **change}))
+        code, out, err = run_cli(capsys, ["experiment", "--config", str(path)])
+        assert code == 1 and out == ""
+        doc = json.loads(err.strip().splitlines()[-1])
+        assert doc["error"]["type"] == "InvalidArgumentError"
+        assert "running" not in err
 
 
 def test_missing_file_is_domain_error(capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from roset import conic, harness as hz, model
+from roset import conic, harness as hz, model, shapes
 from roset.errors import InvalidArgumentError
 
 EPS = DELTA = 0.05
@@ -328,9 +328,60 @@ def test_experiment_config_validation():
         hz.config_from_obj({**obj, "violation": "analytic"})
 
 
+def test_experiment_config_rejects_a_too_small_phase_2():
+    spec, samp, _, _ = gaussian_instance(10, d=3, b=6.0)
+    # n2 = 59 is the minimum at epsilon = delta = 0.05
+    obj = hz.config_to_obj(hz.ExperimentConfig(spec=spec, sampler=samp,
+                                               method="ro", n=79, n1=20))
+    for method in ("ro", "ro_reconstructed"):
+        with pytest.raises(InvalidArgumentError, match="59"):
+            hz.ExperimentConfig(spec=spec, sampler=samp, method=method,
+                                n=8, n1=4)
+        with pytest.raises(InvalidArgumentError, match="59"):
+            hz.config_from_obj({**obj, "method": method, "n": 78})
+    # scenario methods have no Phase 2
+    hz.ExperimentConfig(spec=spec, sampler=samp, method="sg", n=8)
+
+
+@pytest.mark.parametrize("shape, options, match", [
+    ("pca", {"variance_kep": 0.9}, "variance_kep"),
+    ("box_grid", None, "width"),
+    ("box_grid", {}, "width"),
+    ("cluster_union", {"kk": 3}, "kk"),
+    ("cluster_union", {"k": "three"}, "'k'"),
+    ("cluster_union", {"k": 2.5}, "'k'"),
+    ("box_grid", {"width": True}, "'width'"),
+    ("ellipsoid", {"k": 2}, "known: none"),
+    ("ball", [["k", 2]], "object"),
+])
+def test_shape_options_are_checked(shape, options, match):
+    spec, samp, _, _ = gaussian_instance(10, d=3, b=6.0)
+    pts = samp.draw(np.random.default_rng(0), 40)
+    with pytest.raises(InvalidArgumentError, match=match):
+        hz.fit_shape(shape, pts, options)
+    with pytest.raises(InvalidArgumentError, match=match):
+        hz.ExperimentConfig(spec=spec, sampler=samp, method="ro", n=80,
+                            n1=20, shape=shape, shape_options=options)
+    obj = hz.config_to_obj(hz.ExperimentConfig(spec=spec, sampler=samp,
+                                               method="ro", n=80, n1=20))
+    with pytest.raises(InvalidArgumentError, match=match):
+        hz.config_from_obj({**obj, "shape": shape, "shape_options": options})
+
+
+def test_shape_options_keep_their_defaults():
+    pts = np.random.default_rng(0).normal(size=(40, 3))
+    for kind, options, default in (
+            ("cluster_union", {"k": 2, "mode": "full", "seed": 0}, {}),
+            ("pca", {"variance_keep": 0.9999}, None),
+            ("box_grid", {"width": 1}, {"width": 1.0})):
+        want = hz.fit_shape(kind, pts, options)
+        got = hz.fit_shape(kind, pts, default)
+        assert shapes.shape_to_json(got) == shapes.shape_to_json(want)
+
+
 def test_experiment_config_document_round_trip_and_strictness():
     spec, samp, _, _ = gaussian_instance(10, d=3, b=6.0)
-    cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method="ro", n=40,
+    cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method="ro", n=80,
                               n1=20, shape="ball", n_eval=500)
     obj = hz.config_to_obj(cfg)
     back = hz.config_from_obj(json.loads(json.dumps(obj)))
@@ -382,18 +433,47 @@ def test_reconstruction_pipeline_improves_on_plain_ro():
 
 
 def test_reconstruction_rho_nonpositive_never_regresses():
+    """rho <= 0 keeps x = x_hat feasible, so obj_tilde <= obj_hat exactly."""
     spec, samp, _, _ = gaussian_instance(45, d=5, b=8.0)
-    count_checked = 0
-    for r in range(25):
-        rng = np.random.Generator(np.random.PCG64(1000 + r))
-        data = samp.draw(rng, 120)
-        rec = hz.reconstruction_pipeline(data, spec, n1=60, seed=r)
-        if rec.rho is not None and rec.rho <= 0:
-            assert rec.status_reconstructed == "optimal"
-            assert rec.obj_tilde <= rec.obj_hat + 1e-8
-            assert rec.improved
-            count_checked += 1
-    assert count_checked >= 15  # most replications have rho <= 0
+    # and a scaled-beta JointLinear(3) instance whose det rows x >= 0 bind
+    rng = np.random.default_rng(20170413)
+    d, l = 5, 3
+    beta_spec = model.CcpSpec(objective=-rng.uniform(1.0, 2.0, size=d),
+                              family=model.JointLinear(l), rhs=np.full(l, 10.0),
+                              epsilon=0.05, delta=0.05,
+                              det=model.DetConstraints(-np.eye(d), np.zeros(d)))
+    beta_samp = hz.scaled_beta_sampler(rng.uniform(1.0, 2.0, size=l * d),
+                                       rng.normal(size=(l * d, l * d)) * 0.15)
+    for sp, sm, n, n1 in ((spec, samp, 120, 60), (beta_spec, beta_samp, 200, 100)):
+        count_checked = 0
+        for r in range(25):
+            rng = np.random.Generator(np.random.PCG64(1000 + r))
+            data = sm.draw(rng, n)
+            rec = hz.reconstruction_pipeline(data, sp, n1=n1, seed=r)
+            if rec.rho is not None and rec.rho <= 0:
+                assert rec.status_reconstructed == "optimal"
+                assert rec.obj_tilde <= rec.obj_hat
+                assert rec.improved
+                count_checked += 1
+        assert count_checked >= 15  # most replications have rho <= 0
+
+
+def test_reconstruction_pipeline_runs_one_conic_solve(monkeypatch):
+    """Only the initial robust program goes to the solver."""
+    programs = []
+    solve = conic.solve
+
+    def counted(prog, **kwargs):
+        programs.append(prog)
+        return solve(prog, **kwargs)
+
+    monkeypatch.setattr(conic, "solve", counted)
+    spec, samp, _, _ = gaussian_instance(46, d=4, b=8.0)
+    cfg = hz.ExperimentConfig(spec=spec, sampler=samp,
+                              method="ro_reconstructed", n=120, n1=60)
+    rep = hz.run_replications(cfg, 4, master_seed=2)
+    assert rep.statuses == {"optimal": 4}
+    assert len(programs) == 4
 
 
 def test_reconstruction_scale_std_policy():

@@ -125,6 +125,31 @@ def test_infeasible_equalities():
     assert conic.solve(prog).status is SolveStatus.INFEASIBLE
 
 
+def test_equality_only_optimal():
+    # x0 + x1 = 2, x0 - x1 = 0 pins x = (1, 1)
+    prog = ConicProgram(c=[1.0, 2.0], A=[[1.0, 1.0], [1.0, -1.0]], b=[2.0, 0.0],
+                        cones=(Zero(2),))
+    sol = conic.solve(prog)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert np.allclose(sol.x, [1.0, 1.0], atol=1e-7)
+    assert sol.obj == pytest.approx(3.0, abs=1e-7)
+    # c in the row space: every point of x0 + x1 = 2 is optimal
+    prog = ConicProgram(c=[1.0, 1.0], A=[[1.0, 1.0]], b=[2.0], cones=(Zero(1),))
+    sol = conic.solve(prog)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.obj == pytest.approx(2.0, abs=1e-7)
+    assert sol.x.sum() == pytest.approx(2.0, abs=1e-7)
+
+
+def test_equality_only_unbounded():
+    # x1 = 1 leaves x0 free: the ray (-1, 0) has c'x = -1 and A x = 0
+    prog = ConicProgram(c=[1.0, 0.0], A=[[0.0, 1.0]], b=[1.0], cones=(Zero(1),))
+    sol = conic.solve(prog)
+    assert sol.status is SolveStatus.UNBOUNDED
+    assert sol.x @ [1.0, 0.0] == pytest.approx(-1.0, abs=1e-7)
+    assert abs(sol.x[1]) <= 1e-7
+
+
 def test_infeasible_soc():
     # ||x|| <= -1 is empty
     prog = ConicProgram(c=[1.0, 0.0], A=[[0.0, 0.0], [-1.0, 0.0], [0.0, -1.0]],

@@ -1,6 +1,7 @@
 """Robust counterpart correctness: closed forms, dual oracles, LMI structure."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -864,26 +865,97 @@ def test_reconstruction_optimizer_collinear_with_x_hat():
     assert abs(cross) <= 1e-6 * (1.0 + np.linalg.norm(sol.x[:2]))
 
 
-def test_rc_reconstruction_ray_lp_shape():
-    blk = rf.rc_reconstruction([1.0, -2.0], [3.0, 5.0, -1.0], [4.0, 4.0, 4.0])
-    assert blk.cones == (conic.Zero(2), conic.Nonneg(4))
-    assert (blk.n_x, blk.n_aux) == (2, 1)
-    assert blk.aux_spans[0].label == "lambda"
-    # x = lam*x_hat at lam = 0.5 lands every row in its cone
-    x, lam = np.array([0.5, -1.0]), 0.5
-    val = blk.offsets - blk.rows_x @ x - blk.rows_aux @ [lam]
-    assert np.array_equal(val, [0.0, 0.0, 0.5, 2.5, 1.5, 4.5])
-    with pytest.raises(InvalidArgumentError):
-        rf.rc_reconstruction([0.0, 0.0], [1.0], [1.0])
-    with pytest.raises(InvalidArgumentError):
-        rf.rc_reconstruction([1.0, 0.0], [1.0, 2.0], [1.0])
+def ray_set(x_hat, offsets):
+    """The reconstructed set {xi : x_hat'xi_j <= o_j for all j} at size 1."""
+    x_hat = np.asarray(x_hat, dtype=float)
+    offsets = np.asarray(offsets, dtype=float)
+    rows = np.kron(np.eye(offsets.size), x_hat)
+    interior = np.kron(offsets - 1.0, x_hat) / float(x_hat @ x_hat)
+    return pset_with_size(shapes.Polytope(rows=rows, offsets=offsets,
+                                          interior=interior), 1.0)
 
 
-def test_rc_reconstruction_matches_polytope_dual():
-    """The ray LP and the generic polytope dual of the same set agree."""
+def active_at(spec, x_hat):
+    """spec with each det row that x_hat misses scaled to be active there.
+
+    solve_reconstruction takes such a row as a'x_hat = b; scaled by
+    b / a'x_hat it says the same in x, for the polytope-dual oracle.
+    """
+    if spec.det is None:
+        return spec
+    ax = spec.det.a_ub @ x_hat
+    scale = np.minimum(ax, spec.det.b_ub) / ax
+    return replace(spec, det=model.DetConstraints(
+        spec.det.a_ub * scale[:, None], spec.det.b_ub))
+
+
+def test_solve_reconstruction_hand_checked_cases():
+    """Each row bounds lambda in x = lambda x_hat; the objective picks an end."""
+    x_hat = np.array([1.0, -2.0])
+    opt = conic.SolveStatus.OPTIMAL
+
+    def solve(objective, offsets, rhs, det=None):
+        spec = model.CcpSpec(objective=objective,
+                             family=model.JointLinear(l=len(rhs)), rhs=rhs,
+                             epsilon=0.5, delta=0.5, det=det)
+        pset = ray_set(x_hat, offsets)
+        status, x = rf.solve_reconstruction(spec, x_hat, pset)
+        # the polytope dual of the same set agrees
+        want = conic.solve(rf.assemble_ro(active_at(spec, x_hat), pset).program)
+        assert status is want.status
+        if status is opt:
+            assert float(spec.objective @ x) == pytest.approx(want.obj, abs=1e-7)
+        return status, x
+
+    down = [-1.0, 0.0]  # c'x_hat = -1 < 0: the largest lambda wins
+    # lambda <= min(4/2, 4/8) = 0.5; the row with o_j < 0 only asks
+    # lambda >= -4, which lambda >= 0 already implies
+    status, x = solve(down, [2.0, 8.0, -1.0], [4.0, 4.0, 4.0])
+    assert status is opt and np.array_equal(x, [0.5, -1.0])
+    # no positive offset caps lambda; o_j = 0 <= b_j leaves it free
+    status, x = solve(down, [-1.0, 0.0], [4.0, 4.0])
+    assert status is conic.SolveStatus.UNBOUNDED and x is None
+    # lambda <= 0.5 from the robust row but lambda >= 0.75 from the det
+    # row (0, 1)'x = -2 lambda <= -1.5: the interval is empty
+    status, x = solve(down, [8.0], [4.0],
+                      det=model.DetConstraints([[0.0, 1.0]], [-1.5]))
+    assert status is conic.SolveStatus.INFEASIBLE and x is None
+    # o_j = 0 > b_j: the row reads 0 <= -1 whatever lambda
+    status, x = solve(down, [2.0, 0.0], [4.0, -1.0])
+    assert status is conic.SolveStatus.INFEASIBLE and x is None
+    # c'x_hat >= 0: the smallest lambda wins, here lambda >= 0.5 from the
+    # det row -2 lambda <= -1, and lambda = 0 without it
+    status, x = solve([1.0, 0.0], [2.0], [4.0],
+                      det=model.DetConstraints([[0.0, 1.0]], [-1.0]))
+    assert status is opt and np.array_equal(x, [0.5, -1.0])
+    status, x = solve([2.0, 1.0], [2.0], [4.0])  # c'x_hat = 0
+    assert status is opt and not np.any(x)
+    # det rows that x_hat misses are taken as active at x_hat: x_0 <= 0
+    # leaves lambda free (not lambda <= 0), (0, 1)'x <= -3 asks lambda >= 1
+    # (not lambda >= 1.5), so lambda = 1 stays feasible
+    status, x = solve(down, [2.0], [4.0],
+                      det=model.DetConstraints([[1.0, 0.0]], [0.0]))
+    assert status is opt and np.array_equal(x, [2.0, -4.0])
+    status, x = solve([1.0, 0.0], [2.0], [4.0],
+                      det=model.DetConstraints([[0.0, 1.0]], [-3.0]))
+    assert status is opt and np.array_equal(x, x_hat)
+    spec = model.CcpSpec(objective=down, family=model.JointLinear(l=2),
+                         rhs=[4.0, 4.0], epsilon=0.5, delta=0.5)
+    with pytest.raises(InvalidArgumentError):
+        rf.solve_reconstruction(spec, x_hat, ray_set(x_hat, [2.0]))
+
+
+def test_solve_reconstruction_matches_polytope_dual():
+    """The closed-form ray LP and the generic polytope dual of one set agree.
+
+    Odd trials add det rows, which x_hat misses in about a third of them;
+    solve_reconstruction takes a missed row as active at x_hat, and the
+    oracle gets the row scaled to say so.  Infeasible instances then need
+    rho > 0 and a det row that asks lambda > hi; the first comes at trial 75.
+    """
     rng = np.random.default_rng(29)
     seen = set()
-    for trial in range(60):
+    for trial in range(120):
         d, l = int(rng.integers(1, 6)), int(rng.integers(1, 4))
         x_hat = rng.normal(size=d)
         x_hat[0] += np.sign(x_hat[0]) * 0.1
@@ -900,14 +972,12 @@ def test_rc_reconstruction_matches_polytope_dual():
         phase2 = rng.normal(size=(40, l * d)) + shift * np.tile(x_hat, l)
         scale = rng.uniform(0.5, 2.0, size=l)
         pset = rf.build_reconstruction_set(x_hat, spec, scale, phase2, 0.2, 0.2)
-        ray = rf.rc_reconstruction(x_hat, pset.shape.offsets, spec.rhs)
-        prog, _, _ = rf.assemble(spec.objective,
-                                 rf.det_blocks(det) + [("robust", ray)])
-        got = conic.solve(prog)
-        want = conic.solve(rf.assemble_ro(spec, pset).program)
-        assert got.status is want.status, trial
+        status, x = rf.solve_reconstruction(spec, x_hat, pset)
+        want = conic.solve(rf.assemble_ro(active_at(spec, x_hat), pset).program)
+        assert status is want.status, trial
         if want.status is conic.SolveStatus.OPTIMAL:
-            assert abs(got.obj - want.obj) <= 1e-7 * max(1.0, abs(want.obj)), trial
+            obj = float(spec.objective @ x)
+            assert abs(obj - want.obj) <= 1e-7 * max(1.0, abs(want.obj)), trial
         seen.add(want.status)
     assert seen == {conic.SolveStatus.OPTIMAL, conic.SolveStatus.UNBOUNDED,
                     conic.SolveStatus.INFEASIBLE}
