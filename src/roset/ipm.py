@@ -1,8 +1,7 @@
 """Primal-dual interior-point solver for linear and second-order cone programs.
 
 Implements a homogeneous self-dual embedding with Nesterov-Todd scaling and a
-Mehrotra predictor-corrector step, dense linear algebra throughout.  The
-embedding solves
+Mehrotra predictor-corrector step.  The embedding solves
 
     minimize c'x  s.t.  Ax = b,  Gx + s = h,  s in C,
 
@@ -16,6 +15,17 @@ rows to (G, h).  Working variables are (x, y, z, s, tau, kappa); residuals
 
 all vanish at a solution of the embedding, and the sign of tau vs kappa at
 convergence separates optimality from infeasibility certificates.
+
+The cone layer is blockwise.  Each solve lays the inequality rows out once,
+every Nonneg row first and then the second-order blocks in program order, and
+returns z and s in program row order.  The scaling and every cone kernel are
+a fixed number of array operations over all rows, whatever the number and
+dimensions of the blocks: per-block sums over the block heads with
+``np.add.reduceat``, broadcast back to rows through a row-to-block index.  The
+scaling is an operator and no p x p scaling matrix is built.  The KKT system
+is still dense, (n+me+p) square: it is allocated once per solve, each
+iteration rewrites only its -W^2 entries, and it is LU-factored twice per
+iteration, for the predictor and the corrector.
 """
 
 from __future__ import annotations
@@ -38,9 +48,36 @@ from .errors import ExportOnlyProgramError
 _STEP = 0.99
 _REG = 1e-10
 
+# cone kind -> row code of the layout pass; Zero rows go to (A, b)
+_ROW_CODE = {Zero: 0, Nonneg: 1, SecondOrder: 2}
+
 
 class _Breakdown(Exception):
     pass
+
+
+@dataclass
+class _Cones:
+    """Inequality-row layout: ``nl`` Nonneg rows, then the SOC blocks.
+
+    The SOC arrays index rows [nl, p) from 0: ``heads`` holds each block's
+    first row, ``blk`` each row's block, ``J`` is +1 on a head and -1
+    elsewhere, and ``tail`` is 0 on a head and 1 elsewhere.
+    """
+
+    nl: int
+    dims: np.ndarray
+    heads: np.ndarray
+    blk: np.ndarray
+    J: np.ndarray
+    tail: np.ndarray
+
+    def tdot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Per-block dot products u1'v1 of the tails of SOC-row vectors.
+
+        Along the last axis, so stacked vectors give one row each.
+        """
+        return np.add.reduceat(u * v * self.tail, self.heads, axis=-1)
 
 
 @dataclass
@@ -50,164 +87,157 @@ class _Split:
     b: np.ndarray
     G: np.ndarray
     h: np.ndarray
-    blocks: list  # ("l" | "q", slice into the inequality rows)
+    cones: _Cones
+    back: np.ndarray  # v[back] puts a layout vector in program row order
     nu: float
 
 
 def _split(prog: ConicProgram) -> _Split:
-    eq_rows: list[int] = []
-    ineq_rows: list[int] = []
-    blocks = []
-    nu = 1.0  # tau*kappa pair
-    pos = 0
-    for cone, sl in prog.cone_slices():
-        rows = list(range(sl.start, sl.stop))
-        if isinstance(cone, Zero):
-            eq_rows.extend(rows)
-        elif isinstance(cone, Nonneg):
-            start = pos
-            if blocks and blocks[-1][0] == "l":
-                # Zero rows are routed out, so neighbouring Nonneg blocks,
-                # also across Zero rows, form one "l" block
-                start = blocks.pop()[1].start
-            blocks.append(("l", slice(start, pos + cone.dim)))
-            ineq_rows.extend(rows)
-            pos += cone.dim
-            nu += cone.dim
-        elif isinstance(cone, SecondOrder):
-            blocks.append(("q", slice(pos, pos + cone.dim)))
-            ineq_rows.extend(rows)
-            pos += cone.dim
-            nu += 1.0
-        else:
+    codes = []
+    for cone in prog.cones:
+        code = _ROW_CODE.get(type(cone))
+        if code is None:
             raise ExportOnlyProgramError(
                 "program contains a PSD block; export it instead of solving"
             )
-    A = prog.A[eq_rows, :] if eq_rows else np.zeros((0, prog.n_vars))
-    b = prog.b[eq_rows] if eq_rows else np.zeros(0)
-    G = prog.A[ineq_rows, :] if ineq_rows else np.zeros((0, prog.n_vars))
-    h = prog.b[ineq_rows] if ineq_rows else np.zeros(0)
-    return _Split(c=prog.c.copy(), A=A, b=b, G=G, h=h, blocks=blocks, nu=nu)
+        codes.append(code)
+    codes = np.array(codes, dtype=np.intp)
+    dims = np.array([cone.rows for cone in prog.cones], dtype=np.intp)
+    row_code = np.repeat(codes, dims)
+    eq_rows = np.flatnonzero(row_code == 0)
+    ineq_rows = np.flatnonzero(row_code != 0)
+    # every Nonneg row first, also across Zero and SOC rows, then the SOC
+    # blocks; a stable sort keeps program order within each
+    order = np.argsort(row_code[ineq_rows] == 2, kind="stable")
+    qdims = dims[codes == 2]
+    heads = np.cumsum(qdims) - qdims
+    blk = np.repeat(np.arange(qdims.size), qdims)
+    tail = np.ones(blk.size)
+    tail[heads] = 0.0
+    nl = ineq_rows.size - blk.size
+    rows = ineq_rows[order]
+    return _Split(c=prog.c.copy(), A=prog.A[eq_rows], b=prog.b[eq_rows],
+                  G=prog.A[rows], h=prog.b[rows],
+                  cones=_Cones(nl=nl, dims=qdims, heads=heads, blk=blk,
+                               J=1.0 - 2.0 * tail, tail=tail),
+                  back=np.argsort(order),
+                  nu=1.0 + nl + qdims.size)  # 1 for the tau*kappa pair
 
 
-def _min_eig(blocks, v: np.ndarray) -> float:
-    out = math.inf
-    for kind, sl in blocks:
-        u = v[sl]
-        if kind == "l":
-            m = float(u.min())
-        else:
-            m = float(u[0] - np.linalg.norm(u[1:]))
-        out = min(out, m)
-    return out
+def _min_eig(cones: _Cones, v: np.ndarray) -> float:
+    nl = cones.nl
+    vq = v[nl:]
+    soc = vq[cones.heads] - np.sqrt(cones.tdot(vq, vq))
+    return float(np.minimum.reduce(np.concatenate((v[:nl], soc)), initial=math.inf))
 
 
-def _cone_identity(blocks, p: int) -> np.ndarray:
+def _cone_identity(cones: _Cones, p: int) -> np.ndarray:
     e = np.zeros(p)
-    for kind, sl in blocks:
-        if kind == "l":
-            e[sl] = 1.0
-        else:
-            e[sl.start] = 1.0
+    e[: cones.nl] = 1.0
+    e[cones.nl + cones.heads] = 1.0
     return e
 
 
-def _jprod(blocks, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _jprod(cones: _Cones, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    nl, heads, blk = cones.nl, cones.heads, cones.blk
     out = np.empty_like(u)
-    for kind, sl in blocks:
-        a, c = u[sl], v[sl]
-        if kind == "l":
-            out[sl] = a * c
-        else:
-            out[sl.start] = a @ c
-            out[sl.start + 1 : sl.stop] = a[0] * c[1:] + c[0] * a[1:]
+    out[:nl] = u[:nl] * v[:nl]
+    uq, vq = u[nl:], v[nl:]
+    oq = out[nl:]
+    oq[:] = uq[heads][blk] * vq + vq[heads][blk] * uq
+    oq[heads] = np.add.reduceat(uq * vq, heads)
     return out
 
 
-def _jdiv(blocks, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _jdiv(cones: _Cones, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Solve lam o u = w blockwise."""
+    nl, heads, blk = cones.nl, cones.heads, cones.blk
     out = np.empty_like(w)
-    for kind, sl in blocks:
-        lb, wb = lam[sl], w[sl]
-        if kind == "l":
-            out[sl] = wb / lb
-        else:
-            det = lb[0] ** 2 - lb[1:] @ lb[1:]
-            u0 = (lb[0] * wb[0] - lb[1:] @ wb[1:]) / det
-            out[sl.start] = u0
-            out[sl.start + 1 : sl.stop] = (wb[1:] - u0 * lb[1:]) / lb[0]
+    out[:nl] = w[:nl] / lam[:nl]
+    lq, wq = lam[nl:], w[nl:]
+    l0 = lq[heads]
+    det = l0 * l0 - cones.tdot(lq, lq)
+    u0 = (l0 * wq[heads] - cones.tdot(lq, wq)) / det
+    oq = out[nl:]
+    oq[:] = (wq - u0[blk] * lq) / l0[blk]
+    oq[heads] = u0
     return out
 
 
-def _max_step(blocks, v: np.ndarray, d: np.ndarray) -> float:
-    """Largest alpha >= 0 with v + alpha*d still in the cone (can be inf)."""
-    best = math.inf
-    for kind, sl in blocks:
-        vi, di = v[sl], d[sl]
-        if kind == "l":
-            neg = di < 0
-            if np.any(neg):
-                best = min(best, float(np.min(-vi[neg] / di[neg])))
-        else:
-            v0, v1 = vi[0], vi[1:]
-            d0, d1 = di[0], di[1:]
-            a0 = v0 * v0 - v1 @ v1
-            a1 = v0 * d0 - v1 @ d1
-            a2 = d0 * d0 - d1 @ d1
-            disc = a1 * a1 - a2 * a0
-            # smallest positive root of a2 t^2 + 2 a1 t + a0, written in the
-            # numerically stable conjugate form a0 / (-a1 + sqrt(disc))
-            if not (a2 == 0.0 and a1 >= 0.0):
-                if a2 <= 0.0 or (a1 < 0.0 and disc >= 0.0):
-                    denom = -a1 + math.sqrt(max(disc, 0.0))
-                    if denom > 0.0:
-                        best = min(best, a0 / denom)
-            if d0 < 0.0:
-                best = min(best, -v0 / d0)
-    return best
+def _max_step(cones: _Cones, v: np.ndarray, d: np.ndarray) -> float:
+    """Largest alpha >= 0 with v + alpha*d still in the cone (can be inf).
+
+    v and d may stack several vectors as rows; the step then keeps every
+    row in the cone.  A NaN candidate never sets the step.
+    """
+    nl, heads = cones.nl, cones.heads
+    vl, dl = v[..., :nl], d[..., :nl]
+    neg = dl < 0
+    vq, dq = v[..., nl:], d[..., nl:]
+    v0, d0 = vq[..., heads], dq[..., heads]
+    a0 = v0 * v0 - cones.tdot(vq, vq)
+    a1 = v0 * d0 - cones.tdot(vq, dq)
+    a2 = d0 * d0 - cones.tdot(dq, dq)
+    disc = a1 * a1 - a2 * a0
+    # smallest positive root of a2 t^2 + 2 a1 t + a0, written in the
+    # numerically stable conjugate form a0 / (-a1 + sqrt(disc))
+    denom = -a1 + np.sqrt(np.maximum(disc, 0.0))
+    root = ~((a2 == 0.0) & (a1 >= 0.0)) & (denom > 0.0)
+    root &= (a2 <= 0.0) | ((a1 < 0.0) & (disc >= 0.0))
+    back = d0 < 0.0
+    cands = np.concatenate((-vl[neg] / dl[neg], a0[root] / denom[root],
+                            -v0[back] / d0[back]))
+    return float(np.fmin.reduce(cands, initial=math.inf))
 
 
-def _scaling(blocks, s: np.ndarray, z: np.ndarray, p: int):
-    """Nesterov-Todd scaling: W z = W^{-1} s = lam, W symmetric pd."""
-    W = np.zeros((p, p))
-    Winv = np.zeros((p, p))
-    W2 = np.zeros((p, p))
-    lam = np.zeros(p)
-    for kind, sl in blocks:
-        sb, zb = s[sl], z[sl]
-        if kind == "l":
-            w = np.sqrt(sb / zb)
-            idx = np.arange(sl.start, sl.stop)
-            W[idx, idx] = w
-            Winv[idx, idx] = 1.0 / w
-            W2[idx, idx] = w * w
-            lam[sl] = np.sqrt(sb * zb)
-        else:
-            k = sl.stop - sl.start
-            ds = sb[0] ** 2 - sb[1:] @ sb[1:]
-            dz = zb[0] ** 2 - zb[1:] @ zb[1:]
-            if ds <= 0.0 or dz <= 0.0:
-                raise _Breakdown("iterate left the cone interior")
-            eta = (ds / dz) ** 0.25
-            sn = sb / math.sqrt(ds)
-            zn = zb / math.sqrt(dz)
-            gamma = math.sqrt((1.0 + sn @ zn) / 2.0)
-            wbar = np.empty(k)
-            wbar[0] = (sn[0] + zn[0]) / (2.0 * gamma)
-            wbar[1:] = (sn[1:] - zn[1:]) / (2.0 * gamma)
-            T = np.empty((k, k))
-            T[0, 0] = wbar[0]
-            T[0, 1:] = wbar[1:]
-            T[1:, 0] = wbar[1:]
-            T[1:, 1:] = np.eye(k - 1) + np.outer(wbar[1:], wbar[1:]) / (1.0 + wbar[0])
-            J = np.diag(np.concatenate(([1.0], -np.ones(k - 1))))
-            Wb = eta * T
-            W[sl, sl] = Wb
-            Winv[sl, sl] = (J @ T @ J) / eta
-            # T(wbar)^2 = 2 wbar wbar' - J for unit-J wbar
-            W2[sl, sl] = (eta * eta) * (2.0 * np.outer(wbar, wbar) - J)
-            lam[sl] = Wb @ zb
-    return W, Winv, W2, lam
+class _NT:
+    """Nesterov-Todd scaling W, with W z = W^{-1} s = lam, as an operator.
+
+    Nonneg rows: W = diag(w).  SOC block: W = eta T(wbar), where wbar has
+    unit J-norm and T(wbar) = [[w0, w1'], [w1, I + w1 w1'/(1 + w0)]];
+    W^{-1} = J T(wbar) J / eta and W^2 = eta^2 (2 wbar wbar' - J).
+    """
+
+    def __init__(self, cones: _Cones, s: np.ndarray, z: np.ndarray):
+        nl, heads, blk = cones.nl, cones.heads, cones.blk
+        sq, zq = s[nl:], z[nl:]
+        ds = sq[heads] ** 2 - cones.tdot(sq, sq)
+        dz = zq[heads] ** 2 - cones.tdot(zq, zq)
+        if (ds <= 0.0).any() or (dz <= 0.0).any():
+            raise _Breakdown("iterate left the cone interior")
+        self.cones = cones
+        self.w = np.sqrt(s[:nl] / z[:nl])
+        self.eta = (ds / dz) ** 0.25
+        sn = sq / np.sqrt(ds)[blk]
+        zn = zq / np.sqrt(dz)[blk]
+        gamma = np.sqrt((1.0 + np.add.reduceat(sn * zn, heads)) / 2.0)
+        self.wbar = (sn + cones.J * zn) / (2.0 * gamma)[blk]
+        self.w0, self.w1 = self.wbar[heads], self.wbar * cones.tail
+        self._w0inv = 1.0 / (1.0 + self.w0)
+        self._eta = self.eta[blk]
+        self.lam = np.concatenate((np.sqrt(s[:nl] * z[:nl]),
+                                   self._soc(zq, 1.0) * self._eta))
+
+    def _soc(self, v: np.ndarray, sign: float) -> np.ndarray:
+        # T(wbar) v (sign +1) or J T(wbar) J v (sign -1) on the SOC rows; with
+        # dot = w1'v1 the head is w0 v0 + sign dot and the tail
+        # v1 + (sign v0 + dot / (1 + w0)) w1
+        heads, w0, w1 = self.cones.heads, self.w0, self.w1
+        v0 = v[heads]
+        dot = np.add.reduceat(w1 * v, heads)
+        out = v + (sign * v0 + dot * self._w0inv)[self.cones.blk] * w1
+        out[heads] = w0 * v0 + sign * dot
+        return out
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """W v."""
+        nl = self.cones.nl
+        return np.concatenate((self.w * v[:nl], self._soc(v[nl:], 1.0) * self._eta))
+
+    def apply_inv(self, v: np.ndarray) -> np.ndarray:
+        """W^{-1} v."""
+        nl = self.cones.nl
+        return np.concatenate((v[:nl] / self.w, self._soc(v[nl:], -1.0) / self._eta))
 
 
 def _kkt_solve(K: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
@@ -233,25 +263,51 @@ def _kkt_solve(K: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
     return X
 
 
-def _assemble_kkt(sp: _Split, W2: np.ndarray) -> np.ndarray:
-    n = sp.c.size
-    me = sp.b.size
-    p = sp.h.size
-    N = n + me + p
-    K = np.zeros((N, N))
-    K[:n, n : n + me] = sp.A.T
-    K[n : n + me, :n] = sp.A
-    K[:n, n + me :] = sp.G.T
-    K[n + me :, :n] = sp.G
-    K[n + me :, n + me :] = -W2
-    return K
+class _KKT:
+    """The dense KKT matrix [[0, A', G'], [A, 0, 0], [G, 0, -W^2]] of a solve.
+
+    It is allocated once with W = I; ``set_scaling`` rewrites only the -W^2
+    entries: the Nonneg diagonal and each SOC block's dim^2 entries.
+    """
+
+    def __init__(self, sp: _Split):
+        n, me, p = sp.c.size, sp.b.size, sp.h.size
+        N, off = n + me + p, n + me
+        self.K = K = np.zeros((N, N))
+        K[:n, n:off] = sp.A.T
+        K[n:off, :n] = sp.A
+        K[:n, off:] = sp.G.T
+        K[off:, :n] = sp.G
+        cones = sp.cones
+        nl, dims, heads = cones.nl, cones.dims, cones.heads
+        # entry e of block k sits at (heads[k] + i, heads[k] + j), with
+        # (i, j) = divmod(local index, dims[k]), in row-major order
+        size = dims * dims
+        self._blk = np.repeat(np.arange(dims.size), size)
+        local = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        k = dims[self._blk]
+        self._r = heads[self._blk] + local // k
+        self._c = heads[self._blk] + local % k
+        diag = self._r == self._c
+        self._jdiag = np.where(diag, cones.J[self._r], 0.0)
+        rows = off + np.concatenate((np.arange(nl), nl + self._r))
+        cols = off + np.concatenate((np.arange(nl), nl + self._c))
+        self._flat = K.reshape(-1)
+        self._idx = rows * N + cols
+        self._flat[self._idx] = -np.concatenate((np.ones(nl), diag))
+
+    def set_scaling(self, nt: _NT) -> None:
+        wbar = nt.wbar
+        soc = nt.eta[self._blk] ** 2 * (2.0 * wbar[self._r] * wbar[self._c]
+                                         - self._jdiag)
+        self._flat[self._idx] = -np.concatenate((nt.w * nt.w, soc))
 
 
 def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
           max_iter: int = 200) -> Solution:
     sp = _split(prog)
     c, A, b, G, h = sp.c, sp.A, sp.b, sp.G, sp.h
-    blocks, nu = sp.blocks, sp.nu
+    cones, nu, back = sp.cones, sp.nu, sp.back
     n, me, p = c.size, b.size, h.size
 
     if me == 0 and p == 0:
@@ -271,22 +327,23 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
 
     # initialization: least-norm heuristic with identity scaling, then shift
     # s and z into the cone interior
-    K0 = _assemble_kkt(sp, np.eye(p))
+    kkt = _KKT(sp)
+    K = kkt.K
     rhs = np.zeros((n + me + p, 2))
     rhs[n : n + me, 0] = b
     rhs[n + me :, 0] = h
     rhs[:n, 1] = -c
     try:
-        init = _kkt_solve(K0, rhs, n)
+        init = _kkt_solve(K, rhs, n)
     except _Breakdown:
         init = np.zeros((n + me + p, 2))
     x = init[:n, 0]
     s = -init[n + me :, 0]
     y = init[n : n + me, 1]
     z = init[n + me :, 1]
-    e = _cone_identity(blocks, p)
+    e = _cone_identity(cones, p)
     for v in (s, z):
-        t = -_min_eig(blocks, v)
+        t = -_min_eig(cones, v)
         if t >= 0.0:
             v += (1.0 + t) * e
     tau, kappa = 1.0, 1.0
@@ -327,9 +384,10 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
                     pcost, relgap, gap_abs, pres, dres)
 
         if pres <= feas_tol and dres <= feas_tol and relgap <= gap_tol:
-            return Solution(status=SolveStatus.OPTIMAL, x=xt, y=yt, z=zt, s=st,
-                            obj=pcost, gap=relgap, gap_abs=gap_abs, pres=pres,
-                            dres=dres, iterations=it, trace=tuple(trace))
+            return Solution(status=SolveStatus.OPTIMAL, x=xt, y=yt, z=zt[back],
+                            s=st[back], obj=pcost, gap=relgap, gap_abs=gap_abs,
+                            pres=pres, dres=dres, iterations=it,
+                            trace=tuple(trace))
 
         # infeasibility certificates from the embedding
         by_hz = float(b @ y + h @ z)
@@ -338,7 +396,7 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
             if resid <= feas_tol:
                 scale = -1.0 / by_hz
                 return Solution(status=SolveStatus.INFEASIBLE, x=None,
-                                y=y * scale, z=z * scale, s=None, obj=None,
+                                y=y * scale, z=z[back] * scale, s=None, obj=None,
                                 gap=None, gap_abs=None, pres=None, dres=None,
                                 iterations=it, cert_residual=resid,
                                 trace=tuple(trace))
@@ -351,16 +409,17 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
             if resid <= feas_tol:
                 scale = -1.0 / cx
                 return Solution(status=SolveStatus.UNBOUNDED, x=x * scale,
-                                y=None, z=None, s=s * scale, obj=None,
+                                y=None, z=None, s=s[back] * scale, obj=None,
                                 gap=None, gap_abs=None, pres=None, dres=None,
                                 iterations=it, cert_residual=resid,
                                 trace=tuple(trace))
 
         try:
-            if _min_eig(blocks, s) <= 0.0 or _min_eig(blocks, z) <= 0.0:
+            if _min_eig(cones, s) <= 0.0 or _min_eig(cones, z) <= 0.0:
                 raise _Breakdown("iterate left the cone interior")
-            W, Winv, W2, lam = _scaling(blocks, s, z, p)
-            K = _assemble_kkt(sp, W2)
+            nt = _NT(cones, s, z)
+            lam = nt.lam
+            kkt.set_scaling(nt)
 
             rhs2 = np.zeros((n + me + p, 2))
             rhs2[:n, 0] = -c
@@ -371,8 +430,8 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
                 f = 1.0 - sigma
                 rhs2[:n, 1] = -f * rx
                 rhs2[n : n + me, 1] = -f * ry
-                wlds = W @ _jdiv(blocks, lam, ds_rhs)
-                rhs2[n + me :, 1] = -f * rz - wlds
+                lds = _jdiv(cones, lam, ds_rhs)
+                rhs2[n + me :, 1] = -f * rz - nt.apply(lds)
                 sol = _kkt_solve(K, rhs2, n)
                 x1, y1, z1 = sol[:n, 0], sol[n : n + me, 0], sol[n + me :, 0]
                 x2, y2, z2 = sol[:n, 1], sol[n : n + me, 1], sol[n + me :, 1]
@@ -382,15 +441,15 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
                 dx = x2 + dtau * x1
                 dy = y2 + dtau * y1
                 dz = z2 + dtau * z1
-                dst = W @ (_jdiv(blocks, lam, ds_rhs) - W @ dz)
+                dst = nt.apply(lds - nt.apply(dz))
                 dkappa = (dtk_rhs - kappa * dtau) / tau
                 return dx, dy, dz, dst, dtau, dkappa
 
-            lam2 = _jprod(blocks, lam, lam)
+            lam2 = _jprod(cones, lam, lam)
 
             # predictor
             dxa, dya, dza, dsa, dta, dka = _direction(0.0, -lam2, -tau * kappa)
-            alpha = min(_max_step(blocks, s, dsa), _max_step(blocks, z, dza))
+            alpha = _max_step(cones, np.stack((s, z)), np.stack((dsa, dza)))
             if dta < 0.0:
                 alpha = min(alpha, -tau / dta)
             if dka < 0.0:
@@ -401,12 +460,12 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
             sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
             # corrector
-            corr = _jprod(blocks, Winv @ dsa, W @ dza)
+            corr = _jprod(cones, nt.apply_inv(dsa), nt.apply(dza))
             ds_rhs = sigma * mu * e - lam2 - corr
             dtk_rhs = sigma * mu - tau * kappa - dta * dka
             dx, dy, dz, dst, dtau, dkappa = _direction(sigma, ds_rhs, dtk_rhs)
 
-            alpha = min(_max_step(blocks, s, dst), _max_step(blocks, z, dz))
+            alpha = _max_step(cones, np.stack((s, z)), np.stack((dst, dz)))
             if dtau < 0.0:
                 alpha = min(alpha, -tau / dtau)
             if dkappa < 0.0:
@@ -428,6 +487,7 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
             break
 
     xt, yt, zt, st, pcost, relgap, gap_abs, pres, dres = best
-    return Solution(status=SolveStatus.ITER_LIMIT, x=xt, y=yt, z=zt, s=st,
-                    obj=pcost, gap=relgap, gap_abs=gap_abs, pres=pres, dres=dres,
-                    iterations=it, trace=tuple(trace), reason=reason)
+    return Solution(status=SolveStatus.ITER_LIMIT, x=xt, y=yt, z=zt[back],
+                    s=st[back], obj=pcost, gap=relgap, gap_abs=gap_abs,
+                    pres=pres, dres=dres, iterations=it, trace=tuple(trace),
+                    reason=reason)

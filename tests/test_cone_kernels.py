@@ -1,0 +1,241 @@
+"""The batched cone kernels of ipm against per-block reference formulas.
+
+The ``ref_*`` functions below are the per-block loops the solver used
+before its cone layer ran over all second-order blocks at once; they are
+kept here only as the oracle.  ``blocks`` lists ("l" | "q", slice) over the
+inequality rows in program order.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from roset import ipm
+from roset.conic import ConicProgram, Nonneg, SecondOrder, Zero
+
+
+def ref_min_eig(blocks, v):
+    out = math.inf
+    for kind, sl in blocks:
+        u = v[sl]
+        if kind == "l":
+            m = float(u.min())
+        else:
+            m = float(u[0] - np.linalg.norm(u[1:]))
+        out = min(out, m)
+    return out
+
+
+def ref_jprod(blocks, u, v):
+    out = np.empty_like(u)
+    for kind, sl in blocks:
+        a, c = u[sl], v[sl]
+        if kind == "l":
+            out[sl] = a * c
+        else:
+            out[sl.start] = a @ c
+            out[sl.start + 1 : sl.stop] = a[0] * c[1:] + c[0] * a[1:]
+    return out
+
+
+def ref_jdiv(blocks, lam, w):
+    out = np.empty_like(w)
+    for kind, sl in blocks:
+        lb, wb = lam[sl], w[sl]
+        if kind == "l":
+            out[sl] = wb / lb
+        else:
+            det = lb[0] ** 2 - lb[1:] @ lb[1:]
+            u0 = (lb[0] * wb[0] - lb[1:] @ wb[1:]) / det
+            out[sl.start] = u0
+            out[sl.start + 1 : sl.stop] = (wb[1:] - u0 * lb[1:]) / lb[0]
+    return out
+
+
+def ref_max_step(blocks, v, d):
+    best = math.inf
+    for kind, sl in blocks:
+        vi, di = v[sl], d[sl]
+        if kind == "l":
+            neg = di < 0
+            if np.any(neg):
+                best = min(best, float(np.min(-vi[neg] / di[neg])))
+        else:
+            v0, v1 = vi[0], vi[1:]
+            d0, d1 = di[0], di[1:]
+            a0 = v0 * v0 - v1 @ v1
+            a1 = v0 * d0 - v1 @ d1
+            a2 = d0 * d0 - d1 @ d1
+            disc = a1 * a1 - a2 * a0
+            if not (a2 == 0.0 and a1 >= 0.0):
+                if a2 <= 0.0 or (a1 < 0.0 and disc >= 0.0):
+                    denom = -a1 + math.sqrt(max(disc, 0.0))
+                    if denom > 0.0:
+                        best = min(best, a0 / denom)
+            if d0 < 0.0:
+                best = min(best, -v0 / d0)
+    return best
+
+
+def ref_scaling(blocks, s, z, p):
+    W = np.zeros((p, p))
+    Winv = np.zeros((p, p))
+    W2 = np.zeros((p, p))
+    lam = np.zeros(p)
+    for kind, sl in blocks:
+        sb, zb = s[sl], z[sl]
+        if kind == "l":
+            w = np.sqrt(sb / zb)
+            idx = np.arange(sl.start, sl.stop)
+            W[idx, idx] = w
+            Winv[idx, idx] = 1.0 / w
+            W2[idx, idx] = w * w
+            lam[sl] = np.sqrt(sb * zb)
+        else:
+            k = sl.stop - sl.start
+            ds = sb[0] ** 2 - sb[1:] @ sb[1:]
+            dz = zb[0] ** 2 - zb[1:] @ zb[1:]
+            eta = (ds / dz) ** 0.25
+            sn = sb / math.sqrt(ds)
+            zn = zb / math.sqrt(dz)
+            gamma = math.sqrt((1.0 + sn @ zn) / 2.0)
+            wbar = np.empty(k)
+            wbar[0] = (sn[0] + zn[0]) / (2.0 * gamma)
+            wbar[1:] = (sn[1:] - zn[1:]) / (2.0 * gamma)
+            T = np.empty((k, k))
+            T[0, 0] = wbar[0]
+            T[0, 1:] = wbar[1:]
+            T[1:, 0] = wbar[1:]
+            T[1:, 1:] = np.eye(k - 1) + np.outer(wbar[1:], wbar[1:]) / (1.0 + wbar[0])
+            J = np.diag(np.concatenate(([1.0], -np.ones(k - 1))))
+            Wb = eta * T
+            W[sl, sl] = Wb
+            Winv[sl, sl] = (J @ T @ J) / eta
+            W2[sl, sl] = (eta * eta) * (2.0 * np.outer(wbar, wbar) - J)
+            lam[sl] = Wb @ zb
+    return W, Winv, W2, lam
+
+
+def random_layout(rng):
+    """Nonneg runs, SOC blocks of dims 1..16 (one of dim 1) and Zero rows."""
+    cones = [SecondOrder(1)]
+    for _ in range(int(rng.integers(1, 9))):
+        kind = rng.integers(3)
+        if kind == 0:
+            cones.append(Nonneg(int(rng.integers(1, 6))))
+        elif kind == 1:
+            cones.append(SecondOrder(int(rng.integers(1, 17))))
+        else:
+            cones.append(Zero(int(rng.integers(1, 3))))
+    rng.shuffle(cones)
+    blocks, pos = [], 0
+    for cone in cones:
+        if not isinstance(cone, Zero):
+            blocks.append(("l" if isinstance(cone, Nonneg) else "q",
+                           slice(pos, pos + cone.dim)))
+            pos += cone.dim
+    rows = sum(cone.dim for cone in cones)
+    prog = ConicProgram(c=np.ones(2), A=rng.normal(size=(rows, 2)),
+                        b=rng.normal(size=rows), cones=tuple(cones))
+    return prog, blocks, pos
+
+
+def interior(rng, blocks, p):
+    v = np.empty(p)
+    for kind, sl in blocks:
+        if kind == "l":
+            v[sl] = rng.uniform(0.1, 2.0, size=sl.stop - sl.start)
+        else:
+            v[sl.start + 1 : sl.stop] = rng.normal(size=sl.stop - sl.start - 1)
+            v[sl.start] = np.linalg.norm(v[sl.start + 1 : sl.stop]) + rng.uniform(0.1, 2.0)
+    return v
+
+
+def assert_rel(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(
+        1.0, np.max(np.abs(want), initial=0.0))
+
+
+def layouts():
+    rng = np.random.default_rng(404)
+    for _ in range(25):
+        prog, blocks, p = random_layout(rng)
+        sp = ipm._split(prog)
+        # order[i]: the program-order inequality row at layout row i
+        order = np.argsort(sp.back)
+        yield rng, prog, sp, blocks, p, order
+
+
+def test_layout_puts_nonneg_rows_first():
+    for _, prog, sp, blocks, p, order in layouts():
+        ineq = np.flatnonzero(np.repeat([not isinstance(c, Zero) for c in prog.cones],
+                                        [c.dim for c in prog.cones]))
+        assert np.array_equal(sp.G, prog.A[ineq[order]])
+        assert np.array_equal(sp.h, prog.b[ineq[order]])
+        l_rows = np.flatnonzero(np.repeat([kind == "l" for kind, _ in blocks],
+                                          [sl.stop - sl.start for _, sl in blocks]))
+        assert np.array_equal(order[: sp.cones.nl], l_rows)
+        q = [sl for kind, sl in blocks if kind == "q"]
+        assert sp.cones.dims.tolist() == [sl.stop - sl.start for sl in q]
+        assert sp.nu == 1.0 + sp.cones.nl + len(q)
+
+
+def test_kernels_match_per_block_formulas():
+    for rng, _, sp, blocks, p, order in layouts():
+        cones = sp.cones
+        u, v = interior(rng, blocks, p), interior(rng, blocks, p)
+        w, d = rng.normal(size=p), rng.normal(size=p)
+        for x in (u, w):
+            assert ipm._min_eig(cones, x[order]) == pytest.approx(
+                ref_min_eig(blocks, x), rel=1e-12, abs=1e-12)
+        assert_rel(ipm._jprod(cones, u[order], w[order]), ref_jprod(blocks, u, w)[order])
+        assert_rel(ipm._jdiv(cones, u[order], w[order]), ref_jdiv(blocks, u, w)[order])
+        # directions that leave the cone and ones that never do (step inf)
+        steps = (d, v, v - 0.5 * u)
+        for step in steps:
+            got = ipm._max_step(cones, u[order], step[order])
+            want = ref_max_step(blocks, u, step)
+            assert got == pytest.approx(want, rel=1e-12), (got, want)
+        # stacked rows: the step that keeps every row in the cone
+        got = ipm._max_step(cones, np.stack((u, v))[:, order], np.stack((d, u - v))[:, order])
+        want = min(ref_max_step(blocks, u, d), ref_max_step(blocks, v, u - v))
+        assert got == pytest.approx(want, rel=1e-12), (got, want)
+        e = ipm._cone_identity(cones, p)
+        assert_rel(ipm._jprod(cones, e, w[order]), w[order])
+
+
+def test_nt_operator_matches_dense_scaling():
+    for rng, _, sp, blocks, p, order in layouts():
+        s, z = interior(rng, blocks, p), interior(rng, blocks, p)
+        v = rng.normal(size=p)
+        W, Winv, W2, lam = ref_scaling(blocks, s, z, p)
+        nt = ipm._NT(sp.cones, s[order], z[order])
+        assert_rel(nt.lam, lam[order])
+        assert_rel(nt.apply(v[order]), (W @ v)[order])
+        assert_rel(nt.apply_inv(v[order]), (Winv @ v)[order])
+        assert_rel(nt.apply(z[order]), nt.lam)
+        assert_rel(nt.apply_inv(s[order]), nt.lam)
+        assert_rel(nt.apply_inv(nt.apply(v[order])), v[order])
+
+        kkt = ipm._KKT(sp)
+        n, off = sp.c.size, sp.c.size + sp.b.size
+        assert np.array_equal(kkt.K[off:, off:], -np.eye(p))
+        kkt.set_scaling(nt)
+        K = kkt.K
+        assert_rel(K[off:, off:], -W2[np.ix_(order, order)])
+        assert np.array_equal(K[off:, :n], sp.G) and np.array_equal(K[:n, off:], sp.G.T)
+        assert np.array_equal(K[n:off, :n], sp.A) and not np.any(K[n:, n:off])
+
+
+def test_nt_operator_rejects_points_outside_the_cone():
+    for rng, _, sp, blocks, p, order in layouts():
+        s, z = interior(rng, blocks, p), interior(rng, blocks, p)
+        heads = [sl.start for kind, sl in blocks if kind == "q" and sl.stop - sl.start > 1]
+        if not heads:
+            continue
+        s[heads[-1]] = 0.0  # s0^2 - ||s1||^2 < 0
+        with pytest.raises(ipm._Breakdown):
+            ipm._NT(sp.cones, s[order], z[order])

@@ -521,9 +521,12 @@ def test_reconstruction_collinear_single_row():
 def test_reconstruction_x_hat_on_det_bound_keeps_guarantee():
     """x_hat a solver tolerance outside a det row must not force x_tilde = 0.
 
-    The scaled-beta JointLinear(3) instance with x >= 0 added; on the 126th
-    input of data seed 11 the initial solve puts x_hat[1] about 4e-8 below
-    its bound while rho <= 0, so x = x_hat must stay feasible.
+    The scaled-beta JointLinear(3) instance with x >= 0 added.  The initial
+    solve of some inputs of data seed 11 puts x_hat a solver tolerance below
+    a bound x_i >= 0 while rho <= 0 (the 9th input, by 8e-10; the 126th did,
+    by 4e-8, with an earlier solver); on the first such input x = x_hat must
+    stay feasible.  Which inputs qualify depends on the solver's round-off,
+    so the test looks for one, and fails if none of the first 126 does.
     """
     rng = np.random.default_rng(20170413)
     d, l = 5, 3
@@ -540,8 +543,11 @@ def test_reconstruction_x_hat_on_det_bound_keeps_guarantee():
         data = a0 + (2.0 * data_rng.beta(2.0, 2.0, size=(200, l * d)) - 1.0) @ a_rows
         split_seed = int(data_rng.integers(2**63))
         data_rng.integers(2**63)  # the evaluation seed of the same input
-    rec = hz.reconstruction_pipeline(data, spec, 100, seed=split_seed)
-    assert rec.x_hat.min() < 0  # the input still puts x_hat outside a bound
+        rec = hz.reconstruction_pipeline(data, spec, 100, seed=split_seed)
+        if rec.x_hat.min() < 0 and rec.rho <= 0:
+            break
+    else:
+        pytest.fail("no input puts x_hat outside a bound with rho <= 0")
     assert rec.status_reconstructed == "optimal"
     assert rec.rho <= 0
     assert rec.obj_tilde <= rec.obj_hat + 1e-8

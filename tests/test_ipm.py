@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from roset import conic, ipm
 from roset.conic import ConicProgram, Nonneg, SecondOrder, SolveStatus, Zero
@@ -288,14 +291,143 @@ def test_nonneg_blocks_merge_across_zero_rows():
     rng = np.random.default_rng(31)
     for trial in range(5):
         split, merged = _split_and_merged(rng)
-        assert ipm._split(split).blocks == [("l", slice(0, 13))]
+        cones = ipm._split(split).cones
+        assert cones.nl == 13 and cones.dims.size == 0
         a, b = conic.solve(split), conic.solve(merged)
         assert a.status is b.status is SolveStatus.OPTIMAL, trial
         assert np.array_equal(a.x, b.x), trial
         assert a.iterations == b.iterations, trial
     soc_between = ConicProgram(c=[1.0, 1.0], A=np.zeros((5, 2)), b=np.ones(5),
                                cones=(Nonneg(1), SecondOrder(3), Nonneg(1)))
-    assert [kind for kind, _ in ipm._split(soc_between).blocks] == ["l", "q", "l"]
+    cones = ipm._split(soc_between).cones
+    assert cones.nl == 2 and cones.dims.tolist() == [3]
+
+
+def _interleaved(rng, n=3):
+    """(Nonneg, SOC ball, Zero, Nonneg, SOC) blocks of one feasible program."""
+    x0 = rng.normal(size=n)
+    G1, G2, B = (rng.normal(size=(k, n)) for k in (4, 3, 2))
+    d = rng.normal(size=2)
+    a = rng.normal(size=(1, n))
+    return [
+        (Nonneg(4), G1, G1 @ x0 + rng.uniform(0.1, 1.0, size=4)),
+        (SecondOrder(n + 1), np.vstack([np.zeros(n), np.eye(n)]),
+         np.concatenate([[rng.uniform(0.5, 2.0)], x0])),
+        (Zero(1), a, a @ x0),
+        (Nonneg(3), G2, G2 @ x0 + rng.uniform(0.1, 1.0, size=3)),
+        (SecondOrder(3), np.vstack([np.zeros(n), B]),
+         np.concatenate([[np.linalg.norm(B @ x0 - d) + 0.5], d])),
+    ]
+
+
+def _program(c, blocks):
+    return ConicProgram(c=c, A=np.vstack([A for _, A, _ in blocks]),
+                        b=np.concatenate([b for _, _, b in blocks]),
+                        cones=tuple(cone for cone, _, _ in blocks))
+
+
+def _ineq_rows(prog):
+    return np.flatnonzero(np.repeat([not isinstance(c, Zero) for c in prog.cones],
+                                    [c.dim for c in prog.cones]))
+
+
+def test_z_and_s_come_back_in_program_row_order():
+    rng = np.random.default_rng(41)
+    for trial in range(4):
+        blocks = _interleaved(rng)
+        c = rng.normal(size=3)
+        # the copy reverses the block order and the rows of each Nonneg block
+        rows = np.split(np.arange(sum(cone.dim for cone, _, _ in blocks)),
+                        np.cumsum([cone.dim for cone, _, _ in blocks])[:-1])
+        flipped = [(cone, A[::-1], b[::-1]) if isinstance(cone, Nonneg) else (cone, A, b)
+                   for cone, A, b in blocks]
+        perm = np.concatenate([r[::-1] if isinstance(cone, Nonneg) else r
+                               for (cone, _, _), r in zip(blocks, rows)][::-1])
+        prog, copy = _program(c, blocks), _program(c, flipped[::-1])
+        assert np.array_equal(copy.A, prog.A[perm])
+        a, b = conic.solve(prog), conic.solve(copy)
+        assert a.status is b.status is SolveStatus.OPTIMAL, trial
+        assert abs(a.obj - b.obj) <= 1e-7 * max(1.0, abs(a.obj)), trial
+        for q, sol in ((prog, a), (copy, b)):
+            ineq = _ineq_rows(q)
+            assert np.allclose(sol.s, q.b[ineq] - q.A[ineq] @ sol.x, atol=1e-7), trial
+        # row i of the copy is program row perm[i]; map it to z/s positions
+        pos = np.searchsorted(_ineq_rows(prog), perm[_ineq_rows(copy)])
+        assert np.allclose(b.z, a.z[pos], atol=1e-6), trial
+        assert np.allclose(b.s, a.s[pos], atol=1e-6), trial
+        # complementarity per block: s o z = 0 in the Jordan product.  For s
+        # and z in a second-order cone, the tail s0 z1 + z0 s1 of s o z is at
+        # most sqrt(2 s0 z0 s'z), so it vanishes only as the root of the gap
+        start = 0
+        for cone, _, _ in blocks:
+            if isinstance(cone, Zero):
+                continue
+            sb, zb = a.s[start : start + cone.dim], a.z[start : start + cone.dim]
+            start += cone.dim
+            if isinstance(cone, Nonneg):
+                assert np.all(sb >= 0.0) and np.all(zb >= 0.0), trial
+                assert np.all(sb * zb <= 1e-7), trial
+                continue
+            for v in (sb, zb):
+                assert v[0] >= np.linalg.norm(v[1:]), trial
+            assert sb @ zb <= 1e-7, trial
+            tail = sb[0] * zb[1:] + zb[0] * sb[1:]
+            assert np.linalg.norm(tail) <= np.sqrt(2.0 * sb[0] * zb[0] * 1e-7), trial
+
+
+_HIGHS_STATUS = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE,
+                 3: SolveStatus.UNBOUNDED}
+
+
+def _random_lp(seed, n, p, kind):
+    """min c'x s.t. Gx <= h with p >> n rows, built to be of the given kind."""
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(p, n))
+    x0 = rng.normal(size=n)
+    if kind == "unbounded":
+        # every row recedes along d, and c'd < 0
+        d = rng.normal(size=n)
+        G[G @ d > 0] *= -1.0
+        c = -d
+    else:
+        # c = -G'u with u >= 0 makes the dual feasible: the LP is bounded
+        c = -G.T @ rng.uniform(0.0, 1.0, size=p)
+    h = G @ x0 + rng.uniform(0.1, 1.0, size=p)
+    if kind == "infeasible":
+        g = rng.normal(size=n)
+        G = np.vstack([G, g, -g])
+        h = np.concatenate([h, [g @ x0 - 1.0, -(g @ x0) - 1.0]])
+    return c, G, h
+
+
+def test_lps_classify_like_highs():
+    seen = set()
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+           ratio=st.integers(4, 12),
+           kind=st.sampled_from(["optimal", "infeasible", "unbounded"]))
+    def check(seed, n, ratio, kind):
+        c, G, h = _random_lp(seed, n, ratio * n, kind)
+        ref = linprog(c, A_ub=G, b_ub=h, bounds=(None, None), method="highs")
+        want = _HIGHS_STATUS[ref.status]
+        sol = conic.solve(lp_min(c, G, h))
+        assert sol.status is want, (kind, ref.message)
+        if want is SolveStatus.OPTIMAL:
+            assert abs(sol.obj - ref.fun) <= 1e-6 * max(1.0, abs(ref.fun))
+            assert np.all(G @ sol.x <= h + 1e-7)
+        elif want is SolveStatus.INFEASIBLE:
+            # Farkas: z >= 0, G'z = 0, h'z = -1
+            assert sol.cert_residual <= 1e-8
+            assert np.all(sol.z >= -1e-9) and abs(h @ sol.z + 1.0) <= 1e-9
+        else:
+            # a ray: Gx <= 0 and c'x = -1
+            assert sol.cert_residual <= 1e-8
+            assert np.all(G @ sol.x <= 1e-7) and abs(c @ sol.x + 1.0) <= 1e-9
+        seen.add(want)
+
+    check()
+    assert seen == set(_HIGHS_STATUS.values())
 
 
 def test_iteration_limit_reports_reason():

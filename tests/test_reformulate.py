@@ -945,6 +945,23 @@ def test_solve_reconstruction_hand_checked_cases():
         rf.solve_reconstruction(spec, x_hat, ray_set(x_hat, [2.0]))
 
 
+def test_solve_reconstruction_x_hat_outside_nonneg_bound():
+    """x_hat 4e-8 outside x >= 0 keeps x = lambda x_hat feasible up to hi.
+
+    Taken as it is, the row -x_1 <= 0 would read 4e-8 lambda <= 0 and pin
+    lambda to 0; taken as active at x_hat it reads 0 <= 0.
+    """
+    x_hat = np.array([1.0, -4e-8])
+    det = model.DetConstraints(-np.eye(2), np.zeros(2))
+    for offset, lam in ((2.0, 2.0), (4.0, 1.0)):  # lambda <= 4 / offset
+        spec = model.CcpSpec(objective=[-1.0, -1.0], family=model.JointLinear(l=1),
+                             rhs=[4.0], epsilon=0.5, delta=0.5, det=det)
+        status, x = rf.solve_reconstruction(spec, x_hat, ray_set(x_hat, [offset]))
+        assert status is conic.SolveStatus.OPTIMAL
+        assert np.array_equal(x, lam * x_hat)
+        assert float(spec.objective @ x) <= float(spec.objective @ x_hat)
+
+
 def test_solve_reconstruction_matches_polytope_dual():
     """The closed-form ray LP and the generic polytope dual of one set agree.
 
