@@ -69,18 +69,48 @@ def _rep_seeds(master_seed: int, r: int) -> tuple[int, int]:
 
 @dataclass(frozen=True, eq=False)
 class Sampler:
-    """A named distribution over observations xi; draw(rng, n) -> (n, m)."""
+    """A named distribution over observations xi in R^m."""
 
     kind: str
     params: dict
 
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, n: int,
+             project: np.ndarray | None = None) -> np.ndarray:
+        """n observations as an (n, m) array, or draw(rng, n) @ project.
+
+        ``project`` is an (m, l) matrix.  The gaussian and scaled-beta laws
+        are affine in their base variates (mu + z chol', a0 + (2 zeta - 1)
+        a_rows); for them the projection is folded into that map and each
+        block of base variates goes straight to its l columns, so no n x m
+        array is formed.  The base variates come from the same blocks with
+        or without ``project``, so the random stream is the same.  Other
+        kinds draw the points and multiply.
+        """
         n = int(n)
         if n < 0:
             raise InvalidArgumentError("draw count must be >= 0")
+        if project is None:
+            return self._points(rng, n)
+        project = np.asarray(project, dtype=float)
         p = self.params
         if self.kind == "gaussian":
-            z = rng.normal(size=(n, p["mu"].size))
+            fill, lin, off = _normal, p["chol"].T, p["mu"]
+        elif self.kind == "scaled_beta":
+            # a0 + (2 zeta - 1) a_rows = (a0 - 1'a_rows) + zeta (2 a_rows)
+            fill = _zeta_fill(p)
+            lin, off = 2.0 * p["a_rows"], p["a0"] - p["a_rows"].sum(axis=0)
+        else:
+            pts = self._points(rng, n)
+            return pts @ _projection(project, pts.shape[1])
+        project = _projection(project, off.size)
+        out = _variates(rng, n, lin.shape[0], fill, lin @ project)
+        out += off @ project
+        return out
+
+    def _points(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        p = self.params
+        if self.kind == "gaussian":
+            z = _variates(rng, n, p["mu"].size, _normal)
             return p["mu"] + z @ p["chol"].T
         if self.kind == "mixture":
             comp = rng.choice(p["weights"].size, size=n, p=p["weights"])
@@ -91,11 +121,7 @@ class Sampler:
                 out[mask] = p["means"][j] + z[mask] @ p["chols"][j].T
             return out
         if self.kind == "scaled_beta":
-            size = (n, p["a_rows"].shape[0])
-            if p["alpha"] == p["beta"] == 2.0:
-                zeta = _beta22(rng, size)
-            else:
-                zeta = rng.beta(p["alpha"], p["beta"], size=size)
+            zeta = _variates(rng, n, p["a_rows"].shape[0], _zeta_fill(p))
             zeta *= 2.0
             zeta -= 1.0
             out = zeta @ p["a_rows"]
@@ -137,30 +163,72 @@ class Sampler:
         return self.draw(np.random.default_rng(0), 0).shape[1]
 
 
-def _beta22(rng: np.random.Generator, size) -> np.ndarray:
-    """Beta(2, 2) draws as the median of three uniforms.
+_BLOCK_ROWS = 1024
 
-    The k-th smallest of n uniforms is Beta(k, n + 1 - k) (Devroye,
-    Non-Uniform Random Variate Generation, 1986, on uniform order
-    statistics).  Blocks of 1024 output rows take their three uniforms
-    from one reused buffer, so the working memory beyond the result stays
-    small; several times faster than rng.beta.  The block size is part of
-    the stream: changing it changes the draws.
+
+def _variates(rng: np.random.Generator, n: int, m: int, fill,
+              lin: np.ndarray | None = None) -> np.ndarray:
+    """n rows of m base variates, filled _BLOCK_ROWS rows at a time.
+
+    ``fill(rng, block)`` overwrites a block of rows with fresh variates.
+    Without ``lin`` the (n, m) variates are returned.  With ``lin`` (m, l)
+    each block is mapped to block @ lin as soon as it is drawn, so the
+    result is (n, l) and the variates only ever fill one reused block.
     """
-    n, m = size
-    rows = 1024
-    out = np.empty(size)
-    buf = np.empty(3 * rows * m)
-    for i in range(0, n, rows):
-        r = min(rows, n - i)
-        a, b, c = rng.random(out=buf[: 3 * r * m].reshape(3, r, m))
-        med = out[i: i + r]
-        # median = min(max(a, b), max(min(a, b), c))
-        np.minimum(a, b, out=med)
-        np.maximum(a, b, out=a)
-        np.maximum(med, c, out=med)
-        np.minimum(med, a, out=med)
+    if lin is None:
+        out = np.empty((n, m))
+        for i in range(0, n, _BLOCK_ROWS):
+            fill(rng, out[i: i + _BLOCK_ROWS])
+        return out
+    out = np.empty((n, lin.shape[1]))
+    buf = np.empty((min(_BLOCK_ROWS, n), m))
+    for i in range(0, n, _BLOCK_ROWS):
+        block = buf[: min(_BLOCK_ROWS, n - i)]
+        fill(rng, block)
+        np.matmul(block, lin, out=out[i: i + _BLOCK_ROWS])
     return out
+
+
+def _projection(project: np.ndarray, m: int) -> np.ndarray:
+    if project.ndim != 2 or project.shape[0] != m:
+        raise InvalidArgumentError(
+            f"project must be ({m}, l), got shape {project.shape}")
+    return project
+
+
+def _normal(rng: np.random.Generator, out: np.ndarray) -> None:
+    rng.standard_normal(out=out)
+
+
+def _zeta_fill(params: dict):
+    """Block filler of the scaled-beta sampler's Beta(alpha, beta) variates.
+
+    Beta(2, 2) is drawn as the median of three uniforms: the k-th smallest
+    of n uniforms is Beta(k, n + 1 - k) (Devroye, Non-Uniform Random
+    Variate Generation, 1986, on uniform order statistics).  A block's three
+    uniforms come from one reused buffer, several times faster than
+    rng.beta.  The block size is part of this stream: changing it changes
+    the draws.  Other parameter pairs keep rng.beta, whose stream does not
+    depend on the blocks.
+    """
+    alpha, beta = params["alpha"], params["beta"]
+    m = params["a_rows"].shape[0]
+    if alpha == beta == 2.0:
+        buf = np.empty(3 * _BLOCK_ROWS * m)
+
+        def median3(rng, med):
+            r = med.shape[0]
+            a, b, c = rng.random(out=buf[: 3 * r * m].reshape(3, r, m))
+            # median = min(max(a, b), max(min(a, b), c))
+            np.minimum(a, b, out=med)
+            np.maximum(a, b, out=a)
+            np.maximum(med, c, out=med)
+            np.minimum(med, a, out=med)
+        return median3
+
+    def rng_beta(rng, out):
+        out[...] = rng.beta(alpha, beta, size=out.shape)
+    return rng_beta
 
 
 def _spd_chol(sigma, what: str) -> np.ndarray:
@@ -308,8 +376,8 @@ def violation_rate(spec: model.CcpSpec, x, points) -> float:
             f"points must be (n, {spec.data_dim}), got {pts.shape}")
     fam = spec.family
     if isinstance(fam, (model.SingleLinear, model.JointLinear)):
-        lhs = reformulate.linear_row_values(pts, x, fam.n_rows())
-        return float(np.mean(np.any(lhs > spec.rhs, axis=1)))
+        return _rows_violated(reformulate.linear_row_values(pts, x, fam.n_rows()),
+                              spec)
     if isinstance(fam, model.Quadratic):
         q, d = fam.q, spec.d
         a_part = pts[:, : q * d].reshape(-1, q, d)
@@ -327,14 +395,33 @@ def violation_rate(spec: model.CcpSpec, x, points) -> float:
     raise InvalidArgumentError(f"unknown family {fam!r}")
 
 
+def _rows_violated(row_values: np.ndarray, spec: model.CcpSpec) -> float:
+    """Fraction of the (n, l) linear row values with some row above its rhs."""
+    return float(np.mean(np.any(row_values > spec.rhs, axis=1)))
+
+
 def mc_violation(x, sampler: Sampler, spec: model.CcpSpec,
                  n_eval: int = 10_000, seed: int = 0) -> float:
-    """Monte Carlo estimate of the violation probability at x."""
+    """Monte Carlo estimate of the violation probability at x.
+
+    For the linear families the draw is projected through X, the (m, l)
+    block embedding of x (column j holds x in row block j), so each block
+    of draws maps straight to its l row values a_j(xi)'x and the (n_eval,
+    m) sample is never formed.  The stream, and so the estimate, is that of
+    violation_rate(spec, x, sampler.draw(rng, n_eval)).  Other families
+    score the drawn points with violation_rate.
+    """
     if n_eval < 1:
         raise InvalidArgumentError("n_eval must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    pts = sampler.draw(rng, n_eval)
-    return violation_rate(spec, x, pts)
+    fam = spec.family
+    if not isinstance(fam, (model.SingleLinear, model.JointLinear)):
+        return violation_rate(spec, x, sampler.draw(rng, n_eval))
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != spec.d:
+        raise InvalidArgumentError(f"x must have {spec.d} entries, got {x.size}")
+    embed = np.kron(np.eye(fam.n_rows()), x[:, None])
+    return _rows_violated(sampler.draw(rng, n_eval, project=embed), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +442,12 @@ _SHAPE_FITTERS = {
     "box_grid": (shapes.grid_histogram, {"width": float}),
 }
 SHAPE_KINDS = tuple(_SHAPE_FITTERS)
+# shape kind -> the options whose fitter parameter has no default
+_REQUIRED_OPTIONS = {
+    kind: tuple(name for name in types
+                if inspect.signature(fitter).parameters[name].default
+                is inspect.Parameter.empty)
+    for kind, (fitter, types) in _SHAPE_FITTERS.items()}
 _OPTION_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
@@ -363,13 +456,12 @@ def _shape_options(kind: str, options) -> dict:
     if kind not in _SHAPE_FITTERS:
         raise InvalidArgumentError(
             f"unknown shape kind {kind!r}; known: {', '.join(SHAPE_KINDS)}")
-    fitter, types = _SHAPE_FITTERS[kind]
+    types = _SHAPE_FITTERS[kind][1]
     options = {} if options is None else options
     if not isinstance(options, dict):
         raise InvalidArgumentError("shape options must be an object")
-    params = inspect.signature(fitter).parameters
-    for name in types:
-        if name not in options and params[name].default is params[name].empty:
+    for name in _REQUIRED_OPTIONS[kind]:
+        if name not in options:
             raise InvalidArgumentError(f"{kind} shape needs the option {name!r}")
     for name, value in options.items():
         want = types.get(name)

@@ -201,9 +201,13 @@ class _NT:
     def __init__(self, cones: _Cones, s: np.ndarray, z: np.ndarray):
         nl, heads, blk = cones.nl, cones.heads, cones.blk
         sq, zq = s[nl:], z[nl:]
-        ds = sq[heads] ** 2 - cones.tdot(sq, sq)
-        dz = zq[heads] ** 2 - cones.tdot(zq, zq)
-        if (ds <= 0.0).any() or (dz <= 0.0).any():
+        s0, z0 = sq[heads], zq[heads]
+        ds = s0 * s0 - cones.tdot(sq, sq)
+        dz = z0 * z0 - cones.tdot(zq, zq)
+        # interior: Nonneg entries, SOC heads and SOC determinants all
+        # positive (det > 0 alone also admits the negative cone); NaN fails
+        inside = np.concatenate((s[:nl], z[:nl], s0, z0, ds, dz))
+        if not np.min(inside, initial=math.inf) > 0.0:
             raise _Breakdown("iterate left the cone interior")
         self.cones = cones
         self.w = np.sqrt(s[:nl] / z[:nl])
@@ -367,11 +371,11 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
         xt, yt, zt, st = _deflated()
         pcost = float(c @ xt)
         dcost = float(-(b @ yt + h @ zt))
-        pres = max(
-            float(np.linalg.norm(A @ xt - b)) / resy0,
-            float(np.linalg.norm(G @ xt + st - h)) / resz0,
-        )
-        dres = float(np.linalg.norm(A.T @ yt + G.T @ zt + c)) / resx0
+        # the deflated residuals are the embedding's over tau:
+        # A xt - b = ry/tau, G xt + st - h = rz/tau, A'yt + G'zt + c = rx/tau
+        pres = max(float(np.linalg.norm(ry)) / resy0,
+                   float(np.linalg.norm(rz)) / resz0) / tau
+        dres = float(np.linalg.norm(rx)) / resx0 / tau
         gap_abs = float(st @ zt)
         relgap = gap_abs / max(1.0, abs(pcost), abs(dcost))
         trace.append({"iter": it, "pcost": pcost, "dcost": dcost, "pres": pres,
@@ -392,7 +396,8 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
         # infeasibility certificates from the embedding
         by_hz = float(b @ y + h @ z)
         if by_hz < 0.0:
-            resid = float(np.linalg.norm(A.T @ y + G.T @ z)) / (-by_hz) / resx0
+            # A'y + G'z = rx - c tau
+            resid = float(np.linalg.norm(rx - c * tau)) / (-by_hz) / resx0
             if resid <= feas_tol:
                 scale = -1.0 / by_hz
                 return Solution(status=SolveStatus.INFEASIBLE, x=None,
@@ -402,9 +407,10 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
                                 trace=tuple(trace))
         cx = float(c @ x)
         if cx < 0.0:
+            # A x = ry + b tau, G x + s = rz + h tau
             resid = max(
-                float(np.linalg.norm(A @ x)) / resy0,
-                float(np.linalg.norm(G @ x + s)) / resz0,
+                float(np.linalg.norm(ry + b * tau)) / resy0,
+                float(np.linalg.norm(rz + h * tau)) / resz0,
             ) / (-cx)
             if resid <= feas_tol:
                 scale = -1.0 / cx
@@ -415,8 +421,6 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
                                 trace=tuple(trace))
 
         try:
-            if _min_eig(cones, s) <= 0.0 or _min_eig(cones, z) <= 0.0:
-                raise _Breakdown("iterate left the cone interior")
             nt = _NT(cones, s, z)
             lam = nt.lam
             kkt.set_scaling(nt)

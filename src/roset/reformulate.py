@@ -137,7 +137,9 @@ def rc_linear_ellipsoid(a0, delta, rho: float, b: float) -> Block:
     The uncertain row is a = a0 + rho * delta u with ||u|| <= 1, giving the
     second-order row a0'x + rho ||delta' x|| <= b.  All-zero columns of delta
     do not change the norm and are dropped; with rho = 0 or no column left the
-    row degenerates to the nominal half-space.
+    row degenerates to the nominal half-space.  With t > d columns left, the
+    t x d tail delta' is replaced by the d x d triangular factor R of its QR
+    decomposition: ||delta' x|| = ||R x||, so the cone has 1 + min(t, d) rows.
     """
     a0 = np.asarray(a0, dtype=float).reshape(-1)
     delta = np.atleast_2d(np.asarray(delta, dtype=float))
@@ -151,6 +153,8 @@ def rc_linear_ellipsoid(a0, delta, rho: float, b: float) -> Block:
     if rho == 0.0 or tail.shape[0] == 0:
         return Block(rows_x=a0[None, :], rows_aux=_no_aux(1),
                      offsets=[float(b)], cones=(conic.Nonneg(1),))
+    if tail.shape[0] > d:
+        tail = np.linalg.qr(tail, mode="r")
     t = tail.shape[0]
     rows_x = np.vstack([a0[None, :], -rho * tail])
     offsets = np.zeros(1 + t)

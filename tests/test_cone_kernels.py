@@ -239,3 +239,16 @@ def test_nt_operator_rejects_points_outside_the_cone():
         s[heads[-1]] = 0.0  # s0^2 - ||s1||^2 < 0
         with pytest.raises(ipm._Breakdown):
             ipm._NT(sp.cones, s[order], z[order])
+
+
+def test_nt_operator_rejects_nonneg_and_negative_cone_points():
+    """A negative Nonneg entry or a negated SOC block (det > 0, head < 0) of
+    either s or z is outside the cone interior."""
+    for rng, _, sp, blocks, p, order in layouts():
+        for _, sl in blocks:
+            for which in (0, 1):
+                pair = [interior(rng, blocks, p), interior(rng, blocks, p)]
+                pair[which][sl] *= -1.0
+                assert ipm._min_eig(sp.cones, pair[which][order]) < 0.0
+                with pytest.raises(ipm._Breakdown):
+                    ipm._NT(sp.cones, pair[0][order], pair[1][order])

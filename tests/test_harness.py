@@ -171,6 +171,95 @@ def test_scaled_beta_22_draw_needs_no_more_memory_than_rng_beta():
     assert median <= beta + 1024
 
 
+def _one_sampler_of_each_kind(rng):
+    """(sampler, largest draw count to test) for every kind and beta pair."""
+    a0, a_rows = rng.normal(size=4), rng.normal(size=(6, 4))
+    return [
+        (hz.gaussian_sampler(rng.normal(size=3), np.eye(3) + 0.2), 2500),
+        (hz.mixture_sampler([0.3, 0.7], rng.normal(size=(2, 3)),
+                            np.stack([np.eye(3), 2 * np.eye(3)])), 2500),
+        (hz.scaled_beta_sampler(a0, a_rows), 2500),
+        (hz.scaled_beta_sampler(a0, a_rows, alpha=2.0, beta=3.0), 2500),
+        (hz.quadratic_wishart_sampler(2, q=4.0), 40),
+        (hz.sdp_wishart_sampler(np.stack([np.eye(2), 2 * np.eye(2)])), 40),
+        (hz.pca_synthetic_sampler(np.zeros(2), np.eye(2),
+                                  rng.normal(size=(5, 2))), 2500),
+    ]
+
+
+def test_projected_draw_is_the_draw_times_the_projection():
+    rng = np.random.default_rng(16)
+    for samp, n_max in _one_sampler_of_each_kind(rng):
+        proj = rng.normal(size=(samp.dim, 3))
+        for n in (0, 7, n_max):  # 2500 rows: two full blocks and a partial
+            got = samp.draw(np.random.default_rng(17), n, project=proj)
+            want = samp.draw(np.random.default_rng(17), n) @ proj
+            assert got.shape == (n, 3)
+            scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+            assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale, samp.kind
+        with pytest.raises(InvalidArgumentError, match="project"):
+            samp.draw(np.random.default_rng(17), 5, project=np.ones((samp.dim + 1, 2)))
+
+
+def test_mc_violation_scores_the_unprojected_sample():
+    rng = np.random.default_rng(18)
+    l, d = 3, 5
+    m = l * d
+    raw = rng.normal(size=(m, m)) * 0.1
+    a0 = rng.uniform(1.0, 2.0, size=m)
+    samplers = [hz.gaussian_sampler(a0, raw @ raw.T + 0.01 * np.eye(m)),
+                hz.scaled_beta_sampler(a0, 0.15 * rng.normal(size=(m, m))),
+                hz.scaled_beta_sampler(a0, 0.15 * rng.normal(size=(m, m)),
+                                       alpha=2.0, beta=3.0)]
+    for samp in samplers:
+        for seed in range(3):
+            x = rng.uniform(0.5, 1.5, size=d)
+            # rhs near the 80% quantile of each row: a rate well inside (0, 1)
+            pilot = samp.draw(np.random.default_rng(99), 2000).reshape(-1, l, d) @ x
+            spec = model.CcpSpec(objective=-np.ones(d), family=model.JointLinear(l),
+                                 rhs=np.quantile(pilot, 0.8, axis=0),
+                                 epsilon=EPS, delta=DELTA)
+            got = hz.mc_violation(x, samp, spec, n_eval=10_000, seed=seed)
+            want = hz.violation_rate(
+                spec, x, samp.draw(np.random.Generator(np.random.PCG64(seed)), 10_000))
+            assert 0.2 < got < 0.8
+            assert got == want
+
+
+def _peak_bytes(call):
+    call()  # warm caches
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_projected_evaluation_never_forms_the_sample():
+    rng = np.random.default_rng(19)
+    n, m = 10_000, 15
+    raw = rng.normal(size=(m, m)) * 0.3
+    gauss = hz.gaussian_sampler(rng.uniform(1.0, 2.0, size=m), raw @ raw.T + np.eye(m))
+    single = model.CcpSpec(objective=-np.ones(m), family=model.SingleLinear(),
+                           rhs=[20.0], epsilon=EPS, delta=DELTA)
+    x = rng.uniform(0.5, 1.0, size=m)
+    peak = _peak_bytes(lambda: hz.mc_violation(x, gauss, single, n_eval=n))
+    assert peak < n * m * 8 / 4
+    # scaled beta, JointLinear(3) over d = 5: its fixed block buffers exceed
+    # that bound at this n, but only the (n, 3) row values grow with n
+    beta = hz.scaled_beta_sampler(rng.uniform(1.0, 2.0, size=m),
+                                  0.15 * rng.normal(size=(m, m)))
+    joint = model.CcpSpec(objective=-np.ones(5), family=model.JointLinear(3),
+                          rhs=np.full(3, 10.0), epsilon=EPS, delta=DELTA)
+    x = rng.uniform(0.5, 1.0, size=5)
+
+    def peak_at(n_eval):
+        return _peak_bytes(lambda: hz.mc_violation(x, beta, joint, n_eval=n_eval))
+
+    assert peak_at(4 * n) - peak_at(n) < 3 * n * 3 * 8 + n * m * 8 / 4
+
+
 def test_quadratic_wishart_layout():
     samp = hz.quadratic_wishart_sampler(3, q=4.0)
     pts = samp.draw(np.random.default_rng(3), 50)

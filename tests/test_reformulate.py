@@ -240,13 +240,40 @@ def test_vecnorm_sampling_oracle():
             analytic = abar[i] @ x + rho * np.linalg.norm(tails.T @ xi)
             assert analytic >= sampled[i] - 1e-9
             assert analytic - sampled[i] <= 1e-2 * (1.0 + abs(analytic))
-        assert block.cones == (conic.SecondOrder(1 + m), conic.SecondOrder(1 + m))
+        assert block.cones == (conic.SecondOrder(1 + d), conic.SecondOrder(1 + d))
 
 
 def test_vecnorm_singular_factor_rejected():
     m_factor = np.zeros((4, 4))
     with pytest.raises(DegenerateShapeError):
         rf.rc_linear_vecnorm(np.zeros((2, 2)), m_factor, 1.0, [1.0, 1.0])
+
+
+def test_vecnorm_qr_rows_match_uncompressed_rows():
+    """Each row's d x d QR factor has the optimum of its raw (m x d) tail."""
+    rng = np.random.default_rng(23)
+    for l, d in itertools.product(range(1, 5), range(1, 7)):
+        m = l * d
+        q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        m_factor = (q * rng.uniform(0.5, 2.0, size=m)) @ q.T
+        abar = 0.05 * rng.normal(size=(l, d))
+        rho = float(rng.uniform(1.0, 2.0))
+        b = rng.uniform(1.0, 2.0, size=l)
+        tails = np.linalg.solve(m_factor.T, np.eye(m))
+        raw = [(f"row{i}", rf.Block(
+            rows_x=np.vstack([abar[i], -rho * tails[:, i * d: (i + 1) * d]]),
+            rows_aux=np.zeros((1 + m, 0)), offsets=np.append(b[i], np.zeros(m)),
+            cones=(conic.SecondOrder(1 + m),))) for i in range(l)]
+        compressed = rf.rc_linear_vecnorm(abar, m_factor, rho, b)
+        assert compressed.cones == (conic.SecondOrder(1 + d),) * l
+        det = model.DetConstraints(a_ub=np.vstack([-np.eye(d), np.ones((1, d))]),
+                                   b_ub=np.append(np.full(d, 0.2), 0.3))
+        c = rng.normal(size=d)
+        for extra in ([], rf.det_blocks(det)):
+            sol_qr = conic.solve(rf.assemble(c, [("qr", compressed)] + extra)[0])
+            sol_raw = conic.solve(rf.assemble(c, raw + extra)[0])
+            assert sol_qr.status is sol_raw.status is conic.SolveStatus.OPTIMAL
+            assert abs(sol_qr.obj - sol_raw.obj) <= 1e-7 * max(1.0, abs(sol_raw.obj))
 
 
 # ---------------------------------------------------------------------------
