@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -196,6 +196,19 @@ class SolveStatus(enum.Enum):
     EXPORT_ONLY = "export-only"
 
 
+# one record per solver iteration: costs, relative residuals and gap, mu
+TRACE_DTYPE = np.dtype([("iter", np.int64), ("pcost", float), ("dcost", float),
+                        ("pres", float), ("dres", float), ("gap", float),
+                        ("mu", float)])
+
+
+def trace_array(rows=()) -> np.ndarray:
+    """A read-only TRACE_DTYPE array of (iter, pcost, ..., mu) tuples."""
+    out = np.array(list(rows), dtype=TRACE_DTYPE)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Solution:
     """Solver output.
@@ -205,7 +218,11 @@ class Solution:
     UNBOUNDED, x is a ray with c'x = -1.  cert_residual measures certificate
     quality; it is None for other statuses.  For ITER_LIMIT, reason says why
     the solver stopped (a numerical breakdown or "iteration limit") and the
-    point is the best iterate seen; it is None for other statuses.
+    point is the best iterate seen; it is None for other statuses.  z and s
+    are in the program's inequality-row order.  trace is a read-only
+    structured array of TRACE_DTYPE, one record per iteration, so
+    ``trace["pres"]`` is the residual history and ``trace[i]["gap"]`` one
+    entry; it is empty when no iteration ran.
     """
 
     status: SolveStatus
@@ -220,7 +237,7 @@ class Solution:
     dres: Optional[float]
     iterations: int
     cert_residual: Optional[float] = None
-    trace: tuple = ()
+    trace: np.ndarray = field(default_factory=trace_array)
     reason: Optional[str] = None
 
 

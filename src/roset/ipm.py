@@ -16,16 +16,16 @@ rows to (G, h).  Working variables are (x, y, z, s, tau, kappa); residuals
 all vanish at a solution of the embedding, and the sign of tau vs kappa at
 convergence separates optimality from infeasibility certificates.
 
-The cone layer is blockwise.  Each solve lays the inequality rows out once,
-every Nonneg row first and then the second-order blocks in program order, and
-returns z and s in program row order.  The scaling and every cone kernel are
-a fixed number of array operations over all rows, whatever the number and
-dimensions of the blocks: per-block sums over the block heads with
-``np.add.reduceat``, broadcast back to rows through a row-to-block index.  The
-scaling is an operator and no p x p scaling matrix is built.  The KKT system
-is still dense, (n+me+p) square: it is allocated once per solve, each
-iteration rewrites only its -W^2 entries, and it is LU-factored twice per
-iteration, for the predictor and the corrector.
+The cone layer is blockwise over second-order blocks only: a nonnegative row
+is the one-dimensional second-order cone, so each solve gives every Nonneg row
+its own one-row block and keeps the inequality rows in program order.  The
+scaling and every cone kernel are a fixed number of array operations over all
+rows, whatever the number and dimensions of the blocks: per-block sums over
+the block heads with ``np.add.reduceat``, broadcast back to rows through a
+row-to-block index.  The scaling is an operator and no p x p scaling matrix is
+built.  The KKT system is still dense, (n+me+p) square: it is allocated once
+per solve, each iteration rewrites only its -W^2 entries, and it is
+LU-factored twice per iteration, for the predictor and the corrector.
 """
 
 from __future__ import annotations
@@ -42,14 +42,12 @@ from .conic import (
     Solution,
     SolveStatus,
     Zero,
+    trace_array,
 )
 from .errors import ExportOnlyProgramError
 
 _STEP = 0.99
 _REG = 1e-10
-
-# cone kind -> row code of the layout pass; Zero rows go to (A, b)
-_ROW_CODE = {Zero: 0, Nonneg: 1, SecondOrder: 2}
 
 
 class _Breakdown(Exception):
@@ -58,14 +56,13 @@ class _Breakdown(Exception):
 
 @dataclass
 class _Cones:
-    """Inequality-row layout: ``nl`` Nonneg rows, then the SOC blocks.
+    """Inequality-row layout: second-order blocks in program row order.
 
-    The SOC arrays index rows [nl, p) from 0: ``heads`` holds each block's
+    A Nonneg row is a block of dimension 1.  ``heads`` holds each block's
     first row, ``blk`` each row's block, ``J`` is +1 on a head and -1
     elsewhere, and ``tail`` is 0 on a head and 1 elsewhere.
     """
 
-    nl: int
     dims: np.ndarray
     heads: np.ndarray
     blk: np.ndarray
@@ -73,7 +70,7 @@ class _Cones:
     tail: np.ndarray
 
     def tdot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Per-block dot products u1'v1 of the tails of SOC-row vectors.
+        """Per-block dot products u1'v1 of the block tails.
 
         Along the last axis, so stacked vectors give one row each.
         """
@@ -88,79 +85,64 @@ class _Split:
     G: np.ndarray
     h: np.ndarray
     cones: _Cones
-    back: np.ndarray  # v[back] puts a layout vector in program row order
     nu: float
 
 
 def _split(prog: ConicProgram) -> _Split:
-    codes = []
+    eq = np.zeros(prog.b.size, dtype=bool)
+    dims = []
+    row = 0
     for cone in prog.cones:
-        code = _ROW_CODE.get(type(cone))
-        if code is None:
+        kind = type(cone)
+        if kind is Zero:
+            eq[row : row + cone.dim] = True
+        elif kind is Nonneg:
+            dims += [1] * cone.dim
+        elif kind is SecondOrder:
+            dims.append(cone.dim)
+        else:
             raise ExportOnlyProgramError(
                 "program contains a PSD block; export it instead of solving"
             )
-        codes.append(code)
-    codes = np.array(codes, dtype=np.intp)
-    dims = np.array([cone.rows for cone in prog.cones], dtype=np.intp)
-    row_code = np.repeat(codes, dims)
-    eq_rows = np.flatnonzero(row_code == 0)
-    ineq_rows = np.flatnonzero(row_code != 0)
-    # every Nonneg row first, also across Zero and SOC rows, then the SOC
-    # blocks; a stable sort keeps program order within each
-    order = np.argsort(row_code[ineq_rows] == 2, kind="stable")
-    qdims = dims[codes == 2]
-    heads = np.cumsum(qdims) - qdims
-    blk = np.repeat(np.arange(qdims.size), qdims)
+        row += cone.rows
+    dims = np.array(dims, dtype=np.intp)
+    heads = np.cumsum(dims) - dims
+    blk = np.repeat(np.arange(dims.size), dims)
     tail = np.ones(blk.size)
     tail[heads] = 0.0
-    nl = ineq_rows.size - blk.size
-    rows = ineq_rows[order]
-    return _Split(c=prog.c.copy(), A=prog.A[eq_rows], b=prog.b[eq_rows],
-                  G=prog.A[rows], h=prog.b[rows],
-                  cones=_Cones(nl=nl, dims=qdims, heads=heads, blk=blk,
+    return _Split(c=prog.c.copy(), A=prog.A[eq], b=prog.b[eq],
+                  G=prog.A[~eq], h=prog.b[~eq],
+                  cones=_Cones(dims=dims, heads=heads, blk=blk,
                                J=1.0 - 2.0 * tail, tail=tail),
-                  back=np.argsort(order),
-                  nu=1.0 + nl + qdims.size)  # 1 for the tau*kappa pair
+                  nu=1.0 + dims.size)  # 1 for the tau*kappa pair
 
 
 def _min_eig(cones: _Cones, v: np.ndarray) -> float:
-    nl = cones.nl
-    vq = v[nl:]
-    soc = vq[cones.heads] - np.sqrt(cones.tdot(vq, vq))
-    return float(np.minimum.reduce(np.concatenate((v[:nl], soc)), initial=math.inf))
+    soc = v[cones.heads] - np.sqrt(cones.tdot(v, v))
+    return float(np.minimum.reduce(soc, initial=math.inf))
 
 
 def _cone_identity(cones: _Cones, p: int) -> np.ndarray:
     e = np.zeros(p)
-    e[: cones.nl] = 1.0
-    e[cones.nl + cones.heads] = 1.0
+    e[cones.heads] = 1.0
     return e
 
 
 def _jprod(cones: _Cones, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    nl, heads, blk = cones.nl, cones.heads, cones.blk
-    out = np.empty_like(u)
-    out[:nl] = u[:nl] * v[:nl]
-    uq, vq = u[nl:], v[nl:]
-    oq = out[nl:]
-    oq[:] = uq[heads][blk] * vq + vq[heads][blk] * uq
-    oq[heads] = np.add.reduceat(uq * vq, heads)
+    heads, blk = cones.heads, cones.blk
+    out = u[heads][blk] * v + v[heads][blk] * u
+    out[heads] = np.add.reduceat(u * v, heads)
     return out
 
 
 def _jdiv(cones: _Cones, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Solve lam o u = w blockwise."""
-    nl, heads, blk = cones.nl, cones.heads, cones.blk
-    out = np.empty_like(w)
-    out[:nl] = w[:nl] / lam[:nl]
-    lq, wq = lam[nl:], w[nl:]
-    l0 = lq[heads]
-    det = l0 * l0 - cones.tdot(lq, lq)
-    u0 = (l0 * wq[heads] - cones.tdot(lq, wq)) / det
-    oq = out[nl:]
-    oq[:] = (wq - u0[blk] * lq) / l0[blk]
-    oq[heads] = u0
+    heads, blk = cones.heads, cones.blk
+    l0 = lam[heads]
+    det = l0 * l0 - cones.tdot(lam, lam)
+    u0 = (l0 * w[heads] - cones.tdot(lam, w)) / det
+    out = (w - u0[blk] * lam) / l0[blk]
+    out[heads] = u0
     return out
 
 
@@ -170,14 +152,15 @@ def _max_step(cones: _Cones, v: np.ndarray, d: np.ndarray) -> float:
     v and d may stack several vectors as rows; the step then keeps every
     row in the cone.  A NaN candidate never sets the step.
     """
-    nl, heads = cones.nl, cones.heads
-    vl, dl = v[..., :nl], d[..., :nl]
-    neg = dl < 0
-    vq, dq = v[..., nl:], d[..., nl:]
-    v0, d0 = vq[..., heads], dq[..., heads]
-    a0 = v0 * v0 - cones.tdot(vq, vq)
-    a1 = v0 * d0 - cones.tdot(vq, dq)
-    a2 = d0 * d0 - cones.tdot(dq, dq)
+    heads, blk = cones.heads, cones.blk
+    # in units of each block's head v0 > 0, so that v0 = 1 and a one-row
+    # block's discriminant is exactly 0: its step is then -v0/d0 to rounding
+    scale = (1.0 / v[..., heads])[..., blk]
+    v, d = v * scale, d * scale
+    d0 = d[..., heads]
+    a0 = 1.0 - cones.tdot(v, v)
+    a1 = d0 - cones.tdot(v, d)
+    a2 = d0 * d0 - cones.tdot(d, d)
     disc = a1 * a1 - a2 * a0
     # smallest positive root of a2 t^2 + 2 a1 t + a0, written in the
     # numerically stable conjugate form a0 / (-a1 + sqrt(disc))
@@ -185,63 +168,50 @@ def _max_step(cones: _Cones, v: np.ndarray, d: np.ndarray) -> float:
     root = ~((a2 == 0.0) & (a1 >= 0.0)) & (denom > 0.0)
     root &= (a2 <= 0.0) | ((a1 < 0.0) & (disc >= 0.0))
     back = d0 < 0.0
-    cands = np.concatenate((-vl[neg] / dl[neg], a0[root] / denom[root],
-                            -v0[back] / d0[back]))
+    cands = np.concatenate((a0[root] / denom[root], -1.0 / d0[back]))
     return float(np.fmin.reduce(cands, initial=math.inf))
 
 
 class _NT:
     """Nesterov-Todd scaling W, with W z = W^{-1} s = lam, as an operator.
 
-    Nonneg rows: W = diag(w).  SOC block: W = eta T(wbar), where wbar has
-    unit J-norm and T(wbar) = [[w0, w1'], [w1, I + w1 w1'/(1 + w0)]];
-    W^{-1} = J T(wbar) J / eta and W^2 = eta^2 (2 wbar wbar' - J).
+    Per block W = eta T(wbar), where wbar has unit J-norm and
+    T(wbar) = [[w0, w1'], [w1, I + w1 w1'/(1 + w0)]], so that
+    W^2 = eta^2 (2 wbar wbar' - J).  On a one-row block wbar = 1 and
+    W = eta = sqrt(s/z).
     """
 
     def __init__(self, cones: _Cones, s: np.ndarray, z: np.ndarray):
-        nl, heads, blk = cones.nl, cones.heads, cones.blk
-        sq, zq = s[nl:], z[nl:]
-        s0, z0 = sq[heads], zq[heads]
-        ds = s0 * s0 - cones.tdot(sq, sq)
-        dz = z0 * z0 - cones.tdot(zq, zq)
-        # interior: Nonneg entries, SOC heads and SOC determinants all
-        # positive (det > 0 alone also admits the negative cone); NaN fails
-        inside = np.concatenate((s[:nl], z[:nl], s0, z0, ds, dz))
+        heads, blk = cones.heads, cones.blk
+        s0, z0 = s[heads], z[heads]
+        ds = s0 * s0 - cones.tdot(s, s)
+        dz = z0 * z0 - cones.tdot(z, z)
+        # interior: heads and determinants all positive (det > 0 alone also
+        # admits the negative cone); NaN fails
+        inside = np.concatenate((s0, z0, ds, dz))
         if not np.min(inside, initial=math.inf) > 0.0:
             raise _Breakdown("iterate left the cone interior")
         self.cones = cones
-        self.w = np.sqrt(s[:nl] / z[:nl])
         self.eta = (ds / dz) ** 0.25
-        sn = sq / np.sqrt(ds)[blk]
-        zn = zq / np.sqrt(dz)[blk]
+        sn = s / np.sqrt(ds)[blk]
+        zn = z / np.sqrt(dz)[blk]
         gamma = np.sqrt((1.0 + np.add.reduceat(sn * zn, heads)) / 2.0)
         self.wbar = (sn + cones.J * zn) / (2.0 * gamma)[blk]
         self.w0, self.w1 = self.wbar[heads], self.wbar * cones.tail
         self._w0inv = 1.0 / (1.0 + self.w0)
         self._eta = self.eta[blk]
-        self.lam = np.concatenate((np.sqrt(s[:nl] * z[:nl]),
-                                   self._soc(zq, 1.0) * self._eta))
-
-    def _soc(self, v: np.ndarray, sign: float) -> np.ndarray:
-        # T(wbar) v (sign +1) or J T(wbar) J v (sign -1) on the SOC rows; with
-        # dot = w1'v1 the head is w0 v0 + sign dot and the tail
-        # v1 + (sign v0 + dot / (1 + w0)) w1
-        heads, w0, w1 = self.cones.heads, self.w0, self.w1
-        v0 = v[heads]
-        dot = np.add.reduceat(w1 * v, heads)
-        out = v + (sign * v0 + dot * self._w0inv)[self.cones.blk] * w1
-        out[heads] = w0 * v0 + sign * dot
-        return out
+        self.lam = self.apply(z)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """W v."""
-        nl = self.cones.nl
-        return np.concatenate((self.w * v[:nl], self._soc(v[nl:], 1.0) * self._eta))
-
-    def apply_inv(self, v: np.ndarray) -> np.ndarray:
-        """W^{-1} v."""
-        nl = self.cones.nl
-        return np.concatenate((v[:nl] / self.w, self._soc(v[nl:], -1.0) / self._eta))
+        # with dot = w1'v1, T(wbar) v has the head w0 v0 + dot and the tail
+        # v1 + (v0 + dot / (1 + w0)) w1
+        heads, w0, w1 = self.cones.heads, self.w0, self.w1
+        v0 = v[heads]
+        dot = np.add.reduceat(w1 * v, heads)
+        out = v + (v0 + dot * self._w0inv)[self.cones.blk] * w1
+        out[heads] = w0 * v0 + dot
+        return out * self._eta
 
 
 def _kkt_solve(K: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
@@ -271,7 +241,7 @@ class _KKT:
     """The dense KKT matrix [[0, A', G'], [A, 0, 0], [G, 0, -W^2]] of a solve.
 
     It is allocated once with W = I; ``set_scaling`` rewrites only the -W^2
-    entries: the Nonneg diagonal and each SOC block's dim^2 entries.
+    entries, each block's dim^2 entries.
     """
 
     def __init__(self, sp: _Split):
@@ -283,7 +253,7 @@ class _KKT:
         K[:n, off:] = sp.G.T
         K[off:, :n] = sp.G
         cones = sp.cones
-        nl, dims, heads = cones.nl, cones.dims, cones.heads
+        dims, heads = cones.dims, cones.heads
         # entry e of block k sits at (heads[k] + i, heads[k] + j), with
         # (i, j) = divmod(local index, dims[k]), in row-major order
         size = dims * dims
@@ -294,24 +264,26 @@ class _KKT:
         self._c = heads[self._blk] + local % k
         diag = self._r == self._c
         self._jdiag = np.where(diag, cones.J[self._r], 0.0)
-        rows = off + np.concatenate((np.arange(nl), nl + self._r))
-        cols = off + np.concatenate((np.arange(nl), nl + self._c))
         self._flat = K.reshape(-1)
-        self._idx = rows * N + cols
-        self._flat[self._idx] = -np.concatenate((np.ones(nl), diag))
+        self._idx = (off + self._r) * N + off + self._c
+        self._flat[self._idx[diag]] = -1.0
 
     def set_scaling(self, nt: _NT) -> None:
         wbar = nt.wbar
-        soc = nt.eta[self._blk] ** 2 * (2.0 * wbar[self._r] * wbar[self._c]
-                                         - self._jdiag)
-        self._flat[self._idx] = -np.concatenate((nt.w * nt.w, soc))
+        self._flat[self._idx] = nt.eta[self._blk] ** 2 * (
+            self._jdiag - 2.0 * wbar[self._r] * wbar[self._c])
+
+
+def _norm(v: np.ndarray) -> float:
+    # the value of np.linalg.norm(v) for a vector, without its call overhead
+    return math.sqrt(v @ v)
 
 
 def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
           max_iter: int = 200) -> Solution:
     sp = _split(prog)
     c, A, b, G, h = sp.c, sp.A, sp.b, sp.G, sp.h
-    cones, nu, back = sp.cones, sp.nu, sp.back
+    cones, nu = sp.cones, sp.nu
     n, me, p = c.size, b.size, h.size
 
     if me == 0 and p == 0:
@@ -342,15 +314,22 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
     except _Breakdown:
         init = np.zeros((n + me + p, 2))
     x = init[:n, 0]
-    s = -init[n + me :, 0]
     y = init[n : n + me, 1]
-    z = init[n + me :, 1]
+    # s and z live stacked, as _max_step reads them, and dsz is their step
+    sz = np.stack((-init[n + me :, 0], init[n + me :, 1]))
+    s, z = sz
+    dsz = np.empty((2, p))
     e = _cone_identity(cones, p)
     for v in (s, z):
         t = -_min_eig(cones, v)
         if t >= 0.0:
             v += (1.0 + t) * e
     tau, kappa = 1.0, 1.0
+    # the (-c, b, h) column of every iteration's KKT right-hand side
+    rhs2 = np.zeros((n + me + p, 2))
+    rhs2[:n, 0] = -c
+    rhs2[n : n + me, 0] = b
+    rhs2[n + me :, 0] = h
 
     best = None
     best_score = math.inf
@@ -373,64 +352,57 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
         dcost = float(-(b @ yt + h @ zt))
         # the deflated residuals are the embedding's over tau:
         # A xt - b = ry/tau, G xt + st - h = rz/tau, A'yt + G'zt + c = rx/tau
-        pres = max(float(np.linalg.norm(ry)) / resy0,
-                   float(np.linalg.norm(rz)) / resz0) / tau
-        dres = float(np.linalg.norm(rx)) / resx0 / tau
+        pres = max(_norm(ry) / resy0, _norm(rz) / resz0) / tau
+        dres = _norm(rx) / resx0 / tau
         gap_abs = float(st @ zt)
         relgap = gap_abs / max(1.0, abs(pcost), abs(dcost))
-        trace.append({"iter": it, "pcost": pcost, "dcost": dcost, "pres": pres,
-                      "dres": dres, "gap": relgap, "mu": float(mu)})
+        trace.append((it, pcost, dcost, pres, dres, relgap, float(mu)))
 
         score = max(pres, dres, relgap)
         if score < best_score:
             best_score = score
-            best = (xt.copy(), yt.copy(), zt.copy(), st.copy(),
-                    pcost, relgap, gap_abs, pres, dres)
+            best = (xt, yt, zt, st, pcost, relgap, gap_abs, pres, dres)
 
         if pres <= feas_tol and dres <= feas_tol and relgap <= gap_tol:
-            return Solution(status=SolveStatus.OPTIMAL, x=xt, y=yt, z=zt[back],
-                            s=st[back], obj=pcost, gap=relgap, gap_abs=gap_abs,
+            return Solution(status=SolveStatus.OPTIMAL, x=xt, y=yt, z=zt, s=st,
+                            obj=pcost, gap=relgap, gap_abs=gap_abs,
                             pres=pres, dres=dres, iterations=it,
-                            trace=tuple(trace))
+                            trace=trace_array(trace))
 
         # infeasibility certificates from the embedding
         by_hz = float(b @ y + h @ z)
         if by_hz < 0.0:
             # A'y + G'z = rx - c tau
-            resid = float(np.linalg.norm(rx - c * tau)) / (-by_hz) / resx0
+            resid = _norm(rx - c * tau) / (-by_hz) / resx0
             if resid <= feas_tol:
                 scale = -1.0 / by_hz
                 return Solution(status=SolveStatus.INFEASIBLE, x=None,
-                                y=y * scale, z=z[back] * scale, s=None, obj=None,
+                                y=y * scale, z=z * scale, s=None, obj=None,
                                 gap=None, gap_abs=None, pres=None, dres=None,
                                 iterations=it, cert_residual=resid,
-                                trace=tuple(trace))
+                                trace=trace_array(trace))
         cx = float(c @ x)
         if cx < 0.0:
             # A x = ry + b tau, G x + s = rz + h tau
             resid = max(
-                float(np.linalg.norm(ry + b * tau)) / resy0,
-                float(np.linalg.norm(rz + h * tau)) / resz0,
+                _norm(ry + b * tau) / resy0,
+                _norm(rz + h * tau) / resz0,
             ) / (-cx)
             if resid <= feas_tol:
                 scale = -1.0 / cx
                 return Solution(status=SolveStatus.UNBOUNDED, x=x * scale,
-                                y=None, z=None, s=s[back] * scale, obj=None,
+                                y=None, z=None, s=s * scale, obj=None,
                                 gap=None, gap_abs=None, pres=None, dres=None,
                                 iterations=it, cert_residual=resid,
-                                trace=tuple(trace))
+                                trace=trace_array(trace))
 
         try:
             nt = _NT(cones, s, z)
             lam = nt.lam
             kkt.set_scaling(nt)
 
-            rhs2 = np.zeros((n + me + p, 2))
-            rhs2[:n, 0] = -c
-            rhs2[n : n + me, 0] = b
-            rhs2[n + me :, 0] = h
-
             def _direction(sigma, ds_rhs, dtk_rhs):
+                """(dx, dy, dtau, dkappa, lds, W dz); (ds, dz) go to dsz."""
                 f = 1.0 - sigma
                 rhs2[:n, 1] = -f * rx
                 rhs2[n : n + me, 1] = -f * ry
@@ -442,34 +414,33 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
                 denom = float(c @ x1 + b @ y1 + h @ z1) - kappa / tau
                 num = -f * rt - dtk_rhs / tau - float(c @ x2 + b @ y2 + h @ z2)
                 dtau = num / denom
-                dx = x2 + dtau * x1
-                dy = y2 + dtau * y1
-                dz = z2 + dtau * z1
-                dst = nt.apply(lds - nt.apply(dz))
+                dsz[1] = z2 + dtau * z1
+                wdz = nt.apply(dsz[1])
+                dsz[0] = nt.apply(lds - wdz)
                 dkappa = (dtk_rhs - kappa * dtau) / tau
-                return dx, dy, dz, dst, dtau, dkappa
+                return x2 + dtau * x1, y2 + dtau * y1, dtau, dkappa, lds, wdz
 
             lam2 = _jprod(cones, lam, lam)
 
             # predictor
-            dxa, dya, dza, dsa, dta, dka = _direction(0.0, -lam2, -tau * kappa)
-            alpha = _max_step(cones, np.stack((s, z)), np.stack((dsa, dza)))
+            _, _, dta, dka, lds_a, wdz_a = _direction(0.0, -lam2, -tau * kappa)
+            alpha = _max_step(cones, sz, dsz)
             if dta < 0.0:
                 alpha = min(alpha, -tau / dta)
             if dka < 0.0:
                 alpha = min(alpha, -kappa / dka)
             a = min(1.0, alpha)
-            mu_aff = ((s + a * dsa) @ (z + a * dza)
+            mu_aff = ((s + a * dsz[0]) @ (z + a * dsz[1])
                       + (tau + a * dta) * (kappa + a * dka)) / nu
             sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
-            # corrector
-            corr = _jprod(cones, nt.apply_inv(dsa), nt.apply(dza))
+            # corrector; W^{-1} dsa = lds_a - W dza
+            corr = _jprod(cones, lds_a - wdz_a, wdz_a)
             ds_rhs = sigma * mu * e - lam2 - corr
             dtk_rhs = sigma * mu - tau * kappa - dta * dka
-            dx, dy, dz, dst, dtau, dkappa = _direction(sigma, ds_rhs, dtk_rhs)
+            dx, dy, dtau, dkappa, _, _ = _direction(sigma, ds_rhs, dtk_rhs)
 
-            alpha = _max_step(cones, np.stack((s, z)), np.stack((dst, dz)))
+            alpha = _max_step(cones, sz, dsz)
             if dtau < 0.0:
                 alpha = min(alpha, -tau / dtau)
             if dkappa < 0.0:
@@ -480,8 +451,7 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
 
             x = x + a * dx
             y = y + a * dy
-            z = z + a * dz
-            s = s + a * dst
+            sz += a * dsz
             tau = tau + a * dtau
             kappa = kappa + a * dkappa
             if tau <= 0.0 or kappa <= 0.0:
@@ -491,7 +461,7 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
             break
 
     xt, yt, zt, st, pcost, relgap, gap_abs, pres, dres = best
-    return Solution(status=SolveStatus.ITER_LIMIT, x=xt, y=yt, z=zt[back],
-                    s=st[back], obj=pcost, gap=relgap, gap_abs=gap_abs,
-                    pres=pres, dres=dres, iterations=it, trace=tuple(trace),
+    return Solution(status=SolveStatus.ITER_LIMIT, x=xt, y=yt, z=zt, s=st,
+                    obj=pcost, gap=relgap, gap_abs=gap_abs, pres=pres,
+                    dres=dres, iterations=it, trace=trace_array(trace),
                     reason=reason)

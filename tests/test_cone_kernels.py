@@ -132,7 +132,10 @@ def random_layout(rng):
     blocks, pos = [], 0
     for cone in cones:
         if not isinstance(cone, Zero):
-            blocks.append(("l" if isinstance(cone, Nonneg) else "q",
+            # SecondOrder(1) is the nonnegative ray; the "l" formulas are the
+            # exact ones for it (the "q" step takes the square root of a
+            # discriminant that is zero up to rounding)
+            blocks.append(("l" if isinstance(cone, Nonneg) or cone.dim == 1 else "q",
                            slice(pos, pos + cone.dim)))
             pos += cone.dim
     rows = sum(cone.dim for cone in cones)
@@ -163,92 +166,89 @@ def layouts():
     rng = np.random.default_rng(404)
     for _ in range(25):
         prog, blocks, p = random_layout(rng)
-        sp = ipm._split(prog)
-        # order[i]: the program-order inequality row at layout row i
-        order = np.argsort(sp.back)
-        yield rng, prog, sp, blocks, p, order
+        yield rng, prog, ipm._split(prog), blocks, p
 
 
-def test_layout_puts_nonneg_rows_first():
-    for _, prog, sp, blocks, p, order in layouts():
+def test_layout_keeps_program_row_order():
+    """Inequality rows stay in program order; a Nonneg row is a one-row block."""
+    for _, prog, sp, blocks, p in layouts():
         ineq = np.flatnonzero(np.repeat([not isinstance(c, Zero) for c in prog.cones],
                                         [c.dim for c in prog.cones]))
-        assert np.array_equal(sp.G, prog.A[ineq[order]])
-        assert np.array_equal(sp.h, prog.b[ineq[order]])
-        l_rows = np.flatnonzero(np.repeat([kind == "l" for kind, _ in blocks],
-                                          [sl.stop - sl.start for _, sl in blocks]))
-        assert np.array_equal(order[: sp.cones.nl], l_rows)
-        q = [sl for kind, sl in blocks if kind == "q"]
-        assert sp.cones.dims.tolist() == [sl.stop - sl.start for sl in q]
-        assert sp.nu == 1.0 + sp.cones.nl + len(q)
+        assert np.array_equal(sp.G, prog.A[ineq])
+        assert np.array_equal(sp.h, prog.b[ineq])
+        dims = []
+        for kind, sl in blocks:
+            k = sl.stop - sl.start
+            dims += [1] * k if kind == "l" else [k]
+        assert sp.cones.dims.tolist() == dims
+        assert sp.nu == 1.0 + len(dims)
 
 
 def test_kernels_match_per_block_formulas():
-    for rng, _, sp, blocks, p, order in layouts():
+    for rng, _, sp, blocks, p in layouts():
         cones = sp.cones
         u, v = interior(rng, blocks, p), interior(rng, blocks, p)
         w, d = rng.normal(size=p), rng.normal(size=p)
         for x in (u, w):
-            assert ipm._min_eig(cones, x[order]) == pytest.approx(
+            assert ipm._min_eig(cones, x) == pytest.approx(
                 ref_min_eig(blocks, x), rel=1e-12, abs=1e-12)
-        assert_rel(ipm._jprod(cones, u[order], w[order]), ref_jprod(blocks, u, w)[order])
-        assert_rel(ipm._jdiv(cones, u[order], w[order]), ref_jdiv(blocks, u, w)[order])
+        assert_rel(ipm._jprod(cones, u, w), ref_jprod(blocks, u, w))
+        assert_rel(ipm._jdiv(cones, u, w), ref_jdiv(blocks, u, w))
         # directions that leave the cone and ones that never do (step inf)
         steps = (d, v, v - 0.5 * u)
         for step in steps:
-            got = ipm._max_step(cones, u[order], step[order])
+            got = ipm._max_step(cones, u, step)
             want = ref_max_step(blocks, u, step)
             assert got == pytest.approx(want, rel=1e-12), (got, want)
         # stacked rows: the step that keeps every row in the cone
-        got = ipm._max_step(cones, np.stack((u, v))[:, order], np.stack((d, u - v))[:, order])
+        got = ipm._max_step(cones, np.stack((u, v)), np.stack((d, u - v)))
         want = min(ref_max_step(blocks, u, d), ref_max_step(blocks, v, u - v))
         assert got == pytest.approx(want, rel=1e-12), (got, want)
         e = ipm._cone_identity(cones, p)
-        assert_rel(ipm._jprod(cones, e, w[order]), w[order])
+        assert_rel(ipm._jprod(cones, e, w), w)
 
 
 def test_nt_operator_matches_dense_scaling():
-    for rng, _, sp, blocks, p, order in layouts():
+    for rng, _, sp, blocks, p in layouts():
         s, z = interior(rng, blocks, p), interior(rng, blocks, p)
         v = rng.normal(size=p)
         W, Winv, W2, lam = ref_scaling(blocks, s, z, p)
-        nt = ipm._NT(sp.cones, s[order], z[order])
-        assert_rel(nt.lam, lam[order])
-        assert_rel(nt.apply(v[order]), (W @ v)[order])
-        assert_rel(nt.apply_inv(v[order]), (Winv @ v)[order])
-        assert_rel(nt.apply(z[order]), nt.lam)
-        assert_rel(nt.apply_inv(s[order]), nt.lam)
-        assert_rel(nt.apply_inv(nt.apply(v[order])), v[order])
+        nt = ipm._NT(sp.cones, s, z)
+        assert_rel(nt.lam, lam)
+        assert_rel(nt.apply(v), W @ v)
+        assert_rel(nt.apply(Winv @ v), v)
+        assert_rel(nt.apply(z), nt.lam)
+        assert_rel(nt.apply(nt.lam), s)  # W^{-1} s = lam
 
         kkt = ipm._KKT(sp)
         n, off = sp.c.size, sp.c.size + sp.b.size
         assert np.array_equal(kkt.K[off:, off:], -np.eye(p))
         kkt.set_scaling(nt)
         K = kkt.K
-        assert_rel(K[off:, off:], -W2[np.ix_(order, order)])
+        assert_rel(K[off:, off:], -W2)
         assert np.array_equal(K[off:, :n], sp.G) and np.array_equal(K[:n, off:], sp.G.T)
         assert np.array_equal(K[n:off, :n], sp.A) and not np.any(K[n:, n:off])
 
 
 def test_nt_operator_rejects_points_outside_the_cone():
-    for rng, _, sp, blocks, p, order in layouts():
+    for rng, _, sp, blocks, p in layouts():
         s, z = interior(rng, blocks, p), interior(rng, blocks, p)
         heads = [sl.start for kind, sl in blocks if kind == "q" and sl.stop - sl.start > 1]
         if not heads:
             continue
         s[heads[-1]] = 0.0  # s0^2 - ||s1||^2 < 0
         with pytest.raises(ipm._Breakdown):
-            ipm._NT(sp.cones, s[order], z[order])
+            ipm._NT(sp.cones, s, z)
 
 
 def test_nt_operator_rejects_nonneg_and_negative_cone_points():
     """A negative Nonneg entry or a negated SOC block (det > 0, head < 0) of
     either s or z is outside the cone interior."""
-    for rng, _, sp, blocks, p, order in layouts():
+    for rng, _, sp, blocks, p in layouts():
         for _, sl in blocks:
             for which in (0, 1):
                 pair = [interior(rng, blocks, p), interior(rng, blocks, p)]
                 pair[which][sl] *= -1.0
-                assert ipm._min_eig(sp.cones, pair[which][order]) < 0.0
+                assert ipm._min_eig(sp.cones, pair[which]) < 0.0
                 with pytest.raises(ipm._Breakdown):
-                    ipm._NT(sp.cones, pair[0][order], pair[1][order])
+                    ipm._NT(sp.cones, pair[0], pair[1])

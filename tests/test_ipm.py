@@ -292,7 +292,7 @@ def test_nonneg_blocks_merge_across_zero_rows():
     for trial in range(5):
         split, merged = _split_and_merged(rng)
         cones = ipm._split(split).cones
-        assert cones.nl == 13 and cones.dims.size == 0
+        assert cones.dims.tolist() == [1] * 13  # 13 one-row blocks
         a, b = conic.solve(split), conic.solve(merged)
         assert a.status is b.status is SolveStatus.OPTIMAL, trial
         assert np.array_equal(a.x, b.x), trial
@@ -300,7 +300,30 @@ def test_nonneg_blocks_merge_across_zero_rows():
     soc_between = ConicProgram(c=[1.0, 1.0], A=np.zeros((5, 2)), b=np.ones(5),
                                cones=(Nonneg(1), SecondOrder(3), Nonneg(1)))
     cones = ipm._split(soc_between).cones
-    assert cones.nl == 2 and cones.dims.tolist() == [3]
+    assert cones.dims.tolist() == [1, 3, 1]
+
+
+def test_nonneg_rows_solve_as_one_row_second_order_blocks():
+    """Nonneg(k) and k x SecondOrder(1) are one cone: same x bit for bit."""
+    for seed in range(20):
+        c, G, h = _random_lp(seed, 3, 12, "optimal")
+        a = conic.solve(lp_min(c, G, h))
+        b = conic.solve(ConicProgram(c=c, A=G, b=h, cones=(SecondOrder(1),) * h.size))
+        assert a.status is b.status is SolveStatus.OPTIMAL, seed
+        assert np.array_equal(a.x, b.x), seed
+        assert a.iterations == b.iterations, seed
+
+
+def test_trace_is_one_read_only_record_array():
+    c, G, h = _random_lp(3, 3, 12, "optimal")
+    sol = conic.solve(lp_min(c, G, h))
+    assert sol.trace.dtype == conic.TRACE_DTYPE and sol.trace.shape == (sol.iterations,)
+    assert sol.trace["iter"].tolist() == list(range(1, sol.iterations + 1))
+    assert sol.trace[-1]["gap"] == sol.gap and sol.trace[-1]["pcost"] == sol.obj
+    with pytest.raises(ValueError):
+        sol.trace["mu"][0] = 0.0
+    empty = conic.solve(ConicProgram(c=[0.0], A=np.zeros((0, 1)), b=[], cones=()))
+    assert empty.trace.dtype == conic.TRACE_DTYPE and empty.trace.size == 0
 
 
 def _interleaved(rng, n=3):
