@@ -3,9 +3,13 @@
 Each rc_* operation turns "constraint holds for every xi in the set" into
 explicit conic rows over the decision vector x plus, where needed, auxiliary
 variables (polytope duals, norm auxiliaries, LMI slacks).  Level sets of
-squared transforms (ellipsoid family, PCA sets) enter with radius sqrt(size);
-half-space transforms (polytopes, box grids) scale linearly in the size.
-That conversion happens here and nowhere else.
+squared transforms (ellipsoid family, ball bases, PCA sets) enter with
+radius sqrt(size); half-space transforms (polytopes, box grids) scale
+linearly in the size.  That conversion happens here and nowhere else.
+
+Ball bases (and unions made only of balls) and box grids share one norm
+epigraph across all their components and rows; other unions replicate
+the rows once per component.
 
 Conic row convention throughout: a block contributes rows
 ``offsets - rows_x @ x - rows_aux @ aux`` that must land in its cones.
@@ -48,7 +52,7 @@ __all__ = [
 
 SUPPORTED_PAIRS = (
     "single_linear/joint_linear x {ellipsoid, diag_ellipsoid, ball, polytope, "
-    "pca_ellipsoid, box_grid, union, intersection(blocks)}; "
+    "pca_ellipsoid, ball_basis, box_grid, union, intersection(blocks)}; "
     "quadratic x {ellipsoid, diag_ellipsoid, ball}; semidefinite x {ball}"
 )
 
@@ -446,6 +450,43 @@ def _ellipsoid_factor(shape) -> np.ndarray:
     return np.eye(shape.dim)
 
 
+def _nearest_center_block(centers: np.ndarray, radius: float, norm: int,
+                          rhs: np.ndarray, l: int, d: int) -> Block:
+    """Rows protected against a union of equal balls (norm 2) or cubes (norm 1).
+
+    Every component is centers_k plus a ball or cube of the same radius, and
+    row i sees only coordinate block i, onto which each component projects
+    as the ball or cube of that radius around the projected center c_{k,i}.
+    The worst case of row i over component k is c_{k,i}'x + radius*||x||
+    (the dual norm), so one shared epigraph variable g >= ||x|| serves every
+    row: c_{k,i}'x + radius*g <= b_i.  Duplicate (c_{k,i}, b_i) rows are
+    dropped, and with radius 0 so is g.  For norm 2, g is a scalar t with
+    (t, x) in SOC(1 + d); for norm 1, g = 1'u with u >= x and u >= -x.
+    """
+    k = centers.shape[0]
+    pairs = np.unique(np.column_stack([centers.reshape(k * l, d), np.tile(rhs, k)]),
+                      axis=0)
+    rows_c, offs = pairs[:, :d], pairs[:, d]
+    r = offs.size
+    if radius == 0.0:
+        return Block(rows_x=rows_c, rows_aux=_no_aux(r), offsets=offs,
+                     cones=(conic.Nonneg(r),))
+    eye = np.eye(d)
+    if norm == 2:
+        rows_x = np.vstack([rows_c, np.zeros((1, d)), -eye])
+        rows_aux = np.concatenate([np.full(r, radius), [-1.0], np.zeros(d)])[:, None]
+        cones = (conic.Nonneg(r), conic.SecondOrder(1 + d))
+        aux = Span("norm-aux", "t", 0, 1)
+    else:
+        rows_x = np.vstack([rows_c, -eye, eye])
+        rows_aux = np.vstack([np.full((r, d), radius), -eye, -eye])
+        cones = (conic.Nonneg(r + 2 * d),)
+        aux = Span("norm-aux", "u", 0, d)
+    return Block(rows_x=rows_x, rows_aux=rows_aux,
+                 offsets=np.concatenate([offs, np.zeros(rows_x.shape[0] - r)]),
+                 cones=cones, aux_spans=(aux,))
+
+
 def _basic_linear_blocks(comp, s: float, rhs: np.ndarray, l: int, d: int) -> list:
     """RC blocks protecting all l rows against one basic shape at size s."""
     m = l * d
@@ -469,19 +510,11 @@ def _basic_linear_blocks(comp, s: float, rhs: np.ndarray, l: int, d: int) -> lis
             rc_pca(comp, rho, float(rhs[i]), x_dim=d, x_offset=i * d)
             for i in range(l)
         ]
+    if isinstance(comp, shapes.BallBasis):
+        return [_nearest_center_block(comp.centers, rho, 2, rhs, l, d)]
     if isinstance(comp, shapes.BoxGrid):
-        half = comp.half_width * float(s)
-        eye = np.eye(m)
-        box_rows = np.vstack([eye, -eye])
-        out = []
-        for center in comp.centers:
-            offs = np.concatenate([center + half, -center + half])
-            out.extend(
-                rc_linear_polytope(box_rows, offs, float(rhs[i]),
-                                   x_dim=d, x_offset=i * d)
-                for i in range(l)
-            )
-        return out
+        half = comp.half_width * max(float(s), 0.0)
+        return [_nearest_center_block(comp.centers, half, 1, rhs, l, d)]
     raise UnsupportedCombinationError(
         f"no linear robust counterpart for shape {comp.variant!r}; "
         f"supported pairs: {SUPPORTED_PAIRS}"
@@ -489,10 +522,17 @@ def _basic_linear_blocks(comp, s: float, rhs: np.ndarray, l: int, d: int) -> lis
 
 
 def rc_union(shape: shapes.Union, s: float, rhs, d: int) -> list:
-    """Protect against a union: replicate the rows once per component."""
+    """Protect against a union: replicate the rows once per component.
+
+    A union made only of balls is a ball basis and gets its shared-epigraph
+    block instead.
+    """
     if not isinstance(shape, shapes.Union):
         raise InvalidArgumentError("rc_union needs a Union shape")
     rhs = np.asarray(rhs, dtype=float).reshape(-1)
+    if all(isinstance(comp, shapes.Ball) for comp in shape.components):
+        basis = shapes.BallBasis(centers=[comp.center for comp in shape.components])
+        return _basic_linear_blocks(basis, s, rhs, rhs.size, d)
     return [blk for comp in shape.components
             for blk in _basic_linear_blocks(comp, s, rhs, rhs.size, d)]
 

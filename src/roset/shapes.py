@@ -201,6 +201,38 @@ class PcaEllipsoid:
         return self._chol
 
 
+def _check_centers(centers) -> np.ndarray:
+    centers = _freeze(centers, 2)
+    if centers.shape[0] < 1:
+        raise InvalidArgumentError("need at least one center")
+    return centers
+
+
+@dataclass(frozen=True, eq=False)
+class BallBasis:
+    """Union of equal balls: t(xi) = min_k ||xi - centers_k||^2.
+
+    The level set at size s is the union of the balls of radius sqrt(s)
+    around the K rows of ``centers``.
+    """
+
+    centers: np.ndarray
+
+    variant = "ball_basis"
+
+    def __post_init__(self):
+        object.__setattr__(self, "centers", _check_centers(self.centers))
+
+    @property
+    def dim(self) -> int:
+        return self.centers.shape[1]
+
+    @property
+    def components(self) -> tuple:
+        """The balls, built on each read; none are stored."""
+        return tuple(Ball(center=c) for c in self.centers)
+
+
 @dataclass(frozen=True, eq=False)
 class BoxGrid:
     """Union of axis-aligned cubes: t(xi) = min_i ||xi - centers_i||_inf / half_width."""
@@ -211,12 +243,10 @@ class BoxGrid:
     variant = "box_grid"
 
     def __post_init__(self):
-        centers = _freeze(self.centers, 2)
+        centers = _check_centers(self.centers)
         hw = float(self.half_width)
         if not (hw > 0 and np.isfinite(hw)):
             raise InvalidArgumentError("half_width must be positive")
-        if centers.shape[0] < 1:
-            raise InvalidArgumentError("need at least one box")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "half_width", hw)
 
@@ -225,7 +255,8 @@ class BoxGrid:
         return self.centers.shape[1]
 
 
-_BASIC = (Ellipsoid, DiagEllipsoid, Ball, Polytope, PcaEllipsoid, BoxGrid)
+_BASIC = (Ellipsoid, DiagEllipsoid, Ball, Polytope, PcaEllipsoid, BallBasis,
+          BoxGrid)
 
 
 def _basic_components(components) -> tuple:
@@ -312,8 +343,8 @@ class Intersection:
         return sum(len(blk) for blk in self.blocks)
 
 
-Shape = TUnion[Ellipsoid, DiagEllipsoid, Ball, Polytope, PcaEllipsoid, BoxGrid,
-               Union, Intersection]
+Shape = TUnion[Ellipsoid, DiagEllipsoid, Ball, Polytope, PcaEllipsoid, BallBasis,
+               BoxGrid, Union, Intersection]
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,15 +394,15 @@ def transform_values(shape: Shape, points) -> np.ndarray:
         proj = pts @ shape.projection.T - shape.center_reduced
         w = np.linalg.solve(shape.chol, proj.T)
         return np.sum(w * w, axis=0)
+    if isinstance(shape, BallBasis):
+        # the same sum over the last axis as the Ball branch, so the values
+        # equal the minimum over the component balls bit for bit
+        return _nearest(pts, shape.centers,
+                         lambda diff: np.sum(diff * diff, axis=2))
     if isinstance(shape, BoxGrid):
-        # chunk over boxes to keep the intermediate (n, K, m) array bounded
-        best = np.full(pts.shape[0], np.inf)
-        step = max(1, 10**7 // max(1, pts.shape[0] * pts.shape[1]))
-        for lo in range(0, shape.centers.shape[0], step):
-            block = shape.centers[lo : lo + step]
-            dist = np.max(np.abs(pts[:, None, :] - block[None, :, :]), axis=2)
-            best = np.minimum(best, dist.min(axis=1))
-        return best / shape.half_width
+        dist = _nearest(pts, shape.centers,
+                        lambda diff: np.max(np.abs(diff), axis=2))
+        return dist / shape.half_width
     if isinstance(shape, Union):
         vals = [transform_values(comp, pts) for comp in shape.components]
         return np.min(vals, axis=0)
@@ -385,6 +416,17 @@ def transform_values(shape: Shape, points) -> np.ndarray:
             ]
         return np.max(vals, axis=0)
     raise InvalidArgumentError(f"unknown shape {shape!r}")
+
+
+def _nearest(pts: np.ndarray, centers: np.ndarray, dist) -> np.ndarray:
+    """min_k dist(pts - centers_k), with dist mapping an (n, k, m) difference
+    to (n, k); chunked over centers to keep that difference bounded."""
+    best = np.full(pts.shape[0], np.inf)
+    step = max(1, 10**7 // max(1, pts.shape[0] * pts.shape[1]))
+    for lo in range(0, centers.shape[0], step):
+        block = centers[lo : lo + step]
+        best = np.minimum(best, dist(pts[:, None, :] - block[None, :, :]).min(axis=1))
+    return best
 
 
 def transform_eval(shape: Shape, xi) -> float:
@@ -590,11 +632,10 @@ def pca_ellipsoid(phase1, variance_keep: float = 0.9999,
     return PcaEllipsoid(projection=M, center_reduced=M @ mu, sigma_reduced=sigma_red)
 
 
-def ball_basis(phase1) -> Union:
+def ball_basis(phase1) -> BallBasis:
     """One ball per data point; the transform is the squared distance to the
     nearest point."""
-    pts = _points_of(phase1)
-    return Union(components=tuple(Ball(center=p) for p in pts))
+    return BallBasis(centers=_points_of(phase1))
 
 
 def grid_histogram(phase1, width: float) -> BoxGrid:

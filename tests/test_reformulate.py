@@ -611,6 +611,164 @@ def test_union_rejects_nested():
         shapes.Union(components=(inner,))
 
 
+def _nearest_center_case(rng, d, l, with_det):
+    """Centers (one repeated), rhs and a spec whose programs have an optimum.
+
+    Every b_i > 0, so x = 0 is feasible.  The objective is minus a positive
+    combination of projected centers c_{k,i}, and every program below
+    implies c_{k,i}'x <= b_i, so the objective is bounded below.
+    """
+    m = l * d
+    centers = rng.normal(size=(3, m))
+    centers = np.vstack([centers, centers[1]])
+    rhs = rng.uniform(1.0, 3.0, size=l)
+    weights = rng.uniform(0.2, 1.0, size=(centers.shape[0], l))
+    objective = -np.einsum("ki,kid->d", weights, centers.reshape(-1, l, d))
+    det = None
+    if with_det:
+        det = model.DetConstraints(a_ub=np.vstack([np.eye(d), -np.eye(d)]),
+                                   b_ub=np.full(2 * d, 4.0))
+    family = model.SingleLinear() if l == 1 else model.JointLinear(l=l)
+    spec = model.CcpSpec(objective=objective, family=family, rhs=rhs,
+                         epsilon=0.5, delta=0.5, det=det)
+    return centers, spec
+
+
+def _solved_objective(program):
+    sol = conic.solve(program)
+    assert sol.status is conic.SolveStatus.OPTIMAL
+    return sol.obj
+
+
+def test_nearest_center_blocks_match_per_component_blocks():
+    """Ball basis, all-ball union and box grid against per-component blocks.
+
+    The references are the per-component counterparts: one
+    _vecnorm_blocks stack per ball and one rc_linear_polytope dual per box
+    and row.  The references leave the repeated center out (it adds
+    nothing to the set), so the comparison also checks that dropping
+    duplicate rows is exact.
+    """
+    rng = np.random.default_rng(31)
+    for d, l, with_det in itertools.product(range(1, 6), range(1, 4), (False, True)):
+        m = l * d
+        centers, spec = _nearest_center_case(rng, d, l, with_det)
+        s = float(rng.uniform(0.05, 0.6))
+        det = rf.det_blocks(spec.det)
+
+        ref_balls = [(f"b{k}", rf._vecnorm_blocks(c.reshape(l, d), np.eye(m),
+                                                  np.sqrt(s), spec.rhs))
+                     for k, c in enumerate(centers[:3])]
+        want = _solved_objective(rf.assemble(spec.objective, det + ref_balls)[0])
+        basis = shapes.BallBasis(centers=centers)
+        union = shapes.Union(components=basis.components)
+        for shape in (basis, union):
+            rp = rf.assemble_ro(spec, pset_with_size(shape, s))
+            assert rp.program.n_vars == d + 1
+            got = _solved_objective(rp.program)
+            assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), (d, l, with_det)
+
+        grid = shapes.BoxGrid(centers=centers, half_width=0.7)
+        half = 0.7 * s
+        box_rows = np.vstack([np.eye(m), -np.eye(m)])
+        ref_boxes = [(f"g{k}.{i}", rf.rc_linear_polytope(
+                         box_rows, np.concatenate([c + half, half - c]),
+                         float(spec.rhs[i]), x_dim=d, x_offset=i * d))
+                     for k, c in enumerate(centers[:3]) for i in range(l)]
+        want = _solved_objective(rf.assemble(spec.objective, det + ref_boxes)[0])
+        rp = rf.assemble_ro(spec, pset_with_size(grid, s))
+        assert rp.program.n_vars == 2 * d
+        got = _solved_objective(rp.program)
+        assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), (d, l, with_det)
+
+
+def test_nearest_center_blocks_at_size_zero_are_nominal_rows():
+    rng = np.random.default_rng(32)
+    for d, l in ((1, 1), (3, 2), (2, 3)):
+        centers, spec = _nearest_center_case(rng, d, l, with_det=False)
+        nominal = [(f"b{k}", rf._vecnorm_blocks(c.reshape(l, d), np.eye(l * d),
+                                                0.0, spec.rhs))
+                   for k, c in enumerate(centers)]
+        want = _solved_objective(rf.assemble(spec.objective, nominal)[0])
+        # the repeated center leaves l duplicate rows out of 4 * l
+        for shape in (shapes.BallBasis(centers=centers),
+                      shapes.BoxGrid(centers=centers, half_width=0.5)):
+            rp = rf.assemble_ro(spec, pset_with_size(shape, 0.0))
+            assert rp.program.cones == (conic.Nonneg(3 * l),)
+            assert rp.program.n_vars == d
+            got = _solved_objective(rp.program)
+            assert abs(got - want) <= 1e-7 * max(1.0, abs(want))
+
+
+def test_nearest_center_rows_are_the_worst_case_over_the_set():
+    """At the solved x, every row of the counterpart equals the worst case
+    of its constraint row over one calibrated ball or box, attained at a
+    boundary point of the set, and sampled points of the set stay below it."""
+    rng = np.random.default_rng(33)
+    d, l = 3, 2
+    m = l * d
+    a_rows = rng.normal(size=(m, m)) * 0.3
+    data = rng.normal(size=(300, m)) @ a_rows.T + rng.uniform(0.5, 1.5, size=m)
+    spec = model.CcpSpec(objective=-np.ones(d), family=model.JointLinear(l=l),
+                         rhs=[4.0, 5.0], epsilon=0.1, delta=0.1,
+                         det=model.DetConstraints(a_ub=-np.eye(d), b_ub=np.zeros(d)))
+    for shape in (shapes.ball_basis(data[:40]),
+                  shapes.grid_histogram(data[:150], width=0.8)):
+        pset = shapes.build_prediction_set(shape, data[150:], 0.1, 0.1)
+        s = pset.size
+        rp = rf.assemble_ro(spec, pset)
+        sol = conic.solve(rp.program)
+        assert sol.status is conic.SolveStatus.OPTIMAL
+        x = sol.x[:d]
+        if isinstance(shape, shapes.BallBasis):
+            radius, aux = np.sqrt(s), np.array([np.linalg.norm(x)])
+            direction = x / np.linalg.norm(x)
+            unit = rng.normal(size=(500, m))
+            unit *= (rng.uniform(size=(500, 1)) ** (1 / m)
+                     / np.linalg.norm(unit, axis=1, keepdims=True))
+        else:
+            radius, aux = shape.half_width * s, np.abs(x)
+            direction = np.sign(x)
+            unit = rng.uniform(-1.0, 1.0, size=(500, m))
+        blk = rf._basic_linear_blocks(shape, s, spec.rhs, l, d)[0]
+        r = blk.cones[0].dim - (0 if isinstance(shape, shapes.BallBasis) else 2 * d)
+        lhs = blk.rows_x[:r] @ x + blk.rows_aux[:r] @ aux
+        assert np.all(lhs <= blk.offsets[:r] + 1e-7)
+        inside = (shape.centers[:, None, :] + radius * unit).reshape(-1, m)
+        assert np.all(shapes.transform_values(shape, inside) <= s * (1 + 1e-12))
+        values = rf.linear_row_values(inside, x, l).reshape(len(shape.centers), -1, l)
+        assert np.all(values <= spec.rhs + 1e-7)
+        for center, center_values in zip(shape.centers, values):
+            for i in range(l):
+                c_i = center[i * d: (i + 1) * d]
+                row = np.flatnonzero(np.all(blk.rows_x[:r] == c_i, axis=1)
+                                     & (blk.offsets[:r] == spec.rhs[i]))
+                assert row.size == 1
+                worst = c_i + radius * direction
+                assert abs(worst @ x - lhs[row[0]]) <= 1e-9 * (1.0 + abs(lhs[row[0]]))
+                assert np.all(center_values[:, i] <= lhs[row[0]] + 1e-9)
+                boundary = center.copy()
+                boundary[i * d: (i + 1) * d] = worst
+                assert shapes.transform_eval(shape, boundary) <= s * (1 + 1e-12)
+
+
+def test_union_of_balls_document_assembles_like_ball_basis():
+    rng = np.random.default_rng(34)
+    pts = rng.normal(size=(12, 4))
+    spec = model.CcpSpec(objective=[-1.0, -0.5], family=model.JointLinear(l=2),
+                         rhs=[3.0, 2.0], epsilon=0.5, delta=0.5)
+    legacy = shapes.shape_from_json(shapes.shape_to_json(
+        shapes.Union(components=tuple(shapes.Ball(center=p) for p in pts))))
+    basis = shapes.shape_from_json(shapes.shape_to_json(shapes.ball_basis(pts)))
+    assert isinstance(basis, shapes.BallBasis)
+    assert np.array_equal(basis.centers, pts)
+    old = rf.assemble_ro(spec, pset_with_size(legacy, 0.3)).program
+    new = rf.assemble_ro(spec, pset_with_size(basis, 0.3)).program
+    assert np.array_equal(old.A, new.A)
+    assert np.array_equal(old.b, new.b)
+    assert old.cones == new.cones
+
+
 def test_partition_single_block_identity():
     rng = np.random.default_rng(17)
     pts = rng.normal(size=(60, 2)) + [1.0, 2.0]
@@ -735,15 +893,14 @@ def test_assemble_single_linear_ball_one_cone():
     assert not rp.is_export_only
 
 
-def test_assemble_ball_basis_replicates_rows():
+def test_assemble_ball_basis_shares_one_epigraph():
     rng = np.random.default_rng(22)
     pts = rng.normal(size=(7, 2))
     basis = shapes.ball_basis(pts)
     spec = model.CcpSpec(objective=[-1.0, 0.0], family=model.SingleLinear(),
                          rhs=[8.0], epsilon=0.5, delta=0.5)
     rp = rf.assemble_ro(spec, pset_with_size(basis, 0.4))
-    assert len(rp.program.cones) == 7
-    assert all(isinstance(c, conic.SecondOrder) for c in rp.program.cones)
+    assert rp.program.cones == (conic.Nonneg(7), conic.SecondOrder(3))
 
 
 def test_assemble_quadratic_is_export_only():

@@ -14,6 +14,7 @@ from roset.errors import (
 )
 from roset.shapes import (
     Ball,
+    BallBasis,
     BoxGrid,
     DiagEllipsoid,
     Ellipsoid,
@@ -222,10 +223,23 @@ def test_pca_latent_factor_cutoff():
 
 def test_ball_basis():
     u = ball_basis(np.array([[0.0], [10.0]]))
-    assert isinstance(u, Union) and len(u.components) == 2
+    assert isinstance(u, BallBasis) and len(u.components) == 2
     assert transform_eval(u, [4.0]) == pytest.approx(16.0)
     single = ball_basis(np.array([[1.0, 2.0]]))
     assert transform_eval(single, [1.0, 2.0]) == pytest.approx(0.0)
+
+
+def test_ball_basis_transform_equals_min_over_balls():
+    rng = np.random.default_rng(18)
+    # the last case spans three chunks of 50 centers
+    for n, k, m in ((1, 1, 1), (40, 7, 3), (120, 30, 10), (20_000, 120, 10)):
+        centers = rng.normal(size=(k, m))
+        pts = rng.normal(size=(n, m)) * 2.0
+        basis = BallBasis(centers=centers)
+        balls = np.min([transform_values(Ball(center=c), pts) for c in centers], axis=0)
+        assert np.array_equal(transform_values(basis, pts), balls)
+        union = Union(components=basis.components)
+        assert np.array_equal(transform_values(union, pts), balls)
 
 
 def test_grid_histogram_examples():
