@@ -196,14 +196,15 @@ class SolveStatus(enum.Enum):
     EXPORT_ONLY = "export-only"
 
 
-# one record per solver iteration: costs, relative residuals and gap, mu
+# one record per solver iteration: costs, relative residuals and gap, mu, and
+# the step length taken from the iterate (NaN when none was taken)
 TRACE_DTYPE = np.dtype([("iter", np.int64), ("pcost", float), ("dcost", float),
                         ("pres", float), ("dres", float), ("gap", float),
-                        ("mu", float)])
+                        ("mu", float), ("step", float)])
 
 
 def trace_array(rows=()) -> np.ndarray:
-    """A read-only TRACE_DTYPE array of (iter, pcost, ..., mu) tuples."""
+    """A read-only TRACE_DTYPE array of (iter, pcost, ..., mu, step) tuples."""
     out = np.array(list(rows), dtype=TRACE_DTYPE)
     out.flags.writeable = False
     return out
@@ -222,7 +223,9 @@ class Solution:
     are in the program's inequality-row order.  trace is a read-only
     structured array of TRACE_DTYPE, one record per iteration, so
     ``trace["pres"]`` is the residual history and ``trace[i]["gap"]`` one
-    entry; it is empty when no iteration ran.
+    entry; ``trace["step"]`` is the step length taken from each iterate,
+    NaN where none was (the last record, unless the iteration limit ended
+    the solve); it is empty when no iteration ran.
     """
 
     status: SolveStatus

@@ -23,9 +23,22 @@ scaling and every cone kernel are a fixed number of array operations over all
 rows, whatever the number and dimensions of the blocks: per-block sums over
 the block heads with ``np.add.reduceat``, broadcast back to rows through a
 row-to-block index.  The scaling is an operator and no p x p scaling matrix is
-built.  The KKT system is still dense, (n+me+p) square: it is allocated once
-per solve, each iteration rewrites only its -W^2 entries, and it is
-LU-factored twice per iteration, for the predictor and the corrector.
+built.
+
+Step lengths are measured in the scaled space, as in CVXOPT's ``coneqp``:
+W^{-1} ds and W dz both step from the one point lam = W z = W^{-1} s, and W
+maps the cone onto itself, so one kernel (``_NT.max_step``) measures both
+against lam.  The predictor takes its step and mu_aff from lam and never
+unscales ds.  The corrector moves by SDPT3's fraction of the step alpha to
+the boundary (Toh, Todd & Tutuncu 1999), min(1, (0.9 + 0.09 min(1, alpha))
+alpha): 0.99 alpha when alpha is long, further back when it is short.
+
+The KKT system is still dense, (n+me+p) square: it is allocated once per
+solve, each iteration rewrites only its -W^2 entries, and it is LU-factored
+twice per iteration, for the predictor and the corrector.  A reduced system
+that eliminates s and z waits until the benchmark's peak_rss_mb measures the
+working set instead of every op's retained output, which grows with
+throughput.
 """
 
 from __future__ import annotations
@@ -46,7 +59,6 @@ from .conic import (
 )
 from .errors import ExportOnlyProgramError
 
-_STEP = 0.99
 _REG = 1e-10
 
 
@@ -146,61 +158,48 @@ def _jdiv(cones: _Cones, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _max_step(cones: _Cones, v: np.ndarray, d: np.ndarray) -> float:
-    """Largest alpha >= 0 with v + alpha*d still in the cone (can be inf).
-
-    v and d may stack several vectors as rows; the step then keeps every
-    row in the cone.  A NaN candidate never sets the step.
-    """
-    heads, blk = cones.heads, cones.blk
-    # in units of each block's head v0 > 0, so that v0 = 1 and a one-row
-    # block's discriminant is exactly 0: its step is then -v0/d0 to rounding
-    scale = (1.0 / v[..., heads])[..., blk]
-    v, d = v * scale, d * scale
-    d0 = d[..., heads]
-    a0 = 1.0 - cones.tdot(v, v)
-    a1 = d0 - cones.tdot(v, d)
-    a2 = d0 * d0 - cones.tdot(d, d)
-    disc = a1 * a1 - a2 * a0
-    # smallest positive root of a2 t^2 + 2 a1 t + a0, written in the
-    # numerically stable conjugate form a0 / (-a1 + sqrt(disc))
-    denom = -a1 + np.sqrt(np.maximum(disc, 0.0))
-    root = ~((a2 == 0.0) & (a1 >= 0.0)) & (denom > 0.0)
-    root &= (a2 <= 0.0) | ((a1 < 0.0) & (disc >= 0.0))
-    back = d0 < 0.0
-    cands = np.concatenate((a0[root] / denom[root], -1.0 / d0[back]))
-    return float(np.fmin.reduce(cands, initial=math.inf))
-
-
 class _NT:
     """Nesterov-Todd scaling W, with W z = W^{-1} s = lam, as an operator.
 
     Per block W = eta T(wbar), where wbar has unit J-norm and
     T(wbar) = [[w0, w1'], [w1, I + w1 w1'/(1 + w0)]], so that
     W^2 = eta^2 (2 wbar wbar' - J).  On a one-row block wbar = 1 and
-    W = eta = sqrt(s/z).
+    W = eta = sqrt(s/z).  ``sz`` stacks s and z as its two rows.
+
+    lam = kappa lbar, with kappa = (det s det z)^(1/4) and lbar of unit
+    J-norm, is built in closed form from the normalized s and z, as in
+    CVXOPT's ``compute_scaling``; on a one-row block lbar = 1 and
+    lam = kappa = sqrt(s z).
     """
 
-    def __init__(self, cones: _Cones, s: np.ndarray, z: np.ndarray):
+    def __init__(self, cones: _Cones, sz: np.ndarray):
         heads, blk = cones.heads, cones.blk
-        s0, z0 = s[heads], z[heads]
-        ds = s0 * s0 - cones.tdot(s, s)
-        dz = z0 * z0 - cones.tdot(z, z)
+        head = sz[:, heads]
+        det = head * head - cones.tdot(sz, sz)
         # interior: heads and determinants all positive (det > 0 alone also
         # admits the negative cone); NaN fails
-        inside = np.concatenate((s0, z0, ds, dz))
-        if not np.min(inside, initial=math.inf) > 0.0:
+        if not np.minimum(head, det).min(initial=math.inf) > 0.0:
             raise _Breakdown("iterate left the cone interior")
         self.cones = cones
-        self.eta = (ds / dz) ** 0.25
-        sn = s / np.sqrt(ds)[blk]
-        zn = z / np.sqrt(dz)[blk]
+        root = np.sqrt(det)
+        # s and z scaled to unit J-norm
+        unit = sz / root[:, blk]
+        unit0 = head / root
+        sn, zn = unit
         gamma = np.sqrt((1.0 + np.add.reduceat(sn * zn, heads)) / 2.0)
+        self.eta = np.sqrt(root[0] / root[1])
         self.wbar = (sn + cones.J * zn) / (2.0 * gamma)[blk]
         self.w0, self.w1 = self.wbar[heads], self.wbar * cones.tail
         self._w0inv = 1.0 / (1.0 + self.w0)
         self._eta = self.eta[blk]
-        self.lam = self.apply(z)
+        self.kappa = np.sqrt(root[0] * root[1])
+        # lbar1 = ((gamma + zn0) sn1 + (gamma + sn0) zn1) / (sn0 + zn0 + 2 gamma)
+        lbar = ((gamma + unit0[::-1])[:, blk] * unit).sum(axis=0) / (
+            unit0.sum(axis=0) + 2.0 * gamma)[blk]
+        lbar[heads] = gamma
+        self.lam = lbar * self.kappa[blk]
+        self._l0, self._l1 = gamma, lbar * cones.tail
+        self._l0inv = 1.0 / (1.0 + gamma)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """W v."""
@@ -212,6 +211,24 @@ class _NT:
         out = v + (v0 + dot * self._w0inv)[self.cones.blk] * w1
         out[heads] = w0 * v0 + dot
         return out * self._eta
+
+    def max_step(self, d: np.ndarray) -> float:
+        """Largest alpha >= 0 with lam + alpha*d in the cone (can be inf).
+
+        d stacks scaled directions as rows, W^{-1} ds and W dz, and the step
+        keeps every row in the cone.  The hyperbolic rotation T(J lbar) maps
+        lbar to the cone identity e and the cone onto itself, so with
+        t = T(J lbar) d a block stays inside while alpha (||t1|| - t0) <= kappa.
+        On a one-row block the step is -lam/d.  A NaN never sets the step.
+        """
+        heads, l1 = self.cones.heads, self._l1
+        d0 = d[:, heads]
+        dot = np.add.reduceat(l1 * d, heads, axis=1)
+        # t has the head l0 d0 - l1'd1 and the tail d1 - (d0 - dot/(1 + l0)) l1
+        t = d - (d0 - dot * self._l0inv)[:, self.cones.blk] * l1
+        out = np.fmax.reduce(np.sqrt(self.cones.tdot(t, t)) - (self._l0 * d0 - dot))
+        pos = out > 0.0
+        return float(np.minimum.reduce(self.kappa[pos] / out[pos], initial=math.inf))
 
 
 def _kkt_solve(K: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
@@ -315,10 +332,11 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
         init = np.zeros((n + me + p, 2))
     x = init[:n, 0]
     y = init[n : n + me, 1]
-    # s and z live stacked, as _max_step reads them, and dsz is their step
+    # s and z live stacked, as _NT reads them, and dsc holds the scaled step
+    # (W^{-1} ds, W dz) that _NT.max_step reads
     sz = np.stack((-init[n + me :, 0], init[n + me :, 1]))
     s, z = sz
-    dsz = np.empty((2, p))
+    dsc = np.empty((2, p))
     e = _cone_identity(cones, p)
     for v in (s, z):
         t = -_min_eig(cones, v)
@@ -356,7 +374,9 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
         dres = _norm(rx) / resx0 / tau
         gap_abs = float(st @ zt)
         relgap = gap_abs / max(1.0, abs(pcost), abs(dcost))
-        trace.append((it, pcost, dcost, pres, dres, relgap, float(mu)))
+        # the step taken from this iterate replaces the NaN once it is known
+        row = (it, pcost, dcost, pres, dres, relgap, float(mu))
+        trace.append(row + (math.nan,))
 
         score = max(pres, dres, relgap)
         if score < best_score:
@@ -397,61 +417,69 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
                                 trace=trace_array(trace))
 
         try:
-            nt = _NT(cones, s, z)
+            nt = _NT(cones, sz)
             lam = nt.lam
             kkt.set_scaling(nt)
 
-            def _direction(sigma, ds_rhs, dtk_rhs):
-                """(dx, dy, dtau, dkappa, lds, W dz); (ds, dz) go to dsz."""
+            def _direction(sigma, lds, wlds, dtk_rhs):
+                """(dx, dy, dtau, dkappa, dz); dsc gets (W^{-1} ds, W dz).
+
+                lds solves lam o lds = r for the complementarity right-hand
+                side r, and wlds = W lds.
+                """
                 f = 1.0 - sigma
                 rhs2[:n, 1] = -f * rx
                 rhs2[n : n + me, 1] = -f * ry
-                lds = _jdiv(cones, lam, ds_rhs)
-                rhs2[n + me :, 1] = -f * rz - nt.apply(lds)
+                rhs2[n + me :, 1] = -f * rz - wlds
                 sol = _kkt_solve(K, rhs2, n)
                 x1, y1, z1 = sol[:n, 0], sol[n : n + me, 0], sol[n + me :, 0]
                 x2, y2, z2 = sol[:n, 1], sol[n : n + me, 1], sol[n + me :, 1]
                 denom = float(c @ x1 + b @ y1 + h @ z1) - kappa / tau
                 num = -f * rt - dtk_rhs / tau - float(c @ x2 + b @ y2 + h @ z2)
                 dtau = num / denom
-                dsz[1] = z2 + dtau * z1
-                wdz = nt.apply(dsz[1])
-                dsz[0] = nt.apply(lds - wdz)
+                dz = z2 + dtau * z1
+                dsc[1] = nt.apply(dz)
+                dsc[0] = lds - dsc[1]
                 dkappa = (dtk_rhs - kappa * dtau) / tau
-                return x2 + dtau * x1, y2 + dtau * y1, dtau, dkappa, lds, wdz
+                return x2 + dtau * x1, y2 + dtau * y1, dtau, dkappa, dz
 
-            lam2 = _jprod(cones, lam, lam)
-
-            # predictor
-            _, _, dta, dka, lds_a, wdz_a = _direction(0.0, -lam2, -tau * kappa)
-            alpha = _max_step(cones, sz, dsz)
+            # predictor: lam o lds = -lam o lam gives lds = -lam and
+            # W lds = -s; s'z = lam'lam and W is symmetric, so the affine s'z
+            # is read off the scaled directions
+            _, _, dta, dka, _ = _direction(0.0, -lam, -s, -tau * kappa)
+            alpha = nt.max_step(dsc)
             if dta < 0.0:
                 alpha = min(alpha, -tau / dta)
             if dka < 0.0:
                 alpha = min(alpha, -kappa / dka)
             a = min(1.0, alpha)
-            mu_aff = ((s + a * dsz[0]) @ (z + a * dsz[1])
+            mu_aff = ((lam + a * dsc[0]) @ (lam + a * dsc[1])
                       + (tau + a * dta) * (kappa + a * dka)) / nu
             sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
-            # corrector; W^{-1} dsa = lds_a - W dza
-            corr = _jprod(cones, lds_a - wdz_a, wdz_a)
-            ds_rhs = sigma * mu * e - lam2 - corr
+            # corrector
+            corr = _jprod(cones, dsc[0], dsc[1])
+            lds = _jdiv(cones, lam, sigma * mu * e - _jprod(cones, lam, lam) - corr)
             dtk_rhs = sigma * mu - tau * kappa - dta * dka
-            dx, dy, dtau, dkappa, _, _ = _direction(sigma, ds_rhs, dtk_rhs)
+            dx, dy, dtau, dkappa, dz = _direction(sigma, lds, nt.apply(lds), dtk_rhs)
 
-            alpha = _max_step(cones, sz, dsz)
+            alpha = nt.max_step(dsc)
             if dtau < 0.0:
                 alpha = min(alpha, -tau / dtau)
             if dkappa < 0.0:
                 alpha = min(alpha, -kappa / dkappa)
-            a = min(1.0, _STEP * alpha)
+            # SDPT3's step fraction (Toh, Todd & Tutuncu 1999): 0.99 alpha
+            # (at most a full step) when alpha >= 1, falling to 0.9 alpha as
+            # alpha shrinks
+            a = min(1.0, (0.9 + 0.09 * min(1.0, alpha)) * alpha)
             if not math.isfinite(a) or a <= 0.0:
                 raise _Breakdown("no progress possible")
+            trace[-1] = row + (a,)
 
             x = x + a * dx
             y = y + a * dy
-            sz += a * dsz
+            s += a * nt.apply(dsc[0])
+            z += a * dz
             tau = tau + a * dtau
             kappa = kappa + a * dkappa
             if tau <= 0.0 or kappa <= 0.0:

@@ -2,8 +2,10 @@
 
 The ``ref_*`` functions below are the per-block loops the solver used
 before its cone layer ran over all second-order blocks at once; they are
-kept here only as the oracle.  ``blocks`` lists ("l" | "q", slice) over the
-inequality rows in program order.
+kept here only as the oracle.  ``ref_max_step``, the root of each block's
+quadratic on s or z, is the oracle of the solver's step measured in the
+scaled space.  ``blocks`` lists ("l" | "q", slice) over the inequality rows
+in program order.
 """
 
 import math
@@ -194,18 +196,85 @@ def test_kernels_match_per_block_formulas():
                 ref_min_eig(blocks, x), rel=1e-12, abs=1e-12)
         assert_rel(ipm._jprod(cones, u, w), ref_jprod(blocks, u, w))
         assert_rel(ipm._jdiv(cones, u, w), ref_jdiv(blocks, u, w))
-        # directions that leave the cone and ones that never do (step inf)
-        steps = (d, v, v - 0.5 * u)
-        for step in steps:
-            got = ipm._max_step(cones, u, step)
-            want = ref_max_step(blocks, u, step)
-            assert got == pytest.approx(want, rel=1e-12), (got, want)
-        # stacked rows: the step that keeps every row in the cone
-        got = ipm._max_step(cones, np.stack((u, v)), np.stack((d, u - v)))
-        want = min(ref_max_step(blocks, u, d), ref_max_step(blocks, v, u - v))
-        assert got == pytest.approx(want, rel=1e-12), (got, want)
         e = ipm._cone_identity(cones, p)
         assert_rel(ipm._jprod(cones, e, w), w)
+
+
+def at(cones, u):
+    """The scaling at s = z = u: W = I, so its lam is u and its steps are u's."""
+    return ipm._NT(cones, np.stack((u, u)))
+
+
+def test_scaled_step_matches_per_block_formula():
+    for rng, _, sp, blocks, p in layouts():
+        u, v = interior(rng, blocks, p), interior(rng, blocks, p)
+        d = rng.normal(size=p)
+        nt = at(sp.cones, u)
+        assert_rel(nt.lam, u)
+        # directions that leave the cone and ones that never do (step inf)
+        for step in (d, v, v - 0.5 * u):
+            got = nt.max_step(step[None])
+            want = ref_max_step(blocks, u, step)
+            assert got == pytest.approx(want, rel=1e-12), (got, want)
+        assert nt.max_step(v[None]) == math.inf
+        # stacked rows: the step that keeps every row in the cone
+        got = nt.max_step(np.stack((d, v - 0.5 * u)))
+        want = min(ref_max_step(blocks, u, d), ref_max_step(blocks, u, v - 0.5 * u))
+        assert got == pytest.approx(want, rel=1e-12), (got, want)
+
+
+def test_scaled_step_is_the_step_of_s_and_z():
+    """W is a cone automorphism: lam + a W^{-1} ds and lam + a W dz stay in
+    the cone exactly as long as s + a ds and z + a dz do."""
+    for rng, _, sp, blocks, p in layouts():
+        s, z = interior(rng, blocks, p), interior(rng, blocks, p)
+        ds, dz = rng.normal(size=p), rng.normal(size=p)
+        W, Winv, _, _ = ref_scaling(blocks, s, z, p)
+        got = ipm._NT(sp.cones, np.stack((s, z))).max_step(np.stack((Winv @ ds, W @ dz)))
+        want = min(ref_max_step(blocks, s, ds), ref_max_step(blocks, z, dz))
+        assert got == pytest.approx(want, rel=1e-12), (got, want)
+
+
+def test_scaled_step_of_one_row_blocks_is_minus_lam_over_d():
+    rng = np.random.default_rng(7)
+    for k in (1, 5, 40):
+        sp = ipm._split(ConicProgram(c=np.ones(2), A=rng.normal(size=(k, 2)),
+                                     b=np.ones(k), cones=(Nonneg(k),)))
+        for _ in range(20):
+            sz = rng.uniform(0.01, 3.0, size=(2, k))
+            d = rng.normal(size=(2, k))
+            nt = ipm._NT(sp.cones, sz)
+            assert np.array_equal(nt.lam, np.sqrt(sz[0] * sz[1]))
+            for rows in (d[:1], d):
+                neg = rows < 0.0
+                lam = np.broadcast_to(nt.lam, rows.shape)
+                want = float(np.min(-lam[neg] / rows[neg], initial=math.inf))
+                assert nt.max_step(rows) == want
+
+
+def test_scaled_step_skips_nan():
+    """A NaN never sets the step: a block whose rows are all NaN gives no
+    candidate, and a NaN row defers to the other rows of its block."""
+    for rng, _, sp, blocks, p in layouts():
+        u = interior(rng, blocks, p)
+        d = rng.normal(size=p)
+        nt = at(sp.cones, u)
+        for i, (_, sl) in enumerate(blocks):
+            bad = d.copy()
+            bad[sl] = math.nan
+            rest = [blk for j, blk in enumerate(blocks) if j != i]
+            got = nt.max_step(bad[None])
+            want = ref_max_step(rest, u, d)
+            assert got == pytest.approx(want, rel=1e-12), (got, want)
+            assert nt.max_step(np.stack((bad, d))) == nt.max_step(d[None])
+
+
+def test_scaled_step_without_inequality_rows_is_inf():
+    sp = ipm._split(ConicProgram(c=np.ones(2), A=np.ones((1, 2)), b=[1.0],
+                                 cones=(Zero(1),)))
+    nt = ipm._NT(sp.cones, np.zeros((2, 0)))
+    assert nt.lam.shape == (0,)
+    assert nt.max_step(np.zeros((2, 0))) == math.inf
 
 
 def test_nt_operator_matches_dense_scaling():
@@ -213,7 +282,7 @@ def test_nt_operator_matches_dense_scaling():
         s, z = interior(rng, blocks, p), interior(rng, blocks, p)
         v = rng.normal(size=p)
         W, Winv, W2, lam = ref_scaling(blocks, s, z, p)
-        nt = ipm._NT(sp.cones, s, z)
+        nt = ipm._NT(sp.cones, np.stack((s, z)))
         assert_rel(nt.lam, lam)
         assert_rel(nt.apply(v), W @ v)
         assert_rel(nt.apply(Winv @ v), v)
@@ -238,7 +307,7 @@ def test_nt_operator_rejects_points_outside_the_cone():
             continue
         s[heads[-1]] = 0.0  # s0^2 - ||s1||^2 < 0
         with pytest.raises(ipm._Breakdown):
-            ipm._NT(sp.cones, s, z)
+            ipm._NT(sp.cones, np.stack((s, z)))
 
 
 def test_nt_operator_rejects_nonneg_and_negative_cone_points():
@@ -251,4 +320,4 @@ def test_nt_operator_rejects_nonneg_and_negative_cone_points():
                 pair[which][sl] *= -1.0
                 assert ipm._min_eig(sp.cones, pair[which]) < 0.0
                 with pytest.raises(ipm._Breakdown):
-                    ipm._NT(sp.cones, pair[0], pair[1])
+                    ipm._NT(sp.cones, np.stack(pair))
