@@ -51,6 +51,13 @@ def _json_flag(text: str):
         raise argparse.ArgumentTypeError(f"invalid JSON: {exc}") from exc
 
 
+def _seed_flag(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -217,7 +224,7 @@ def _add_two_phase_flags(sub, with_scale=False):
                      help="shape fitting options as inline JSON")
     sub.add_argument("--split", type=float, default=0.5,
                      help="Phase-1 fraction; n1 = floor(n * split)")
-    sub.add_argument("--seed", type=int, default=0,
+    sub.add_argument("--seed", type=_seed_flag, default=0,
                      help="seed for the data split")
     if with_scale:
         sub.add_argument("--scale", default="auto",
@@ -260,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("experiment", help="replicated Monte Carlo runs")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_flag, default=0)
     p.add_argument("--records-csv", default=None,
                    help="also write per-replication records to this file")
     p.set_defaults(func=_cmd_experiment)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,11 +15,18 @@ FROZEN_I_UPPER = {
     (100, 0.05, 0.05): 99,
     (1000, 0.05, 0.05): 962,
     (10000, 0.05, 0.05): 9537,
+    (1_000_000, 0.05, 0.05): 950359,
+    (100_000, 0.001, 1e-5): 99941,
+    (300_000, 0.2, 0.9): 239720,
     (1, 0.5, 0.5): 1,
 }
 FROZEN_I_LOWER = {
     (59, 0.05, 0.05): 53,
     (100, 0.05, 0.05): 91,
+    (1_000_000, 0.05, 0.05): 949641,
+    (100_000, 0.001, 1e-5): 99855,
+    # a delta this large puts i_lower above i_star
+    (300_000, 0.2, 0.9): 240281,
     (1, 0.5, 0.5): 1,
 }
 FROZEN_CONFIDENCE = {
@@ -61,7 +69,7 @@ def test_index_upper_matches_oracle_randomized():
         assert got == want, (n2, eps, delta)
 
 
-def test_index_upper_large_delta_walks_down():
+def test_index_upper_large_delta_is_below_mean_rank():
     # delta > 0.5 puts the answer below ceil(n2 (1-eps))
     got = calibrate.calib_index_upper(100, 0.05, 0.9)
     cdf = stats.binom.cdf(np.arange(100), 100, 0.95)
@@ -103,6 +111,20 @@ def test_index_lower_validity_precondition():
         calibrate.calib_index_lower(2, 0.5, 0.05)
     # while (2, 0.05, 0.05) is fine: 1 - 0.05^2 = 0.9975 >= 0.95
     assert calibrate.calib_index_lower(2, 0.05, 0.05) >= 1
+
+
+def test_index_ranks_hold_two_arrays_at_scale():
+    # the pmf table and its cumulative sums share one array of n2 floats;
+    # building the table needs one more
+    n2 = 10**6
+    for index in (calibrate.calib_index_upper, calibrate.calib_index_lower):
+        tracemalloc.start()
+        try:
+            index(n2, 0.05, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * n2 + 2**20, (index.__name__, peak)
 
 
 def test_lower_index_never_exceeds_upper():

@@ -91,6 +91,13 @@ def test_usage_errors_exit_two(capsys):
         cli.main(["experiment", "--config", "cfg.json", "--jobs", "2"])
     assert info.value.code == 2
     capsys.readouterr()
+    for command in ("solve", "reconstruct", "export", "experiment"):
+        flags = (["--config", "cfg.json"] if command == "experiment"
+                 else ["--spec", "spec.json", "--data", "x.csv"])
+        with pytest.raises(SystemExit) as info:  # a seed is never negative
+            cli.main([command, *flags, "--seed", "-1"])
+        assert info.value.code == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
