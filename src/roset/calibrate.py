@@ -6,14 +6,14 @@ target:
 
     i* = min{ r : P(Bin(n2, 1-eps) <= r-1) >= 1-delta }.
 
-Both ranks and binom_cdf read one pmf table, P(Bin(n2, p) = j) for
-j = 0..k, built from the ratio recurrence pmf(j)/pmf(j-1) in log space: the
-log terms are accumulated in order from n2*log1p(-p), so no term over- or
-underflows before its own exp. The table and its cumulative sums hold at
-most two float arrays of n2 (16 MB at n2 = 1e6, 160 MB at 1e7). CDF
-comparisons against 1-delta carry a 1e-12 slack to keep boundary cases
-(where the tail equals the target exactly in real arithmetic) from
-flipping on rounding.
+Both ranks, binom_cdf and the achieved confidence read one pmf table,
+P(Bin(n2, p) = j) for j = 0..k, built from the ratio recurrence
+pmf(j)/pmf(j-1) in log space: the log terms are accumulated in order from
+n2*log1p(-p), so no term over- or underflows before its own exp. The table
+and its cumulative sums hold at most two float arrays of n2 (16 MB at
+n2 = 1e6, 160 MB at 1e7). CDF comparisons against 1-delta carry a 1e-12
+slack to keep boundary cases (where the tail equals the target exactly in
+real arithmetic) from flipping on rounding.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "CalibResult",
     "min_phase2_size",
     "calib_index_upper",
+    "upper_rank_confidence",
     "calib_index_lower",
     "calibrate_size",
     "theoretical_confidence",
@@ -97,9 +98,9 @@ def binom_cdf(k: int, n: int, p: float) -> float:
     return min(float(np.cumsum(pmf, out=pmf)[-1]), 1.0)
 
 
-def calib_index_upper(n2: int, epsilon: float, delta: float) -> int:
-    """Rank of the order statistic giving a 1-delta upper confidence bound
-    on the (1-eps) quantile."""
+def upper_rank_confidence(n2: int, epsilon: float, delta: float) -> tuple[int, float]:
+    """i* and its achieved confidence P(Bin(n2, 1-eps) <= i*-1), both read
+    off one cumulative table."""
     epsilon = _check_prob(epsilon, "epsilon")
     delta = _check_prob(delta, "delta")
     n2 = int(n2)
@@ -114,7 +115,14 @@ def calib_index_upper(n2: int, epsilon: float, delta: float) -> int:
     # cdf[r-1] = P(Bin(n2, 1-eps) <= r-1), nondecreasing in r
     cdf = _pmf(n2, 1.0 - epsilon, n2 - 1)
     np.cumsum(cdf, out=cdf)
-    return min(int(np.searchsorted(cdf, target)) + 1, n2)
+    i_star = min(int(np.searchsorted(cdf, target)) + 1, n2)
+    return i_star, min(float(cdf[i_star - 1]), 1.0)
+
+
+def calib_index_upper(n2: int, epsilon: float, delta: float) -> int:
+    """Rank of the order statistic giving a 1-delta upper confidence bound
+    on the (1-eps) quantile."""
+    return upper_rank_confidence(n2, epsilon, delta)[0]
 
 
 def calib_index_lower(n2: int, epsilon: float, delta: float) -> int:
@@ -165,5 +173,4 @@ def calibrate_size(t_values, epsilon: float, delta: float) -> CalibResult:
 
 def theoretical_confidence(n2: int, epsilon: float, delta: float) -> float:
     """Achieved confidence 1 - delta_theoretical at the chosen rank i*."""
-    i_star = calib_index_upper(n2, epsilon, delta)
-    return binom_cdf(i_star - 1, int(n2), 1.0 - float(epsilon))
+    return upper_rank_confidence(n2, epsilon, delta)[1]

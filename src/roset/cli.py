@@ -80,7 +80,7 @@ def _split_sizes(n: int, split: float) -> int:
 def _cmd_calibrate(args) -> int:
     n2 = args.n2
     min_n2 = calibrate.min_phase2_size(args.eps, args.delta)
-    i_star = calibrate.calib_index_upper(n2, args.eps, args.delta)
+    i_star, confidence = calibrate.upper_rank_confidence(n2, args.eps, args.delta)
     try:
         i_lower = calibrate.calib_index_lower(n2, args.eps, args.delta)
     except InfeasibleCalibrationError:
@@ -92,7 +92,7 @@ def _cmd_calibrate(args) -> int:
         "epsilon": args.eps,
         "delta": args.delta,
         "min_n2": min_n2,
-        "confidence": calibrate.theoretical_confidence(n2, args.eps, args.delta),
+        "confidence": confidence,
     })
     return 0
 

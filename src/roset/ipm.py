@@ -6,7 +6,8 @@ Mehrotra predictor-corrector step.  The embedding solves
     minimize c'x  s.t.  Ax = b,  Gx + s = h,  s in C,
 
 obtained from the IR by routing Zero rows to (A, b) and Nonneg/SecondOrder
-rows to (G, h).  Working variables are (x, y, z, s, tau, kappa); residuals
+rows to (G, h).  Working variables are (x, y, z, s, tau, kappa), with (y, z)
+one dual vector over the rows [A; G]; residuals
 
     rx = A'y + G'z + c*tau
     ry = Ax - b*tau
@@ -33,12 +34,15 @@ unscales ds.  The corrector moves by SDPT3's fraction of the step alpha to
 the boundary (Toh, Todd & Tutuncu 1999), min(1, (0.9 + 0.09 min(1, alpha))
 alpha): 0.99 alpha when alpha is long, further back when it is short.
 
-The KKT system is still dense, (n+me+p) square: it is allocated once per
-solve, each iteration rewrites only its -W^2 entries, and it is LU-factored
-twice per iteration, for the predictor and the corrector.  A reduced system
-that eliminates s and z waits until the benchmark's peak_rss_mb measures the
-working set instead of every op's retained output, which grows with
-throughput.
+The KKT system is the scaled one of ``coneqp`` (Vandenberghe 2010): the one
+with a -W^2 block, its last block row multiplied by W^{-1}, in the unknowns
+(dx, dy, W dz).  Its -I block stays well scaled where W^2 spreads apart near
+the boundary, and W dz is the scaled direction that max_step reads.  It is
+dense, (n+me+p) square, and LU-factored twice per iteration.  A reduced
+system that eliminates s and z waits until the benchmark's peak_rss_mb
+measures the working set: the benchmark keeps every op's output, about 9 KB
+per scenario_lp op (54.1 MB after 129 ops, 65.6 MB after 1408), so a
+scenario_lp speedup above about 3.4x breaks its bound.
 """
 
 from __future__ import annotations
@@ -212,6 +216,20 @@ class _NT:
         out[heads] = w0 * v0 + dot
         return out * self._eta
 
+    def apply_inv(self, v: np.ndarray) -> np.ndarray:
+        """W^{-1} v; on a (p, k) v, W^{-1} of each column."""
+        # W^{-1} = J T(wbar) J / eta: with dot = w1'v1, the head w0 v0 - dot
+        # and the tail v1 - (v0 - dot / (1 + w0)) w1
+        heads = self.cones.heads
+        col = (slice(None),) + (None,) * (v.ndim - 1)
+        w1 = self.w1[col]
+        v0 = v[heads]
+        dot = np.add.reduceat(w1 * v, heads)
+        out = v - (v0 - dot * self._w0inv[col])[self.cones.blk] * w1
+        out[heads] = self.w0[col] * v0 - dot
+        out /= self._eta[col]
+        return out
+
     def max_step(self, d: np.ndarray) -> float:
         """Largest alpha >= 0 with lam + alpha*d in the cone (can be inf).
 
@@ -255,40 +273,38 @@ def _kkt_solve(K: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
 
 
 class _KKT:
-    """The dense KKT matrix [[0, A', G'], [A, 0, 0], [G, 0, -W^2]] of a solve.
+    """The scaled KKT system [[0, A', (W^{-1}G)'], [A, 0, 0], [W^{-1}G, 0, -I]].
 
-    It is allocated once with W = I; ``set_scaling`` rewrites only the -W^2
-    entries, each block's dim^2 entries.
+    It is allocated once with W = I, so the -I block is written once per
+    solve; ``set_scaling`` rewrites the W^{-1}G blocks, from one W^{-1} pass
+    over the columns [G, h, rz], and W^{-1}h in ``cbh`` = (c, b, W^{-1}h) and in
+    the shared right-hand side column ``rhs[:, 0]`` = (-c, b, W^{-1}h).
     """
 
     def __init__(self, sp: _Split):
-        n, me, p = sp.c.size, sp.b.size, sp.h.size
-        N, off = n + me + p, n + me
-        self.K = K = np.zeros((N, N))
-        K[:n, n:off] = sp.A.T
-        K[n:off, :n] = sp.A
-        K[:n, off:] = sp.G.T
-        K[off:, :n] = sp.G
-        cones = sp.cones
-        dims, heads = cones.dims, cones.heads
-        # entry e of block k sits at (heads[k] + i, heads[k] + j), with
-        # (i, j) = divmod(local index, dims[k]), in row-major order
-        size = dims * dims
-        self._blk = np.repeat(np.arange(dims.size), size)
-        local = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-        k = dims[self._blk]
-        self._r = heads[self._blk] + local // k
-        self._c = heads[self._blk] + local % k
-        diag = self._r == self._c
-        self._jdiag = np.where(diag, cones.J[self._r], 0.0)
-        self._flat = K.reshape(-1)
-        self._idx = (off + self._r) * N + off + self._c
-        self._flat[self._idx[diag]] = -1.0
+        c, b, G, h = sp.c, sp.b, sp.G, sp.h
+        n, off = c.size, c.size + b.size
+        self.n, self.off = n, off
+        self.K = K = np.zeros((off + h.size,) * 2)
+        self.AG = AG = np.vstack((sp.A, G))
+        K[:n, n:] = AG.T
+        K[n:, :n] = AG
+        np.fill_diagonal(K[off:, off:], -1.0)
+        self._cols = np.column_stack((G, h, h))
+        self.cbh = np.concatenate((c, b, h))
+        self.rhs = np.zeros((off + h.size, 2))
+        self.rhs[:, 0] = self.cbh
+        self.rhs[:n, 0] = -c
 
-    def set_scaling(self, nt: _NT) -> None:
-        wbar = nt.wbar
-        self._flat[self._idx] = nt.eta[self._blk] ** 2 * (
-            self._jdiag - 2.0 * wbar[self._r] * wbar[self._c])
+    def set_scaling(self, nt: _NT, rz: np.ndarray) -> np.ndarray:
+        """Rewrite the W^{-1}G and W^{-1}h parts for nt; return W^{-1} rz."""
+        n, off, cols = self.n, self.off, self._cols
+        cols[:, -1] = rz
+        cols = nt.apply_inv(cols)
+        self.K[off:, :n] = cols[:, :n]
+        self.K[:n, off:] = cols[:, :n].T
+        self.cbh[off:] = self.rhs[off:, 0] = cols[:, n]
+        return cols[:, n + 1]
 
 
 def _norm(v: np.ndarray) -> float:
@@ -299,7 +315,7 @@ def _norm(v: np.ndarray) -> float:
 def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
           max_iter: int = 200) -> Solution:
     sp = _split(prog)
-    c, A, b, G, h = sp.c, sp.A, sp.b, sp.G, sp.h
+    c, b, h = sp.c, sp.b, sp.h
     cones, nu = sp.cones, sp.nu
     n, me, p = c.size, b.size, h.size
 
@@ -314,40 +330,33 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
                         y=None, z=None, s=None, obj=None, gap=None, gap_abs=None,
                         pres=None, dres=None, iterations=0, cert_residual=0.0)
 
-    resx0 = max(1.0, float(np.linalg.norm(c)))
-    resy0 = max(1.0, float(np.linalg.norm(b)))
-    resz0 = max(1.0, float(np.linalg.norm(h)))
+    resx0, resy0, resz0 = (max(1.0, float(np.linalg.norm(v))) for v in (c, b, h))
+    off, bh = n + me, np.concatenate((b, h))
 
     # initialization: least-norm heuristic with identity scaling, then shift
     # s and z into the cone interior
     kkt = _KKT(sp)
-    K = kkt.K
-    rhs = np.zeros((n + me + p, 2))
-    rhs[n : n + me, 0] = b
-    rhs[n + me :, 0] = h
-    rhs[:n, 1] = -c
+    K, rhs, cbh, AG = kkt.K, kkt.rhs, kkt.cbh, kkt.AG
+    init = np.zeros((off + p, 2))
+    init[n:, 0] = bh
+    init[:n, 1] = -c
     try:
-        init = _kkt_solve(K, rhs, n)
+        init = _kkt_solve(K, init, n)
     except _Breakdown:
-        init = np.zeros((n + me + p, 2))
-    x = init[:n, 0]
-    y = init[n : n + me, 1]
-    # s and z live stacked, as _NT reads them, and dsc holds the scaled step
-    # (W^{-1} ds, W dz) that _NT.max_step reads
-    sz = np.stack((-init[n + me :, 0], init[n + me :, 1]))
-    s, z = sz
-    dsc = np.empty((2, p))
+        init = np.zeros((off + p, 2))
+    # the iterate is v = (x, y, z), with (y, z) one dual over the rows [A; G],
+    # and s; each step replaces both arrays, so a kept point stays as it was
+    v = init[:, 1].copy()
+    v[:n] = init[:n, 0]
+    s = -init[off:, 0]
     e = _cone_identity(cones, p)
-    for v in (s, z):
-        t = -_min_eig(cones, v)
+    for u in (s, v[off:]):
+        t = -_min_eig(cones, u)
         if t >= 0.0:
-            v += (1.0 + t) * e
+            u += (1.0 + t) * e
     tau, kappa = 1.0, 1.0
-    # the (-c, b, h) column of every iteration's KKT right-hand side
-    rhs2 = np.zeros((n + me + p, 2))
-    rhs2[:n, 0] = -c
-    rhs2[n : n + me, 0] = b
-    rhs2[n + me :, 0] = h
+    # the scaled step (W^{-1} ds, W dz) that _NT.max_step reads
+    dsc = np.empty((2, p))
 
     best = None
     best_score = math.inf
@@ -355,59 +364,49 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
     it = 0
     reason = "iteration limit"
 
-    def _deflated():
-        return x / tau, y / tau, z / tau, s / tau
-
     for it in range(1, max_iter + 1):
-        rx = A.T @ y + G.T @ z + c * tau
-        ry = A @ x - b * tau
-        rz = G @ x + s - h * tau
-        rt = c @ x + b @ y + h @ z + kappa
-        mu = (s @ z + tau * kappa) / nu
+        x, yz, z = v[:n], v[n:], v[off:]
+        rx = AG.T @ yz + c * tau
+        r = AG @ x - bh * tau
+        r[me:] += s
+        ry, rz = r[:me], r[me:]
+        cx, byhz, sz = float(c @ x), float(bh @ yz), float(s @ z)
+        rt = cx + byhz + kappa
+        mu = (sz + tau * kappa) / nu
 
-        xt, yt, zt, st = _deflated()
-        pcost = float(c @ xt)
-        dcost = float(-(b @ yt + h @ zt))
-        # the deflated residuals are the embedding's over tau:
-        # A xt - b = ry/tau, G xt + st - h = rz/tau, A'yt + G'zt + c = rx/tau
+        pcost, dcost = cx / tau, -byhz / tau
+        # the deflated residuals are the embedding's over tau
         pres = max(_norm(ry) / resy0, _norm(rz) / resz0) / tau
         dres = _norm(rx) / resx0 / tau
-        gap_abs = float(st @ zt)
+        gap_abs = sz / (tau * tau)
         relgap = gap_abs / max(1.0, abs(pcost), abs(dcost))
         # the step taken from this iterate replaces the NaN once it is known
         row = (it, pcost, dcost, pres, dres, relgap, float(mu))
         trace.append(row + (math.nan,))
 
+        point = (v, s, tau, pcost, relgap, gap_abs, pres, dres)
         score = max(pres, dres, relgap)
         if score < best_score:
-            best_score = score
-            best = (xt, yt, zt, st, pcost, relgap, gap_abs, pres, dres)
+            best_score, best = score, point
 
         if pres <= feas_tol and dres <= feas_tol and relgap <= gap_tol:
-            return Solution(status=SolveStatus.OPTIMAL, x=xt, y=yt, z=zt, s=st,
-                            obj=pcost, gap=relgap, gap_abs=gap_abs,
-                            pres=pres, dres=dres, iterations=it,
-                            trace=trace_array(trace))
+            return _solution(SolveStatus.OPTIMAL, n, point, it, trace)
 
         # infeasibility certificates from the embedding
-        by_hz = float(b @ y + h @ z)
-        if by_hz < 0.0:
+        if byhz < 0.0:
             # A'y + G'z = rx - c tau
-            resid = _norm(rx - c * tau) / (-by_hz) / resx0
+            resid = _norm(rx - c * tau) / (-byhz) / resx0
             if resid <= feas_tol:
-                scale = -1.0 / by_hz
+                scale = -1.0 / byhz
                 return Solution(status=SolveStatus.INFEASIBLE, x=None,
-                                y=y * scale, z=z * scale, s=None, obj=None,
-                                gap=None, gap_abs=None, pres=None, dres=None,
-                                iterations=it, cert_residual=resid,
+                                y=v[n:off] * scale, z=z * scale, s=None,
+                                obj=None, gap=None, gap_abs=None, pres=None,
+                                dres=None, iterations=it, cert_residual=resid,
                                 trace=trace_array(trace))
-        cx = float(c @ x)
         if cx < 0.0:
             # A x = ry + b tau, G x + s = rz + h tau
-            resid = max(
-                _norm(ry + b * tau) / resy0,
-                _norm(rz + h * tau) / resz0,
-            ) / (-cx)
+            rb = r + bh * tau
+            resid = max(_norm(rb[:me]) / resy0, _norm(rb[me:]) / resz0) / (-cx)
             if resid <= feas_tol:
                 scale = -1.0 / cx
                 return Solution(status=SolveStatus.UNBOUNDED, x=x * scale,
@@ -417,36 +416,30 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
                                 trace=trace_array(trace))
 
         try:
-            nt = _NT(cones, sz)
+            nt = _NT(cones, np.stack((s, z)))
             lam = nt.lam
-            kkt.set_scaling(nt)
+            res = np.concatenate((rx, ry, kkt.set_scaling(nt, rz)))
 
-            def _direction(sigma, lds, wlds, dtk_rhs):
-                """(dx, dy, dtau, dkappa, dz); dsc gets (W^{-1} ds, W dz).
+            def _direction(sigma, lds, dtk_rhs):
+                """((dx, dy, W dz), dtau, dkappa); dsc gets (W^{-1} ds, W dz).
 
-                lds solves lam o lds = r for the complementarity right-hand
-                side r, and wlds = W lds.
+                lds solves lam o lds = r for the complementarity residual r.
                 """
                 f = 1.0 - sigma
-                rhs2[:n, 1] = -f * rx
-                rhs2[n : n + me, 1] = -f * ry
-                rhs2[n + me :, 1] = -f * rz - wlds
-                sol = _kkt_solve(K, rhs2, n)
-                x1, y1, z1 = sol[:n, 0], sol[n : n + me, 0], sol[n + me :, 0]
-                x2, y2, z2 = sol[:n, 1], sol[n : n + me, 1], sol[n + me :, 1]
-                denom = float(c @ x1 + b @ y1 + h @ z1) - kappa / tau
-                num = -f * rt - dtk_rhs / tau - float(c @ x2 + b @ y2 + h @ z2)
-                dtau = num / denom
-                dz = z2 + dtau * z1
-                dsc[1] = nt.apply(dz)
+                np.multiply(res, -f, out=rhs[:, 1])
+                rhs[off:, 1] -= lds
+                sol = _kkt_solve(K, rhs, n)
+                t1, t2 = cbh @ sol
+                dtau = (-f * rt - dtk_rhs / tau - t2) / (t1 - kappa / tau)
+                d = sol[:, 1] + dtau * sol[:, 0]
+                dsc[1] = d[off:]
                 dsc[0] = lds - dsc[1]
-                dkappa = (dtk_rhs - kappa * dtau) / tau
-                return x2 + dtau * x1, y2 + dtau * y1, dtau, dkappa, dz
+                return d, dtau, (dtk_rhs - kappa * dtau) / tau
 
-            # predictor: lam o lds = -lam o lam gives lds = -lam and
-            # W lds = -s; s'z = lam'lam and W is symmetric, so the affine s'z
-            # is read off the scaled directions
-            _, _, dta, dka, _ = _direction(0.0, -lam, -s, -tau * kappa)
+            # predictor: lam o lds = -lam o lam gives lds = -lam; s'z =
+            # lam'lam and W is symmetric, so the affine s'z is read off the
+            # scaled directions
+            _, dta, dka = _direction(0.0, -lam, -tau * kappa)
             alpha = nt.max_step(dsc)
             if dta < 0.0:
                 alpha = min(alpha, -tau / dta)
@@ -461,7 +454,7 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
             corr = _jprod(cones, dsc[0], dsc[1])
             lds = _jdiv(cones, lam, sigma * mu * e - _jprod(cones, lam, lam) - corr)
             dtk_rhs = sigma * mu - tau * kappa - dta * dka
-            dx, dy, dtau, dkappa, dz = _direction(sigma, lds, nt.apply(lds), dtk_rhs)
+            d, dtau, dkappa = _direction(sigma, lds, dtk_rhs)
 
             alpha = nt.max_step(dsc)
             if dtau < 0.0:
@@ -476,10 +469,9 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
                 raise _Breakdown("no progress possible")
             trace[-1] = row + (a,)
 
-            x = x + a * dx
-            y = y + a * dy
-            s += a * nt.apply(dsc[0])
-            z += a * dz
+            d[off:] = nt.apply_inv(dsc[1])
+            v = v + a * d
+            s = s + a * nt.apply(dsc[0])
             tau = tau + a * dtau
             kappa = kappa + a * dkappa
             if tau <= 0.0 or kappa <= 0.0:
@@ -488,8 +480,15 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
             reason = str(exc)
             break
 
-    xt, yt, zt, st, pcost, relgap, gap_abs, pres, dres = best
-    return Solution(status=SolveStatus.ITER_LIMIT, x=xt, y=yt, z=zt, s=st,
-                    obj=pcost, gap=relgap, gap_abs=gap_abs, pres=pres,
-                    dres=dres, iterations=it, trace=trace_array(trace),
-                    reason=reason)
+    return _solution(SolveStatus.ITER_LIMIT, n, best, it, trace, reason)
+
+
+def _solution(status: SolveStatus, n: int, point: tuple, it: int, trace: list,
+              reason: str | None = None) -> Solution:
+    """The Solution at an iterate point, deflated by its tau."""
+    v, s, tau, pcost, relgap, gap_abs, pres, dres = point
+    off = v.size - s.size
+    return Solution(status=status, x=v[:n] / tau, y=v[n:off] / tau,
+                    z=v[off:] / tau, s=s / tau, obj=pcost, gap=relgap,
+                    gap_abs=gap_abs, pres=pres, dres=dres, iterations=it,
+                    trace=trace_array(trace), reason=reason)

@@ -1,11 +1,12 @@
 """Command line interface: outputs, exit codes, determinism."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from roset import cli, harness as hz, model, shapes
+from roset import calibrate, cli, harness as hz, model, shapes
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,30 @@ def test_calibrate_example(capsys):
     assert doc["i_lower"] == 53
     assert doc["min_n2"] == 59
     assert doc["confidence"] == pytest.approx(0.9515054747505769, abs=1e-12)
+
+
+def test_calibrate_reads_confidence_off_the_upper_rank_table(capsys, monkeypatch):
+    """One pmf table for i* and its confidence, one for i_lower; the printed
+    confidence is P(Bin(n2, 1-eps) <= i*-1) to the last bit."""
+    calls = []
+    pmf = calibrate._pmf
+
+    def counted(*args):
+        calls.append(args)
+        return pmf(*args)
+
+    monkeypatch.setattr(calibrate, "_pmf", counted)
+    for n2, eps, delta in itertools.product((59, 60, 137, 1000, 4099),
+                                            (0.05, 0.1, 0.3), (0.01, 0.05, 0.2)):
+        if n2 < calibrate.min_phase2_size(eps, delta):
+            continue
+        calls.clear()
+        code, out, _ = run_cli(capsys, ["calibrate", "--eps", str(eps), "--delta",
+                                        str(delta), "--n2", str(n2)])
+        assert code == 0
+        doc = json.loads(out)
+        assert len(calls) == 1 + (doc["i_lower"] is not None), (n2, eps, delta)
+        assert doc["confidence"] == calibrate.binom_cdf(doc["i_star"] - 1, n2, 1.0 - eps)
 
 
 def test_calibrate_rejects_small_n2(capsys):

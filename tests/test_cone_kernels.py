@@ -281,22 +281,31 @@ def test_nt_operator_matches_dense_scaling():
     for rng, _, sp, blocks, p in layouts():
         s, z = interior(rng, blocks, p), interior(rng, blocks, p)
         v = rng.normal(size=p)
-        W, Winv, W2, lam = ref_scaling(blocks, s, z, p)
+        W, Winv, _, lam = ref_scaling(blocks, s, z, p)
         nt = ipm._NT(sp.cones, np.stack((s, z)))
         assert_rel(nt.lam, lam)
         assert_rel(nt.apply(v), W @ v)
         assert_rel(nt.apply(Winv @ v), v)
         assert_rel(nt.apply(z), nt.lam)
         assert_rel(nt.apply(nt.lam), s)  # W^{-1} s = lam
+        assert_rel(nt.apply_inv(v), Winv @ v)
+        stack = rng.normal(size=(p, 3))
+        assert_rel(nt.apply_inv(stack), Winv @ stack)
 
+        # the scaled KKT system: only its W^{-1}G blocks and W^{-1}h follow W
         kkt = ipm._KKT(sp)
         n, off = sp.c.size, sp.c.size + sp.b.size
         assert np.array_equal(kkt.K[off:, off:], -np.eye(p))
-        kkt.set_scaling(nt)
+        assert_rel(kkt.set_scaling(nt, v), Winv @ v)
         K = kkt.K
-        assert_rel(K[off:, off:], -W2)
-        assert np.array_equal(K[off:, :n], sp.G) and np.array_equal(K[:n, off:], sp.G.T)
-        assert np.array_equal(K[n:off, :n], sp.A) and not np.any(K[n:, n:off])
+        assert np.array_equal(K[off:, off:], -np.eye(p))
+        assert_rel(K[off:, :n], Winv @ sp.G)
+        assert np.array_equal(K[:n, off:], K[off:, :n].T)
+        assert np.array_equal(K[n:off, :n], sp.A) and np.array_equal(K[:n, n:off], sp.A.T)
+        assert not np.any(K[n:, n:off]) and not np.any(K[:n, :n])
+        cbh = np.concatenate((sp.c, sp.b, Winv @ sp.h))
+        assert_rel(kkt.cbh, cbh)
+        assert_rel(kkt.rhs[:, 0], np.concatenate((-sp.c, cbh[n:])))
 
 
 def test_nt_operator_rejects_points_outside_the_cone():

@@ -2,6 +2,7 @@
 
 import itertools
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -634,6 +635,23 @@ def _nearest_center_case(rng, d, l, with_det):
     return centers, spec
 
 
+def _nearest_center_cases():
+    """The seeded (d, l, with_det, centers, spec, s) cases of seed 31."""
+    rng = np.random.default_rng(31)
+    for d, l, with_det in itertools.product(range(1, 6), range(1, 4), (False, True)):
+        centers, spec = _nearest_center_case(rng, d, l, with_det)
+        yield d, l, with_det, centers, spec, float(rng.uniform(0.05, 0.6))
+
+
+def _ball_stack(spec, centers, s):
+    """The program with one _vecnorm_blocks stack per ball of size s."""
+    l = spec.rhs.size
+    balls = [(f"b{k}", rf._vecnorm_blocks(c.reshape(l, -1), np.eye(c.size),
+                                          np.sqrt(s), spec.rhs))
+             for k, c in enumerate(centers)]
+    return rf.assemble(spec.objective, rf.det_blocks(spec.det) + balls)[0]
+
+
 def _solved_objective(program):
     sol = conic.solve(program)
     assert sol.status is conic.SolveStatus.OPTIMAL
@@ -649,17 +667,10 @@ def test_nearest_center_blocks_match_per_component_blocks():
     nothing to the set), so the comparison also checks that dropping
     duplicate rows is exact.
     """
-    rng = np.random.default_rng(31)
-    for d, l, with_det in itertools.product(range(1, 6), range(1, 4), (False, True)):
+    for d, l, with_det, centers, spec, s in _nearest_center_cases():
         m = l * d
-        centers, spec = _nearest_center_case(rng, d, l, with_det)
-        s = float(rng.uniform(0.05, 0.6))
         det = rf.det_blocks(spec.det)
-
-        ref_balls = [(f"b{k}", rf._vecnorm_blocks(c.reshape(l, d), np.eye(m),
-                                                  np.sqrt(s), spec.rhs))
-                     for k, c in enumerate(centers[:3])]
-        want = _solved_objective(rf.assemble(spec.objective, det + ref_balls)[0])
+        want = _solved_objective(_ball_stack(spec, centers[:3], s))
         basis = shapes.BallBasis(centers=centers)
         union = shapes.Union(components=basis.components)
         for shape in (basis, union):
@@ -680,6 +691,16 @@ def test_nearest_center_blocks_match_per_component_blocks():
         assert rp.program.n_vars == 2 * d
         got = _solved_objective(rp.program)
         assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), (d, l, with_det)
+
+
+def test_repeated_second_order_blocks_solve_optimal():
+    """Per-ball stacks that keep the repeated center repeat its SOC blocks
+    exactly; the program solves to the optimum of the distinct centers."""
+    for d, l, with_det, centers, spec, s in _nearest_center_cases():
+        want = _solved_objective(_ball_stack(spec, centers[:3], s))
+        sol = conic.solve(_ball_stack(spec, centers, s))
+        assert sol.status is conic.SolveStatus.OPTIMAL, (d, l, with_det, sol.reason)
+        assert abs(sol.obj - want) <= 1e-7 * max(1.0, abs(want)), (d, l, with_det)
 
 
 def test_nearest_center_blocks_at_size_zero_are_nominal_rows():
@@ -1146,17 +1167,15 @@ def test_solve_reconstruction_x_hat_outside_nonneg_bound():
         assert float(spec.objective @ x) <= float(spec.objective @ x_hat)
 
 
-def test_solve_reconstruction_matches_polytope_dual():
-    """The closed-form ray LP and the generic polytope dual of one set agree.
+def _polytope_dual_trials(seed):
+    """Endless seeded reconstruction cases: (trial, spec, x_hat, pset).
 
-    Odd trials add det rows, which x_hat misses in about a third of them;
-    solve_reconstruction takes a missed row as active at x_hat, and the
-    oracle gets the row scaled to say so.  Infeasible instances then need
-    rho > 0 and a det row that asks lambda > hi; the first comes at trial 75.
+    Odd trials add det rows, which x_hat misses in about a third of them.
+    The set is built lazily, so walking to a late trial draws only from the
+    generator.
     """
-    rng = np.random.default_rng(29)
-    seen = set()
-    for trial in range(120):
+    rng = np.random.default_rng(seed)
+    for trial in itertools.count():
         d, l = int(rng.integers(1, 6)), int(rng.integers(1, 4))
         x_hat = rng.normal(size=d)
         x_hat[0] += np.sign(x_hat[0]) * 0.1
@@ -1172,16 +1191,56 @@ def test_solve_reconstruction_matches_polytope_dual():
         shift = rng.uniform(-15.0, 2.0) / float(x_hat @ x_hat)
         phase2 = rng.normal(size=(40, l * d)) + shift * np.tile(x_hat, l)
         scale = rng.uniform(0.5, 2.0, size=l)
-        pset = rf.build_reconstruction_set(x_hat, spec, scale, phase2, 0.2, 0.2)
-        status, x = rf.solve_reconstruction(spec, x_hat, pset)
-        want = conic.solve(rf.assemble_ro(active_at(spec, x_hat), pset).program)
-        assert status is want.status, trial
-        if want.status is conic.SolveStatus.OPTIMAL:
-            obj = float(spec.objective @ x)
-            assert abs(obj - want.obj) <= 1e-7 * max(1.0, abs(want.obj)), trial
-        seen.add(want.status)
+        yield trial, spec, x_hat, partial(rf.build_reconstruction_set,
+                                          x_hat, spec, scale, phase2, 0.2, 0.2)
+
+
+def _check_polytope_dual(spec, x_hat, pset, where):
+    """Check that solve_reconstruction and the solved polytope dual agree;
+    return the status."""
+    status, x = rf.solve_reconstruction(spec, x_hat, pset)
+    want = conic.solve(rf.assemble_ro(active_at(spec, x_hat), pset).program)
+    assert status is want.status, (where, want.reason)
+    if want.status is conic.SolveStatus.OPTIMAL:
+        obj = float(spec.objective @ x)
+        assert abs(obj - want.obj) <= 1e-7 * max(1.0, abs(want.obj)), where
+    return want.status
+
+
+def test_solve_reconstruction_matches_polytope_dual():
+    """The closed-form ray LP and the generic polytope dual of one set agree.
+
+    solve_reconstruction takes a det row that x_hat misses as active at
+    x_hat, and the oracle gets the row scaled to say so.  Infeasible
+    instances then need rho > 0 and a det row that asks lambda > hi; the
+    first comes at trial 75.
+    """
+    seen = set()
+    for trial, spec, x_hat, pset in itertools.islice(_polytope_dual_trials(29), 400):
+        seen.add(_check_polytope_dual(spec, x_hat, pset(), trial))
     assert seen == {conic.SolveStatus.OPTIMAL, conic.SolveStatus.UNBOUNDED,
                     conic.SolveStatus.INFEASIBLE}
+
+
+# the trials of seeds 29-32 (2000 each) on which the solver that factored the
+# unscaled KKT system [[0, A', G'], [A, 0, 0], [G, 0, -W^2]] stopped with
+# iter-limit, although the program has an optimum
+_UNSCALED_KKT_STOPS = {
+    29: (121, 266, 485, 752, 1584),
+    30: (225, 399, 657, 749, 800, 1261, 1558, 1609, 1710, 1871),
+    31: (566, 776, 1091, 1236, 1320, 1629, 1756),
+    32: (44, 66, 287, 642, 846, 899, 1676),
+}
+
+
+def test_polytope_duals_that_stopped_the_unscaled_kkt_solve_optimal():
+    for seed, stops in _UNSCALED_KKT_STOPS.items():
+        for trial, spec, x_hat, pset in _polytope_dual_trials(seed):
+            if trial in stops:
+                status = _check_polytope_dual(spec, x_hat, pset(), (seed, trial))
+                assert status is conic.SolveStatus.OPTIMAL, (seed, trial)
+            if trial == stops[-1]:
+                break
 
 
 def test_reconstruction_scale_validation():
