@@ -193,7 +193,6 @@ class SolveStatus(enum.Enum):
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     ITER_LIMIT = "iter-limit"
-    EXPORT_ONLY = "export-only"
 
 
 # one record per solver iteration: costs, relative residuals and gap, mu, and

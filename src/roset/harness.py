@@ -534,6 +534,10 @@ class ExperimentConfig:
             raise InvalidArgumentError(
                 "analytic violation needs a gaussian sampler and the single "
                 "linear family")
+        if self.n_eval < 1 and not _analytic_violation(self):
+            raise InvalidArgumentError(
+                "n_eval must be >= 1 where the violation is estimated by "
+                "Monte Carlo")
         if self.method in ("safe_hoeffding", "safe_gaussian"):
             if not isinstance(self.spec.family, model.SingleLinear):
                 raise InvalidArgumentError(
@@ -578,9 +582,14 @@ def _has_gaussian_violation(config: ExperimentConfig) -> bool:
             and isinstance(config.spec.family, model.SingleLinear))
 
 
-def _violation_of(config: ExperimentConfig, x, eval_seed: int) -> float:
+def _analytic_violation(config: ExperimentConfig) -> bool:
+    """Whether the violation is the closed form rather than Monte Carlo."""
     # the config admits "analytic" only where the closed form applies
-    if config.violation != "mc" and _has_gaussian_violation(config):
+    return config.violation != "mc" and _has_gaussian_violation(config)
+
+
+def _violation_of(config: ExperimentConfig, x, eval_seed: int) -> float:
+    if _analytic_violation(config):
         p = config.sampler.params
         return gaussian_violation(x, p["mu"], p["sigma"], float(config.spec.rhs[0]))
     return mc_violation(x, config.sampler, config.spec, config.n_eval,

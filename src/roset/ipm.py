@@ -24,7 +24,9 @@ scaling and every cone kernel are a fixed number of array operations over all
 rows, whatever the number and dimensions of the blocks: per-block sums over
 the block heads with ``np.add.reduceat``, broadcast back to rows through a
 row-to-block index.  The scaling is an operator and no p x p scaling matrix is
-built.
+built: as CVXOPT stores it, W = eta (2vv' - J) per block, so W, W^{-1} and the
+hyperbolic rotation of the step test are each one block reflection
+(2uu' - J) x, one kernel for all three with a different u.
 
 Step lengths are measured in the scaled space, as in CVXOPT's ``coneqp``:
 W^{-1} ds and W dz both step from the one point lam = W z = W^{-1} s, and W
@@ -138,12 +140,6 @@ def _min_eig(cones: _Cones, v: np.ndarray) -> float:
     return float(np.minimum.reduce(soc, initial=math.inf))
 
 
-def _cone_identity(cones: _Cones, p: int) -> np.ndarray:
-    e = np.zeros(p)
-    e[cones.heads] = 1.0
-    return e
-
-
 def _jprod(cones: _Cones, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     heads, blk = cones.heads, cones.blk
     out = u[heads][blk] * v + v[heads][blk] * u
@@ -165,19 +161,22 @@ def _jdiv(cones: _Cones, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
 class _NT:
     """Nesterov-Todd scaling W, with W z = W^{-1} s = lam, as an operator.
 
-    Per block W = eta T(wbar), where wbar has unit J-norm and
-    T(wbar) = [[w0, w1'], [w1, I + w1 w1'/(1 + w0)]], so that
-    W^2 = eta^2 (2 wbar wbar' - J).  On a one-row block wbar = 1 and
-    W = eta = sqrt(s/z).  ``sz`` stacks s and z as its two rows.
+    Per block W = eta T(wbar), where wbar has unit J-norm and T(wbar) is the
+    hyperbolic rotation taking e to wbar.  It is the reflection 2vv' - J with
+    v = (wbar + e) / sqrt(2 (1 + wbar0)), as CVXOPT stores it, so that
+    W = eta (2vv' - J) and W^{-1} = (2(Jv)(Jv)' - J) / eta.  On a one-row
+    block wbar = v = 1 and W = eta = sqrt(s/z).  ``sz`` stacks s and z as its
+    two rows.
 
     lam = kappa lbar, with kappa = (det s det z)^(1/4) and lbar of unit
     J-norm, is built in closed form from the normalized s and z, as in
     CVXOPT's ``compute_scaling``; on a one-row block lbar = 1 and
-    lam = kappa = sqrt(s z).
+    lam = kappa = sqrt(s z).  The step test rotates by T(J lbar), the
+    reflection in u = (J lbar + e) / sqrt(2 (1 + lbar0)).
     """
 
     def __init__(self, cones: _Cones, sz: np.ndarray):
-        heads, blk = cones.heads, cones.blk
+        heads, blk, J = cones.heads, cones.blk, cones.J
         head = sz[:, heads]
         det = head * head - cones.tdot(sz, sz)
         # interior: heads and determinants all positive (det > 0 alone also
@@ -191,60 +190,43 @@ class _NT:
         unit0 = head / root
         sn, zn = unit
         gamma = np.sqrt((1.0 + np.add.reduceat(sn * zn, heads)) / 2.0)
-        self.eta = np.sqrt(root[0] / root[1])
-        self.wbar = (sn + cones.J * zn) / (2.0 * gamma)[blk]
-        self.w0, self.w1 = self.wbar[heads], self.wbar * cones.tail
-        self._w0inv = 1.0 / (1.0 + self.w0)
-        self._eta = self.eta[blk]
+        e = (1.0 + J) / 2.0
+        wbar = (sn + J * zn) / (2.0 * gamma)[blk]
+        self._v = (wbar + e) / np.sqrt(2.0 * (1.0 + wbar[heads]))[blk]
+        self._Jv = J * self._v
+        self._eta = np.sqrt(root[0] / root[1])[blk]
         self.kappa = np.sqrt(root[0] * root[1])
         # lbar1 = ((gamma + zn0) sn1 + (gamma + sn0) zn1) / (sn0 + zn0 + 2 gamma)
         lbar = ((gamma + unit0[::-1])[:, blk] * unit).sum(axis=0) / (
             unit0.sum(axis=0) + 2.0 * gamma)[blk]
         lbar[heads] = gamma
         self.lam = lbar * self.kappa[blk]
-        self._l0, self._l1 = gamma, lbar * cones.tail
-        self._l0inv = 1.0 / (1.0 + gamma)
+        self._u = (J * lbar + e) / np.sqrt(2.0 * (1.0 + gamma))[blk]
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """W v."""
-        # with dot = w1'v1, T(wbar) v has the head w0 v0 + dot and the tail
-        # v1 + (v0 + dot / (1 + w0)) w1
-        heads, w0, w1 = self.cones.heads, self.w0, self.w1
-        v0 = v[heads]
-        dot = np.add.reduceat(w1 * v, heads)
-        out = v + (v0 + dot * self._w0inv)[self.cones.blk] * w1
-        out[heads] = w0 * v0 + dot
-        return out * self._eta
+    def _reflect(self, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """(2uu' - J) x per block, along the last axis of x."""
+        dot = np.add.reduceat(u * x, self.cones.heads, axis=-1)
+        return (2.0 * dot)[..., self.cones.blk] * u - self.cones.J * x
 
-    def apply_inv(self, v: np.ndarray) -> np.ndarray:
-        """W^{-1} v; on a (p, k) v, W^{-1} of each column."""
-        # W^{-1} = J T(wbar) J / eta: with dot = w1'v1, the head w0 v0 - dot
-        # and the tail v1 - (v0 - dot / (1 + w0)) w1
-        heads = self.cones.heads
-        col = (slice(None),) + (None,) * (v.ndim - 1)
-        w1 = self.w1[col]
-        v0 = v[heads]
-        dot = np.add.reduceat(w1 * v, heads)
-        out = v - (v0 - dot * self._w0inv[col])[self.cones.blk] * w1
-        out[heads] = self.w0[col] * v0 - dot
-        out /= self._eta[col]
-        return out
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """W x; on a (k, p) x, W of each row."""
+        return self._reflect(self._v, x) * self._eta
+
+    def apply_inv(self, x: np.ndarray) -> np.ndarray:
+        """W^{-1} x; on a (k, p) x, W^{-1} of each row."""
+        return self._reflect(self._Jv, x) / self._eta
 
     def max_step(self, d: np.ndarray) -> float:
         """Largest alpha >= 0 with lam + alpha*d in the cone (can be inf).
 
         d stacks scaled directions as rows, W^{-1} ds and W dz, and the step
-        keeps every row in the cone.  The hyperbolic rotation T(J lbar) maps
-        lbar to the cone identity e and the cone onto itself, so with
-        t = T(J lbar) d a block stays inside while alpha (||t1|| - t0) <= kappa.
-        On a one-row block the step is -lam/d.  A NaN never sets the step.
+        keeps every row in the cone.  The rotation T(J lbar) maps lbar to the
+        cone identity e and the cone onto itself, so with t = T(J lbar) d a
+        block stays inside while alpha (||t1|| - t0) <= kappa.  On a one-row
+        block the step is -lam/d.  A NaN never sets the step.
         """
-        heads, l1 = self.cones.heads, self._l1
-        d0 = d[:, heads]
-        dot = np.add.reduceat(l1 * d, heads, axis=1)
-        # t has the head l0 d0 - l1'd1 and the tail d1 - (d0 - dot/(1 + l0)) l1
-        t = d - (d0 - dot * self._l0inv)[:, self.cones.blk] * l1
-        out = np.fmax.reduce(np.sqrt(self.cones.tdot(t, t)) - (self._l0 * d0 - dot))
+        t = self._reflect(self._u, d)
+        out = np.fmax.reduce(np.sqrt(self.cones.tdot(t, t)) - t[:, self.cones.heads])
         pos = out > 0.0
         return float(np.minimum.reduce(self.kappa[pos] / out[pos], initial=math.inf))
 
@@ -277,7 +259,7 @@ class _KKT:
 
     It is allocated once with W = I, so the -I block is written once per
     solve; ``set_scaling`` rewrites the W^{-1}G blocks, from one W^{-1} pass
-    over the columns [G, h, rz], and W^{-1}h in ``cbh`` = (c, b, W^{-1}h) and in
+    over the rows [G'; h'; rz'], and W^{-1}h in ``cbh`` = (c, b, W^{-1}h) and in
     the shared right-hand side column ``rhs[:, 0]`` = (-c, b, W^{-1}h).
     """
 
@@ -290,7 +272,7 @@ class _KKT:
         K[:n, n:] = AG.T
         K[n:, :n] = AG
         np.fill_diagonal(K[off:, off:], -1.0)
-        self._cols = np.column_stack((G, h, h))
+        self._rows = np.vstack((G.T, h, h))
         self.cbh = np.concatenate((c, b, h))
         self.rhs = np.zeros((off + h.size, 2))
         self.rhs[:, 0] = self.cbh
@@ -298,13 +280,13 @@ class _KKT:
 
     def set_scaling(self, nt: _NT, rz: np.ndarray) -> np.ndarray:
         """Rewrite the W^{-1}G and W^{-1}h parts for nt; return W^{-1} rz."""
-        n, off, cols = self.n, self.off, self._cols
-        cols[:, -1] = rz
-        cols = nt.apply_inv(cols)
-        self.K[off:, :n] = cols[:, :n]
-        self.K[:n, off:] = cols[:, :n].T
-        self.cbh[off:] = self.rhs[off:, 0] = cols[:, n]
-        return cols[:, n + 1]
+        n, off, rows = self.n, self.off, self._rows
+        rows[-1] = rz
+        rows = nt.apply_inv(rows)
+        self.K[off:, :n] = rows[:n].T
+        self.K[:n, off:] = rows[:n]
+        self.cbh[off:] = self.rhs[off:, 0] = rows[n]
+        return rows[n + 1]
 
 
 def _norm(v: np.ndarray) -> float:
@@ -349,7 +331,7 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
     v = init[:, 1].copy()
     v[:n] = init[:n, 0]
     s = -init[off:, 0]
-    e = _cone_identity(cones, p)
+    e = (1.0 + cones.J) / 2.0
     for u in (s, v[off:]):
         t = -_min_eig(cones, u)
         if t >= 0.0:

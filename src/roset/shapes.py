@@ -646,11 +646,10 @@ def grid_histogram(phase1, width: float) -> BoxGrid:
         raise InvalidArgumentError("width must be positive")
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
-    span = np.floor((hi - lo) / width).astype(int) + 1
-    if float(np.prod(span.astype(float))) > _GRID_GUARD:
-        raise TooFineGridError(
-            f"grid would span {np.prod(span.astype(float)):.3g} boxes (limit {_GRID_GUARD})"
-        )
+    # counted in floats: a cast to int first would overflow on a tiny width
+    boxes = float(np.prod(np.floor((hi - lo) / width) + 1.0))
+    if boxes > _GRID_GUARD:
+        raise TooFineGridError(f"grid would span {boxes:.3g} boxes (limit {_GRID_GUARD})")
     idx = np.floor((pts - lo) / width).astype(int)
     occupied = np.unique(idx, axis=0)
     centers = lo + (occupied + 0.5) * width

@@ -302,7 +302,8 @@ def test_experiment_bad_config_is_domain_error(capsys, tmp_path):
 
 
 def test_experiment_config_checks_happen_on_load(capsys, fixtures, tmp_path):
-    cfg = json.loads(open(fixtures["config"], encoding="utf-8").read())
+    with open(fixtures["config"], encoding="utf-8") as f:
+        cfg = json.load(f)
     for change in ({"n": 70},  # n2 = 10 < 59
                    {"shape": "box_grid"},
                    {"shape": "cluster_union", "shape_options": {"kk": 3}}):

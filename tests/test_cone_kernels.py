@@ -196,7 +196,7 @@ def test_kernels_match_per_block_formulas():
                 ref_min_eig(blocks, x), rel=1e-12, abs=1e-12)
         assert_rel(ipm._jprod(cones, u, w), ref_jprod(blocks, u, w))
         assert_rel(ipm._jdiv(cones, u, w), ref_jdiv(blocks, u, w))
-        e = ipm._cone_identity(cones, p)
+        e = (1.0 + cones.J) / 2.0  # the cone identity
         assert_rel(ipm._jprod(cones, e, w), w)
 
 
@@ -289,8 +289,11 @@ def test_nt_operator_matches_dense_scaling():
         assert_rel(nt.apply(z), nt.lam)
         assert_rel(nt.apply(nt.lam), s)  # W^{-1} s = lam
         assert_rel(nt.apply_inv(v), Winv @ v)
-        stack = rng.normal(size=(p, 3))
-        assert_rel(nt.apply_inv(stack), Winv @ stack)
+        # a (3, p) stack maps row by row
+        X = rng.normal(size=(3, p))
+        assert_rel(nt.apply(X), X @ W.T)
+        assert_rel(nt.apply_inv(X), X @ Winv.T)
+        assert_rel(nt.apply_inv(nt.apply(X)), X)
 
         # the scaled KKT system: only its W^{-1}G blocks and W^{-1}h follow W
         kkt = ipm._KKT(sp)

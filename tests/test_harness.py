@@ -415,6 +415,18 @@ def test_experiment_config_validation():
                                                method="sg", n=1))
     with pytest.raises(InvalidArgumentError, match="analytic"):
         hz.config_from_obj({**obj, "violation": "analytic"})
+    # a Monte Carlo violation needs at least one draw; the config says so
+    # instead of the run aborting after the first solve
+    for sampler, violation in ((mix, "auto"), (mix, "mc"), (samp, "mc")):
+        with pytest.raises(InvalidArgumentError, match="n_eval"):
+            hz.ExperimentConfig(spec=spec, sampler=sampler, method="sg", n=8,
+                                n_eval=0, violation=violation)
+        with pytest.raises(InvalidArgumentError, match="n_eval"):
+            hz.config_from_obj({**obj, "sampler": hz.sampler_to_obj(sampler),
+                                "n_eval": 0, "violation": violation})
+    # the closed form draws nothing, so n_eval is not read
+    cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method="sg", n=8, n_eval=0)
+    assert hz.run_replications(cfg, 1, master_seed=0).failures == 0
 
 
 def test_experiment_config_rejects_a_too_small_phase_2():

@@ -257,6 +257,12 @@ def test_grid_histogram_guard():
     pts = np.array([[0.0, 0.0], [100.0, 100.0]])
     with pytest.raises(TooFineGridError):
         grid_histogram(pts, width=0.01)
+    # every per-axis count would overflow an int: the boxes are counted in
+    # floats, so an odd number of axes cannot make the product negative
+    rng = np.random.default_rng(0)
+    for m in (1, 3, 5):
+        with pytest.raises(TooFineGridError):
+            grid_histogram(rng.normal(size=(20, m)), width=1e-30)
 
 
 def test_build_prediction_set_max_order_statistic():
