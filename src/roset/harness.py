@@ -374,6 +374,8 @@ def violation_rate(spec: model.CcpSpec, x, points) -> float:
     if pts.ndim != 2 or pts.shape[1] != spec.data_dim:
         raise InvalidArgumentError(
             f"points must be (n, {spec.data_dim}), got {pts.shape}")
+    if pts.shape[0] < 1:
+        raise InvalidArgumentError("points must have at least one row")
     fam = spec.family
     if isinstance(fam, (model.SingleLinear, model.JointLinear)):
         return _rows_violated(reformulate.linear_row_values(pts, x, fam.n_rows()),
@@ -396,8 +398,16 @@ def violation_rate(spec: model.CcpSpec, x, points) -> float:
 
 
 def _rows_violated(row_values: np.ndarray, spec: model.CcpSpec) -> float:
-    """Fraction of the (n, l) linear row values with some row above its rhs."""
-    return float(np.mean(np.any(row_values > spec.rhs, axis=1)))
+    """Fraction of the (n, l) linear row values with some row above its rhs.
+
+    The l column comparisons are ORed one column at a time, which is faster
+    than np.any over the short row axis, and the count over n is the float
+    np.mean of the same booleans gives.  n must be at least 1.
+    """
+    hit = row_values[:, 0] > spec.rhs[0]
+    for j in range(1, row_values.shape[1]):
+        hit |= row_values[:, j] > spec.rhs[j]
+    return float(np.count_nonzero(hit) / row_values.shape[0])
 
 
 def mc_violation(x, sampler: Sampler, spec: model.CcpSpec,

@@ -126,6 +126,13 @@ def _no_aux(k: int) -> np.ndarray:
     return np.zeros((k, 0))
 
 
+def _checked_rho(rho) -> float:
+    rho = float(rho)
+    if not (rho >= 0 and np.isfinite(rho)):
+        raise InvalidArgumentError("rho must be finite and >= 0")
+    return rho
+
+
 def _rho_of_size(s: float) -> float:
     """Radius of the level set of a squared transform at size s."""
     return float(np.sqrt(max(float(s), 0.0)))
@@ -150,9 +157,7 @@ def rc_linear_ellipsoid(a0, delta, rho: float, b: float) -> Block:
     d = a0.size
     if delta.shape[0] != d:
         raise InvalidArgumentError("delta must have one row per x coordinate")
-    rho = float(rho)
-    if not (rho >= 0 and np.isfinite(rho)):
-        raise InvalidArgumentError("rho must be finite and >= 0")
+    rho = _checked_rho(rho)
     tail = delta.T[np.any(delta != 0.0, axis=0)]
     if rho == 0.0 or tail.shape[0] == 0:
         return Block(rows_x=a0[None, :], rows_aux=_no_aux(1),
@@ -203,19 +208,28 @@ def _vecnorm_blocks(abar: np.ndarray, tails: np.ndarray, rho: float,
                     b: np.ndarray) -> Block:
     """Joint rows a_i'x + rho ||tails[:, block_i] @ x|| <= b_i, stacked.
 
-    ``tails`` is the (m, m) matrix whose columns at block i produce the
-    worst-case direction for row i; each row is one rc_linear_ellipsoid.
+    ``tails`` is the (m, m) matrix whose (m, d) columns at block i produce
+    the worst-case direction for row i.  One QR over the (l, m, d) stack of
+    tails gives each row its d x d triangular factor R_i, with
+    ||R_i x|| = ||tail_i x||, so row i is one SOC(1 + d), as in
+    rc_linear_ellipsoid; a tail that is upper triangular over its first d
+    rows and zero below is its own factor.  With rho = 0 every row is the
+    nominal half-space.
     """
     l, d = abar.shape
     m = l * d
     if tails.shape != (m, m):
         raise InvalidArgumentError("tail factor must be m x m over vec(A)")
-    rows = [rc_linear_ellipsoid(abar[i], tails[:, i * d: (i + 1) * d].T, rho, b[i])
-            for i in range(l)]
-    offsets = np.concatenate([blk.offsets for blk in rows])
-    return Block(rows_x=np.vstack([blk.rows_x for blk in rows]),
-                 rows_aux=_no_aux(offsets.size), offsets=offsets,
-                 cones=tuple(cone for blk in rows for cone in blk.cones))
+    rho = _checked_rho(rho)
+    if rho == 0.0:
+        return Block(rows_x=abar, rows_aux=_no_aux(l), offsets=b,
+                     cones=(conic.Nonneg(1),) * l)
+    factors = np.linalg.qr(tails.reshape(m, l, d).transpose(1, 0, 2), mode="r")
+    rows_x = np.concatenate([abar[:, None, :], -rho * factors], axis=1)
+    offsets = np.zeros((l, 1 + d))
+    offsets[:, 0] = b
+    return Block(rows_x=rows_x.reshape(l * (1 + d), d), rows_aux=_no_aux(l * (1 + d)),
+                 offsets=offsets, cones=(conic.SecondOrder(1 + d),) * l)
 
 
 def rc_linear_vecnorm(abar, m_factor, rho: float, b) -> Block:
@@ -460,12 +474,16 @@ def _nearest_center_block(centers: np.ndarray, radius: float, norm: int,
     The worst case of row i over component k is c_{k,i}'x + radius*||x||
     (the dual norm), so one shared epigraph variable g >= ||x|| serves every
     row: c_{k,i}'x + radius*g <= b_i.  Duplicate (c_{k,i}, b_i) rows are
-    dropped, and with radius 0 so is g.  For norm 2, g is a scalar t with
-    (t, x) in SOC(1 + d); for norm 1, g = 1'u with u >= x and u >= -x.
+    dropped, and the rest kept in lexicographic order, as np.unique(axis=0)
+    leaves them; with radius 0 g is dropped too.  For norm 2, g is a scalar t
+    with (t, x) in SOC(1 + d); for norm 1, g = 1'u with u >= x and u >= -x.
     """
     k = centers.shape[0]
-    pairs = np.unique(np.column_stack([centers.reshape(k * l, d), np.tile(rhs, k)]),
-                      axis=0)
+    pairs = np.column_stack([centers.reshape(k * l, d), np.tile(rhs, k)])
+    pairs = pairs[np.lexsort(pairs.T[::-1])]
+    fresh = np.ones(k * l, dtype=bool)
+    fresh[1:] = np.any(pairs[1:] != pairs[:-1], axis=1)
+    pairs = pairs[fresh]
     rows_c, offs = pairs[:, :d], pairs[:, d]
     r = offs.size
     if radius == 0.0:

@@ -50,7 +50,12 @@ def _freeze(arr, ndim) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Ellipsoid:
-    """t(xi) = (xi - center)' sigma^{-1} (xi - center), sigma SPD."""
+    """t(xi) = (xi - center)' sigma^{-1} (xi - center), sigma SPD.
+
+    sigma counts as symmetric when |sigma - sigma'| <= 1e-12 + 1e-5 |sigma'|
+    entrywise, the test np.allclose(sigma, sigma.T, atol=1e-12) makes, done
+    here in one elementwise pass.
+    """
 
     center: np.ndarray
     sigma: np.ndarray
@@ -63,7 +68,7 @@ class Ellipsoid:
         m = center.size
         if sigma.shape != (m, m):
             raise InvalidArgumentError("sigma must be m x m")
-        if not np.allclose(sigma, sigma.T, atol=1e-12):
+        if not np.all(np.abs(sigma - sigma.T) <= 1e-12 + 1e-5 * np.abs(sigma.T)):
             raise InvalidArgumentError("sigma must be symmetric")
         try:
             chol = np.linalg.cholesky(sigma)

@@ -88,6 +88,39 @@ def test_violation_rate_semidefinite():
     assert hz.violation_rate(spec, [1.0], np.vstack([good, bad])) == 0.5
 
 
+def test_violation_rate_rejects_empty_sample():
+    """A 0-row sample has no violation fraction, on every family's branch."""
+    cases = [
+        (model.CcpSpec(objective=[1.0], family=model.JointLinear(l=2),
+                       rhs=[1.0, 1.0], epsilon=0.1, delta=0.1), [1.0]),
+        (model.CcpSpec(objective=[1.0, 1.0], family=model.Quadratic(q=2),
+                       rhs=[1.0], epsilon=0.1, delta=0.1), [1.0, 1.0]),
+        (model.CcpSpec(objective=[1.0], family=model.Semidefinite(p=2),
+                       rhs=(-np.eye(2)).reshape(-1), epsilon=0.1, delta=0.1), [1.0]),
+    ]
+    for spec, x in cases:
+        with pytest.raises(InvalidArgumentError, match="at least one row"):
+            hz.violation_rate(spec, x, np.empty((0, spec.data_dim)))
+
+
+def test_rows_violated_matches_mean_of_any():
+    """The column-by-column count is np.mean(np.any(...)) bit for bit,
+    also where row values sit exactly at their rhs."""
+    rng = np.random.default_rng(20261019)
+    for l in range(1, 5):
+        family = model.SingleLinear() if l == 1 else model.JointLinear(l=l)
+        spec = model.CcpSpec(objective=[1.0], family=family, rhs=rng.normal(size=l),
+                             epsilon=0.1, delta=0.1)
+        for n in (1, 2, 7, 999, 10_007):
+            values = spec.rhs + rng.normal(size=(n, l)) * rng.uniform(0.1, 3.0)
+            at_rhs = rng.random((n, l)) < 0.3
+            values[at_rhs] = np.broadcast_to(spec.rhs, (n, l))[at_rhs]
+            want = float(np.mean(np.any(values > spec.rhs, axis=1)))
+            got = hz._rows_violated(values, spec)
+            assert type(got) is float
+            assert got.hex() == want.hex(), (l, n)
+
+
 # ---------------------------------------------------------------------------
 # samplers
 

@@ -205,6 +205,46 @@ def test_vecnorm_identity_reduces_to_ellipsoid_rc():
     assert b1.cones == b2.cones
 
 
+def test_vecnorm_stack_matches_per_row_ellipsoid_rows():
+    """One QR over the stack of tails gives row i the norm of the per-row
+    rc_linear_ellipsoid block (R_i'R_i = tail_i'tail_i), the same cones, and
+    the nominal rows at rho = 0; for the ellipsoid, diag-ellipsoid and ball
+    factors and for rc_linear_vecnorm's (M')^{-1}."""
+    rng = np.random.default_rng(20261019)
+    for l, d in ((1, 1), (1, 3), (2, 2), (3, 5), (4, 2)):
+        m = l * d
+        center = rng.normal(size=m)
+        raw = rng.normal(size=(m, m))
+        m_factor = raw + m * np.eye(m)
+        vecnorm_tail = np.linalg.solve(m_factor.T, np.eye(m))
+        tails = [rf._ellipsoid_factor(shape).T for shape in (
+            shapes.Ellipsoid(center=center, sigma=raw @ raw.T + 0.1 * np.eye(m)),
+            shapes.DiagEllipsoid(center=center, variances=rng.uniform(0.1, 3.0, m)),
+            shapes.Ball(center=center))] + [vecnorm_tail]
+        abar, b = center.reshape(l, d), rng.uniform(1.0, 2.0, l)
+        for k, tail in enumerate(tails):
+            for rho in (0.0, 0.7):
+                if tail is vecnorm_tail:
+                    block = rf.rc_linear_vecnorm(abar, m_factor, rho, b)
+                else:
+                    block = rf._vecnorm_blocks(abar, tail, rho, b)
+                refs = [rf.rc_linear_ellipsoid(abar[i], tail[:, i * d: (i + 1) * d].T,
+                                               rho, b[i]) for i in range(l)]
+                assert block.cones == tuple(c for ref in refs for c in ref.cones)
+                assert np.array_equal(block.offsets,
+                                      np.concatenate([ref.offsets for ref in refs]))
+                if rho == 0.0:
+                    assert block.cones == (conic.Nonneg(1),) * l
+                    assert np.array_equal(block.rows_x, abar)
+                    continue
+                assert block.cones == (conic.SecondOrder(1 + d),) * l
+                rows = block.rows_x.reshape(l, 1 + d, d)
+                for i, ref in enumerate(refs):
+                    assert np.array_equal(rows[i, 0], abar[i])
+                    got, want = rows[i, 1:].T @ rows[i, 1:], ref.rows_x[1:].T @ ref.rows_x[1:]
+                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (l, d, k)
+
+
 def test_vecnorm_two_rows_identity_factor():
     """With M = I and Abar = 0 every row's worst case is ||x||_2."""
     block = rf.rc_linear_vecnorm(np.zeros((2, 2)), np.eye(4), 1.0, [1.0, 1.0])
@@ -719,6 +759,26 @@ def test_nearest_center_blocks_at_size_zero_are_nominal_rows():
             assert rp.program.n_vars == d
             got = _solved_objective(rp.program)
             assert abs(got - want) <= 1e-7 * max(1.0, abs(want))
+
+
+def test_nearest_center_rows_dedupe_as_np_unique():
+    """The kept (c_{k,i}, b_i) rows are those of np.unique(axis=0), in its
+    order, on tie-heavy centers; -0.0 and 0.0 count as one value there too."""
+    rng = np.random.default_rng(34)
+    for _ in range(400):
+        k, l, d = (int(v) for v in rng.integers(1, [40, 4, 4]))
+        centers = rng.integers(-1, 2, size=(k, l * d)) * 0.5
+        centers[(centers == 0.0) & (rng.random(centers.shape) < 0.5)] = -0.0
+        rhs = rng.integers(-1, 2, size=l) * 1.0
+        rhs[(rhs == 0.0) & (rng.random(l) < 0.5)] = -0.0
+        want = np.unique(np.column_stack([centers.reshape(k * l, d), np.tile(rhs, k)]),
+                         axis=0)
+        for radius in (0.0, 0.3):
+            block = rf._nearest_center_block(centers, radius, 2, rhs, l, d)
+            r = want.shape[0]
+            assert block.cones[0] == conic.Nonneg(r)
+            assert np.array_equal(block.rows_x[:r], want[:, :d])
+            assert np.array_equal(block.offsets[:r], want[:, d])
 
 
 def test_nearest_center_rows_are_the_worst_case_over_the_set():

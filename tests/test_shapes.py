@@ -77,6 +77,33 @@ def test_transform_identity_ellipsoid():
     assert transform_eval(shape, [3.0, 4.0]) == pytest.approx(25.0)
 
 
+def test_ellipsoid_symmetry_test_matches_allclose():
+    """Ellipsoid accepts sigma exactly where np.allclose(sigma, sigma.T,
+    atol=1e-12) does, for off-diagonal perturbations on both sides of the
+    tolerance and at scales where the absolute or the relative part rules."""
+    rng = np.random.default_rng(20261019)
+    verdicts = []
+    for _ in range(600):
+        m = int(rng.integers(2, 6))
+        scale = 10.0 ** rng.integers(-14, 3)
+        raw = rng.normal(size=(m, m))
+        sigma = (raw @ raw.T + m * np.eye(m)) * scale
+        # an upper-triangle entry: the Cholesky factor reads only the lower
+        i, j = np.sort(rng.choice(m, size=2, replace=False))
+        tol = 1e-12 + 1e-5 * abs(sigma[j, i])
+        factor = rng.choice([0.5, 0.999999, 1.0, 1.000001, 2.0]) * rng.choice([-1.0, 1.0])
+        sigma[i, j] = sigma[j, i] + factor * tol
+        want = bool(np.allclose(sigma, sigma.T, atol=1e-12))
+        try:
+            Ellipsoid(center=np.zeros(m), sigma=sigma)
+            got = True
+        except InvalidArgumentError:
+            got = False
+        assert got == want, (m, scale, factor)
+        verdicts.append(want)
+    assert 100 <= sum(verdicts) <= 500
+
+
 def test_transform_polytope_unit_box():
     box = Polytope(rows=np.vstack([np.eye(2), -np.eye(2)]),
                    offsets=np.ones(4), interior=np.zeros(2))
