@@ -106,10 +106,10 @@ def sg_solve(spec: model.CcpSpec, scenarios) -> conic.Solution:
     blocks = reformulate.det_blocks(spec.det)
     n = pts.shape[0] * l
     if n:
-        blocks.append(("scenario", reformulate.Block(
+        blocks.append(reformulate.Block(
             rows_x=pts.reshape(n, d), rows_aux=np.zeros((n, 0)),
-            offsets=np.tile(spec.rhs, pts.shape[0]), cones=(conic.Nonneg(n),))))
-    return conic.solve(reformulate.assemble(spec.objective, blocks)[0])
+            offsets=np.tile(spec.rhs, pts.shape[0]), cones=(conic.Nonneg(n),)))
+    return conic.solve(reformulate.assemble(spec.objective, blocks))
 
 
 def _perturbation_arrays(a0, a_rows):
@@ -142,8 +142,7 @@ def safe_hoeffding(objective, a0, a_rows, b: float, epsilon: float,
     a0, a_rows = _perturbation_arrays(a0, a_rows)
     eta = math.sqrt(2.0 * math.log(1.0 / epsilon))
     row = reformulate.rc_linear_ellipsoid(a0, a_rows.T, eta, b)
-    return reformulate.assemble(objective, reformulate.det_blocks(det)
-                                + [("safe", row)])[0]
+    return reformulate.assemble(objective, reformulate.det_blocks(det) + [row])
 
 
 def safe_gaussian(objective, a0, a_rows, mu_minus, mu_plus, sigma, b: float,
@@ -186,7 +185,5 @@ def safe_gaussian(objective, a0, a_rows, mu_minus, mu_plus, sigma, b: float,
     row = reformulate.Block(
         rows_x=np.vstack([epi_x, norm.rows_x]), rows_aux=rows_aux,
         offsets=np.concatenate([np.zeros(2 * L), norm.offsets]),
-        cones=(conic.Nonneg(2 * L),) + norm.cones,
-        aux_spans=(reformulate.Span("epigraph", "t", 0, L),))
-    return reformulate.assemble(objective, reformulate.det_blocks(det)
-                                + [("safe", row)])[0]
+        cones=(conic.Nonneg(2 * L),) + norm.cones)
+    return reformulate.assemble(objective, reformulate.det_blocks(det) + [row])

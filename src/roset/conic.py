@@ -243,15 +243,14 @@ class Solution:
     reason: Optional[str] = None
 
 
-def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
-          max_iter: int = 200) -> Solution:
+def solve(prog: ConicProgram, max_iter: int = 200) -> Solution:
     """Solve an LP/SOC program with the interior-point method.
 
     Raises ExportOnlyProgramError if the program has a PSD block.
     """
     from . import ipm
 
-    return ipm.solve(prog, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)
+    return ipm.solve(prog, max_iter=max_iter)
 
 
 def export(prog: ConicProgram, format: str) -> str:

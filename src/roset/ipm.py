@@ -66,6 +66,10 @@ from .conic import (
 from .errors import ExportOnlyProgramError
 
 _REG = 1e-10
+# stopping tolerances: FEAS_TOL bounds the relative residuals and the
+# residual of an infeasibility certificate, GAP_TOL the relative gap
+FEAS_TOL = 1e-8
+GAP_TOL = 1e-8
 
 
 class _Breakdown(Exception):
@@ -294,8 +298,7 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
-def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
-          max_iter: int = 200) -> Solution:
+def solve(prog: ConicProgram, max_iter: int = 200) -> Solution:
     sp = _split(prog)
     c, b, h = sp.c, sp.b, sp.h
     cones, nu = sp.cones, sp.nu
@@ -371,14 +374,14 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
         if score < best_score:
             best_score, best = score, point
 
-        if pres <= feas_tol and dres <= feas_tol and relgap <= gap_tol:
+        if pres <= FEAS_TOL and dres <= FEAS_TOL and relgap <= GAP_TOL:
             return _solution(SolveStatus.OPTIMAL, n, point, it, trace)
 
         # infeasibility certificates from the embedding
         if byhz < 0.0:
             # A'y + G'z = rx - c tau
             resid = _norm(rx - c * tau) / (-byhz) / resx0
-            if resid <= feas_tol:
+            if resid <= FEAS_TOL:
                 scale = -1.0 / byhz
                 return Solution(status=SolveStatus.INFEASIBLE, x=None,
                                 y=v[n:off] * scale, z=z * scale, s=None,
@@ -389,7 +392,7 @@ def solve(prog: ConicProgram, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
             # A x = ry + b tau, G x + s = rz + h tau
             rb = r + bh * tau
             resid = max(_norm(rb[:me]) / resy0, _norm(rb[me:]) / resz0) / (-cx)
-            if resid <= feas_tol:
+            if resid <= FEAS_TOL:
                 scale = -1.0 / cx
                 return Solution(status=SolveStatus.UNBOUNDED, x=x * scale,
                                 y=None, z=None, s=s * scale, obj=None,

@@ -94,8 +94,8 @@ def split_data(data: Dataset, n1: int, seed: int) -> DataSplit:
     perm = rng.permutation(data.n)
     idx1 = np.sort(perm[:n1])
     idx2 = np.sort(perm[n1:])
-    # a 0-row slice is not a valid Dataset; keep a 0 x m placeholder via a
-    # dedicated empty marker: Dataset requires n >= 1, so carry the slice raw
+    # Dataset needs at least one row, and n1 = 0 or n1 = n leaves one part
+    # empty; that part becomes the 0 x m marker _EmptyDataset
     p1 = data.points[idx1]
     p2 = data.points[idx2]
     return DataSplit(

@@ -17,7 +17,7 @@ Conic row convention throughout: a block contributes rows
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Span",
     "Block",
     "RobustProgram",
     "rc_linear_ellipsoid",
@@ -57,30 +56,19 @@ SUPPORTED_PAIRS = (
 )
 
 
-@dataclass(frozen=True)
-class Span:
-    """Half-open index range [start, stop) with a role tag."""
-
-    role: str
-    label: str
-    start: int
-    stop: int
-
-
 @dataclass(frozen=True, eq=False)
 class Block:
     """A bundle of conic rows over (x, aux).
 
     Semantics: offsets - rows_x @ x - rows_aux @ aux must lie in the product
-    of ``cones`` (row counts match in order).  ``aux_spans`` names the
-    auxiliary columns; they are block-local and get shifted on assembly.
+    of ``cones`` (row counts match in order).  The auxiliary columns are
+    block-local; assembly places them after x and any earlier block's.
     """
 
     rows_x: np.ndarray
     rows_aux: np.ndarray
     offsets: np.ndarray
     cones: tuple
-    aux_spans: tuple = ()
 
     def __post_init__(self):
         rx = np.atleast_2d(np.asarray(self.rows_x, dtype=float))
@@ -91,13 +79,6 @@ class Block:
             raise InvalidArgumentError("block row counts disagree")
         if sum(c.rows for c in self.cones) != k:
             raise InvalidArgumentError("cone rows do not cover the block")
-        covered = 0
-        for sp in self.aux_spans:
-            if sp.start != covered or sp.stop <= sp.start:
-                raise InvalidArgumentError("aux spans must tile the aux columns")
-            covered = sp.stop
-        if covered != ra.shape[1]:
-            raise InvalidArgumentError("aux spans do not cover the aux columns")
         for arr in (rx, ra, off):
             if not np.all(np.isfinite(arr)):
                 raise InvalidArgumentError("block contains non-finite entries")
@@ -111,7 +92,6 @@ class Block:
         object.__setattr__(self, "rows_aux", ra)
         object.__setattr__(self, "offsets", off)
         object.__setattr__(self, "cones", tuple(self.cones))
-        object.__setattr__(self, "aux_spans", tuple(self.aux_spans))
 
     @property
     def n_aux(self) -> int:
@@ -200,7 +180,6 @@ def rc_linear_polytope(halfspace_rows, halfspace_offsets, b: float, *,
         rows_aux=rows_aux,
         offsets=offsets,
         cones=(conic.Nonneg(1), conic.Zero(m), conic.Nonneg(r)),
-        aux_spans=(Span("polytope-dual", "p", 0, r),),
     )
 
 
@@ -310,7 +289,6 @@ def rc_pca(shape: shapes.PcaEllipsoid, rho: float, b: float, *,
         rows_aux=rows_aux,
         offsets=offsets,
         cones=(conic.Nonneg(1), conic.Zero(m), conic.SecondOrder(1 + r)),
-        aux_spans=(Span("norm-aux", "u", 0, r), Span("norm-aux", "lambda", r, r + 1)),
     )
 
 
@@ -318,7 +296,7 @@ def rc_pca(shape: shapes.PcaEllipsoid, rho: float, b: float, *,
 # LMI robust counterparts (export only)
 
 
-def _psd_block(const_mat, x_mats, aux_mats, aux_spans) -> Block:
+def _psd_block(const_mat, x_mats, aux_mats) -> Block:
     """Affine LMI const + sum x_j X_j + sum aux_t T_t >= 0 as a PSD block."""
     side = const_mat.shape[0]
     offsets = conic.triu_from_mat(const_mat)
@@ -327,7 +305,7 @@ def _psd_block(const_mat, x_mats, aux_mats, aux_spans) -> Block:
     rows_aux = np.column_stack([-conic.triu_from_mat(mat) for mat in aux_mats]) \
         if aux_mats else _no_aux(offsets.size)
     return Block(rows_x=rows_x, rows_aux=rows_aux, offsets=offsets,
-                 cones=(conic.PsdExportOnly(side),), aux_spans=aux_spans)
+                 cones=(conic.PsdExportOnly(side),))
 
 
 def rc_quadratic_ellipsoid(nominal, directions, q: float = 0.0) -> Block:
@@ -380,13 +358,12 @@ def rc_quadratic_ellipsoid(nominal, directions, q: float = 0.0) -> Block:
         x_mats.append(mat)
 
     if k == 0:
-        return _psd_block(const, x_mats, [], ())
+        return _psd_block(const, x_mats, [])
     tau_mat = np.zeros((side, side))
     tau_mat[0, 0] = -1.0
     for j in range(k):
         tau_mat[1 + j, 1 + j] = 1.0
-    return _psd_block(const, x_mats, [tau_mat],
-                      (Span("lmi-slack", "tau", 0, 1),))
+    return _psd_block(const, x_mats, [tau_mat])
 
 
 def rc_sdp_normbounded(abar_blocks, b_mat, rho: float) -> Block:
@@ -438,8 +415,7 @@ def rc_sdp_normbounded(abar_blocks, b_mat, rho: float) -> Block:
     lam_mat = np.zeros((side, side))
     lam_mat[: d * p, : d * p] = np.eye(d * p)
     lam_mat[d * p:, d * p:] = -np.eye(p)
-    return _psd_block(const, x_mats, [lam_mat],
-                      (Span("lmi-slack", "lambda", 0, 1),))
+    return _psd_block(const, x_mats, [lam_mat])
 
 
 # ---------------------------------------------------------------------------
@@ -494,15 +470,13 @@ def _nearest_center_block(centers: np.ndarray, radius: float, norm: int,
         rows_x = np.vstack([rows_c, np.zeros((1, d)), -eye])
         rows_aux = np.concatenate([np.full(r, radius), [-1.0], np.zeros(d)])[:, None]
         cones = (conic.Nonneg(r), conic.SecondOrder(1 + d))
-        aux = Span("norm-aux", "t", 0, 1)
     else:
         rows_x = np.vstack([rows_c, -eye, eye])
         rows_aux = np.vstack([np.full((r, d), radius), -eye, -eye])
         cones = (conic.Nonneg(r + 2 * d),)
-        aux = Span("norm-aux", "u", 0, d)
     return Block(rows_x=rows_x, rows_aux=rows_aux,
                  offsets=np.concatenate([offs, np.zeros(rows_x.shape[0] - r)]),
-                 cones=cones, aux_spans=(aux,))
+                 cones=cones)
 
 
 def _basic_linear_blocks(comp, s: float, rhs: np.ndarray, l: int, d: int) -> list:
@@ -692,27 +666,15 @@ def solve_reconstruction(spec: model.CcpSpec, x_hat,
 
 @dataclass(frozen=True, eq=False)
 class RobustProgram:
-    """A reformulated CCP: the conic program plus variable/row bookkeeping.
+    """A reformulated CCP: the spec, its prediction set and the conic program.
 
-    ``mapping`` tiles the conic variables with roles (original x, polytope
-    duals, norm auxiliaries, LMI slacks); ``rows`` tags each row bundle as
-    deterministic or robust.
+    The program's variables are x first, then each robust block's auxiliary
+    columns in block order.
     """
 
     spec: model.CcpSpec
     set: shapes.PredictionSet
     program: conic.ConicProgram
-    mapping: tuple = ()
-    rows: tuple = field(default=())
-
-    def __post_init__(self):
-        covered = 0
-        for sp in self.mapping:
-            if sp.start != covered or sp.stop <= sp.start:
-                raise InvalidArgumentError("mapping spans must tile the variables")
-            covered = sp.stop
-        if covered != self.program.n_vars:
-            raise InvalidArgumentError("mapping does not cover every variable")
 
     @property
     def is_export_only(self) -> bool:
@@ -720,22 +682,18 @@ class RobustProgram:
 
 
 def _shape_blocks(spec: model.CcpSpec, pset: shapes.PredictionSet) -> list:
-    """Labeled RC blocks for the spec's protected constraints."""
+    """RC blocks for the spec's protected constraints."""
     shape = pset.shape
     s = pset.size
     family = spec.family
     d = spec.d
 
     if isinstance(family, (model.SingleLinear, model.JointLinear)):
-        l = family.n_rows()
         if isinstance(shape, shapes.Union):
-            blocks = rc_union(shape, s, spec.rhs, d)
-            return [(f"robust[u{i}]", blk) for i, blk in enumerate(blocks)]
+            return rc_union(shape, s, spec.rhs, d)
         if isinstance(shape, shapes.Intersection):
-            blocks = rc_partition(shape, s, spec.rhs, d)
-            return [(f"robust[p{i}]", blk) for i, blk in enumerate(blocks)]
-        blocks = _basic_linear_blocks(shape, s, spec.rhs, l, d)
-        return [(f"robust[{i}]", blk) for i, blk in enumerate(blocks)]
+            return rc_partition(shape, s, spec.rhs, d)
+        return _basic_linear_blocks(shape, s, spec.rhs, family.n_rows(), d)
 
     if isinstance(family, model.Quadratic):
         if not isinstance(shape, _ELLIPSOIDS):
@@ -753,8 +711,7 @@ def _shape_blocks(spec: model.CcpSpec, pset: shapes.PredictionSet) -> list:
             model.split_quadratic_point(rho * factor[:, j], family.q, d)
             for j in range(m)
         ]
-        blk = rc_quadratic_ellipsoid(nominal, directions, q=float(spec.rhs[0]))
-        return [("robust[lmi]", blk)]
+        return [rc_quadratic_ellipsoid(nominal, directions, q=float(spec.rhs[0]))]
 
     if isinstance(family, model.Semidefinite):
         if not isinstance(shape, shapes.Ball):
@@ -766,8 +723,7 @@ def _shape_blocks(spec: model.CcpSpec, pset: shapes.PredictionSet) -> list:
             raise InvalidArgumentError("shape dimension does not match vec(xi)")
         abar = model.split_semidefinite_point(shape.center, d, family.p)
         b_mat = model.semidefinite_rhs_matrix(spec)
-        blk = rc_sdp_normbounded(abar, b_mat, _rho_of_size(s))
-        return [("robust[lmi]", blk)]
+        return [rc_sdp_normbounded(abar, b_mat, _rho_of_size(s))]
 
     raise UnsupportedCombinationError(
         f"unknown constraint family {family.kind!r}; supported pairs: {SUPPORTED_PAIRS}"
@@ -775,67 +731,54 @@ def _shape_blocks(spec: model.CcpSpec, pset: shapes.PredictionSet) -> list:
 
 
 def det_blocks(det: model.DetConstraints | None) -> list:
-    """The labeled block of deterministic rows A_ub x <= b_ub, if any."""
+    """The block of deterministic rows A_ub x <= b_ub, if any."""
     if det is None or det.b_ub.size == 0:
         return []
-    return [("det", Block(rows_x=det.a_ub, rows_aux=_no_aux(det.b_ub.size),
-                          offsets=det.b_ub, cones=(conic.Nonneg(det.b_ub.size),)))]
+    return [Block(rows_x=det.a_ub, rows_aux=_no_aux(det.b_ub.size),
+                  offsets=det.b_ub, cones=(conic.Nonneg(det.b_ub.size),))]
 
 
-def assemble(objective, labeled_blocks) -> tuple:
-    """Stack labeled blocks into min c'x over (x, aux) subject to every block.
+def assemble(objective, blocks) -> conic.ConicProgram:
+    """Stack blocks into min c'x over (x, aux) subject to every block.
 
-    Each block's auxiliary columns are appended after x in order.  Returns
-    the program, the variable mapping (spans over x and the aux columns) and
-    the row spans, tagged deterministic for the "det" block and robust
-    otherwise.
+    The rows follow the blocks in order, and so do the auxiliary columns,
+    which come after x.
     """
     c = np.asarray(objective, dtype=float).reshape(-1)
     d = c.size
-    n_aux = sum(blk.n_aux for _, blk in labeled_blocks)
-    n_rows = sum(blk.offsets.size for _, blk in labeled_blocks)
+    n_aux = sum(blk.n_aux for blk in blocks)
+    n_rows = sum(blk.offsets.size for blk in blocks)
     A = np.zeros((n_rows, d + n_aux))
     b = np.zeros(n_rows)
     cones = []
-    mapping = [Span("x", "x", 0, d)]
-    row_spans = []
     aux_base = d
     r0 = 0
-    for label, blk in labeled_blocks:
+    for i, blk in enumerate(blocks):
         k = blk.offsets.size
         if blk.n_x != d:
             raise InvalidArgumentError(
-                f"block {label!r} has {blk.n_x} x-columns but the objective "
+                f"block {i} has {blk.n_x} x-columns but the objective "
                 f"has {d} entries")
         A[r0: r0 + k, :d] = blk.rows_x
-        if blk.n_aux:
-            A[r0: r0 + k, aux_base: aux_base + blk.n_aux] = blk.rows_aux
-            for sp in blk.aux_spans:
-                mapping.append(Span(sp.role, f"{label}.{sp.label}",
-                                    aux_base + sp.start, aux_base + sp.stop))
-            aux_base += blk.n_aux
+        A[r0: r0 + k, aux_base: aux_base + blk.n_aux] = blk.rows_aux
+        aux_base += blk.n_aux
         b[r0: r0 + k] = blk.offsets
         cones.extend(blk.cones)
-        role = "deterministic" if label == "det" else "robust"
-        row_spans.append(Span(role, label, r0, r0 + k))
         r0 += k
     c = np.concatenate([c, np.zeros(n_aux)])
-    program = conic.ConicProgram(c=c, A=A, b=b, cones=tuple(cones))
-    return program, tuple(mapping), tuple(row_spans)
+    return conic.ConicProgram(c=c, A=A, b=b, cones=tuple(cones))
 
 
 def assemble_ro(spec: model.CcpSpec, pset: shapes.PredictionSet) -> RobustProgram:
     """Assemble min c'x subject to deterministic rows plus all RC blocks.
 
-    Returns the program together with the variable mapping; programs with an
-    LMI block are export-only and refuse the internal solver.
+    Programs with an LMI block are export-only and refuse the internal
+    solver.
     """
     if pset.dim != spec.data_dim:
         raise InvalidArgumentError(
             f"prediction set dimension {pset.dim} does not match "
             f"the family's data dimension {spec.data_dim}"
         )
-    program, mapping, rows = assemble(
-        spec.objective, det_blocks(spec.det) + _shape_blocks(spec, pset))
-    return RobustProgram(spec=spec, set=pset, program=program,
-                         mapping=mapping, rows=rows)
+    program = assemble(spec.objective, det_blocks(spec.det) + _shape_blocks(spec, pset))
+    return RobustProgram(spec=spec, set=pset, program=program)

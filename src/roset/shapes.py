@@ -424,7 +424,7 @@ def transform_values(shape: Shape, points) -> np.ndarray:
 
 
 def _nearest(pts: np.ndarray, centers: np.ndarray, dist) -> np.ndarray:
-    """min_k dist(pts - centers_k), with dist mapping an (n, k, m) difference
+    """min_k dist(pts - centers_k), with dist reducing an (n, k, m) difference
     to (n, k); chunked over centers to keep that difference bounded."""
     best = np.full(pts.shape[0], np.inf)
     step = max(1, 10**7 // max(1, pts.shape[0] * pts.shape[1]))

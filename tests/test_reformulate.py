@@ -301,18 +301,18 @@ def test_vecnorm_qr_rows_match_uncompressed_rows():
         rho = float(rng.uniform(1.0, 2.0))
         b = rng.uniform(1.0, 2.0, size=l)
         tails = np.linalg.solve(m_factor.T, np.eye(m))
-        raw = [(f"row{i}", rf.Block(
+        raw = [rf.Block(
             rows_x=np.vstack([abar[i], -rho * tails[:, i * d: (i + 1) * d]]),
             rows_aux=np.zeros((1 + m, 0)), offsets=np.append(b[i], np.zeros(m)),
-            cones=(conic.SecondOrder(1 + m),))) for i in range(l)]
+            cones=(conic.SecondOrder(1 + m),)) for i in range(l)]
         compressed = rf.rc_linear_vecnorm(abar, m_factor, rho, b)
         assert compressed.cones == (conic.SecondOrder(1 + d),) * l
         det = model.DetConstraints(a_ub=np.vstack([-np.eye(d), np.ones((1, d))]),
                                    b_ub=np.append(np.full(d, 0.2), 0.3))
         c = rng.normal(size=d)
         for extra in ([], rf.det_blocks(det)):
-            sol_qr = conic.solve(rf.assemble(c, [("qr", compressed)] + extra)[0])
-            sol_raw = conic.solve(rf.assemble(c, raw + extra)[0])
+            sol_qr = conic.solve(rf.assemble(c, [compressed] + extra))
+            sol_raw = conic.solve(rf.assemble(c, raw + extra))
             assert sol_qr.status is sol_raw.status is conic.SolveStatus.OPTIMAL
             assert abs(sol_qr.obj - sol_raw.obj) <= 1e-7 * max(1.0, abs(sol_raw.obj))
 
@@ -686,10 +686,9 @@ def _nearest_center_cases():
 def _ball_stack(spec, centers, s):
     """The program with one _vecnorm_blocks stack per ball of size s."""
     l = spec.rhs.size
-    balls = [(f"b{k}", rf._vecnorm_blocks(c.reshape(l, -1), np.eye(c.size),
-                                          np.sqrt(s), spec.rhs))
-             for k, c in enumerate(centers)]
-    return rf.assemble(spec.objective, rf.det_blocks(spec.det) + balls)[0]
+    balls = [rf._vecnorm_blocks(c.reshape(l, -1), np.eye(c.size), np.sqrt(s), spec.rhs)
+             for c in centers]
+    return rf.assemble(spec.objective, rf.det_blocks(spec.det) + balls)
 
 
 def _solved_objective(program):
@@ -722,11 +721,10 @@ def test_nearest_center_blocks_match_per_component_blocks():
         grid = shapes.BoxGrid(centers=centers, half_width=0.7)
         half = 0.7 * s
         box_rows = np.vstack([np.eye(m), -np.eye(m)])
-        ref_boxes = [(f"g{k}.{i}", rf.rc_linear_polytope(
-                         box_rows, np.concatenate([c + half, half - c]),
-                         float(spec.rhs[i]), x_dim=d, x_offset=i * d))
-                     for k, c in enumerate(centers[:3]) for i in range(l)]
-        want = _solved_objective(rf.assemble(spec.objective, det + ref_boxes)[0])
+        ref_boxes = [rf.rc_linear_polytope(box_rows, np.concatenate([c + half, half - c]),
+                                           float(spec.rhs[i]), x_dim=d, x_offset=i * d)
+                     for c in centers[:3] for i in range(l)]
+        want = _solved_objective(rf.assemble(spec.objective, det + ref_boxes))
         rp = rf.assemble_ro(spec, pset_with_size(grid, s))
         assert rp.program.n_vars == 2 * d
         got = _solved_objective(rp.program)
@@ -747,10 +745,9 @@ def test_nearest_center_blocks_at_size_zero_are_nominal_rows():
     rng = np.random.default_rng(32)
     for d, l in ((1, 1), (3, 2), (2, 3)):
         centers, spec = _nearest_center_case(rng, d, l, with_det=False)
-        nominal = [(f"b{k}", rf._vecnorm_blocks(c.reshape(l, d), np.eye(l * d),
-                                                0.0, spec.rhs))
-                   for k, c in enumerate(centers)]
-        want = _solved_objective(rf.assemble(spec.objective, nominal)[0])
+        nominal = [rf._vecnorm_blocks(c.reshape(l, d), np.eye(l * d), 0.0, spec.rhs)
+                   for c in centers]
+        want = _solved_objective(rf.assemble(spec.objective, nominal))
         # the repeated center leaves l duplicate rows out of 4 * l
         for shape in (shapes.BallBasis(centers=centers),
                       shapes.BoxGrid(centers=centers, half_width=0.5)):
@@ -970,7 +967,7 @@ def test_assemble_single_linear_ball_one_cone():
                          rhs=[9.0], epsilon=0.05, delta=0.05)
     rp = rf.assemble_ro(spec, pset)
     assert rp.program.cones == (conic.SecondOrder(3),)
-    assert rp.mapping == (rf.Span("x", "x", 0, 2),)
+    assert rp.program.n_vars == 2
     assert not rp.is_export_only
 
 
@@ -993,15 +990,20 @@ def test_assemble_quadratic_is_export_only():
     pset = shapes.build_prediction_set(shape, data[100:], 0.05, 0.05)
     rp = rf.assemble_ro(spec, pset)
     assert rp.is_export_only
-    roles = {sp.role for sp in rp.mapping}
-    assert roles == {"x", "lmi-slack"}
+    # x, then the one LMI slack tau as the last column: on the certificate
+    # matrix tau is diag(-1, I_k, 0_p), with k = 7 directions and p = 2
+    (cone,) = rp.program.cones
+    assert rp.program.n_vars == 3
+    tau = conic.mat_from_triu(-rp.program.A[:, -1], cone.side)
+    np.testing.assert_array_equal(tau, np.diag([-1.0] + [1.0] * 7 + [0.0] * 2))
     with pytest.raises(ExportOnlyProgramError):
         conic.solve(rp.program)
     out = conic.export(rp.program, "sdpa")
     assert out.splitlines()[0] == str(rp.program.n_vars)
 
 
-def test_assemble_mapping_tiles_variables():
+def test_assemble_lays_out_x_then_aux_columns():
+    """x columns first, then each block's aux columns in block order."""
     rng = np.random.default_rng(24)
     pts = rng.normal(size=(50, 2))
     box = shapes.fit_polytope_box(pts)
@@ -1011,15 +1013,22 @@ def test_assemble_mapping_tiles_variables():
         det=model.DetConstraints(a_ub=np.eye(2), b_ub=[9.0, 9.0]),
     )
     rp = rf.assemble_ro(spec, pset_with_size(box, 0.8))
-    covered = 0
-    for sp in rp.mapping:
-        assert sp.start == covered
-        covered = sp.stop
-    assert covered == rp.program.n_vars
-    assert rp.mapping[0] == rf.Span("x", "x", 0, 2)
-    assert any(sp.role == "polytope-dual" for sp in rp.mapping)
-    assert rp.rows[0].role == "deterministic"
-    assert all(sp.role == "robust" for sp in rp.rows[1:])
+    (det,) = rf.det_blocks(spec.det)
+    duals = [rf.rc_linear_polytope(box.rows, rf.polytope_level_offsets(box, s), 6.0)
+             for s in (0.8, 1.2)]
+    k, r = det.offsets.size, duals[0].offsets.size
+    assert duals[0].n_aux == 4
+    A = rp.program.A
+    assert A.shape == (k + r, 2 + 4)
+    np.testing.assert_array_equal(A[:k], np.hstack([det.rows_x, np.zeros((k, 4))]))
+    np.testing.assert_array_equal(A[k:], np.hstack([duals[0].rows_x, duals[0].rows_aux]))
+    np.testing.assert_array_equal(rp.program.c, [-1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
+
+    A = rf.assemble(spec.objective, [det] + duals).A
+    assert A.shape == (k + 2 * r, 2 + 8)
+    np.testing.assert_array_equal(A[k: k + r, 6:], 0.0)
+    np.testing.assert_array_equal(A[k + r:, 2:6], 0.0)
+    np.testing.assert_array_equal(A[k + r:, 6:], duals[1].rows_aux)
 
 
 def test_assemble_dimension_mismatch_rejected():
