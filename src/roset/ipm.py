@@ -39,12 +39,17 @@ alpha): 0.99 alpha when alpha is long, further back when it is short.
 The KKT system is the scaled one of ``coneqp`` (Vandenberghe 2010): the one
 with a -W^2 block, its last block row multiplied by W^{-1}, in the unknowns
 (dx, dy, W dz).  Its -I block stays well scaled where W^2 spreads apart near
-the boundary, and W dz is the scaled direction that max_step reads.  It is
-dense, (n+me+p) square, and LU-factored twice per iteration.  A reduced
-system that eliminates s and z waits until the benchmark's peak_rss_mb
-measures the working set: the benchmark keeps every op's output, about 9 KB
-per scenario_lp op (54.1 MB after 129 ops, 65.6 MB after 1408), so a
-scenario_lp speedup above about 3.4x breaks its bound.
+the boundary, and W dz is the scaled direction that max_step reads.  A static
+d = 1e-10 on the x diagonal and -d on the equality rows' diagonal, as in
+ECOS (Domahidi, Chu & Boyd 2013), makes it quasi-definite and so nonsingular
+whatever the rank of [A; G] (Vanderbei 1995): repeated or all-zero columns
+need no other path.  It is dense, (n+me+p) square, and LU-factored twice per
+iteration.  Eliminating its -I block gives the reduced system
+[[(W^{-1}G)'(W^{-1}G) + d I, A'], [A, -d I]], which waits until the
+benchmark's peak_rss_mb measures the working set: the benchmark keeps every
+op's output, so a 30 s scenario_lp run read 55.7 MB after 333 ops of the
+dense system and 64.2 MB after 1347 ops of a reduced-system prototype, past
+the 10% bound.
 """
 
 from __future__ import annotations
@@ -65,6 +70,8 @@ from .conic import (
 )
 from .errors import ExportOnlyProgramError
 
+# the static regularization d of the KKT diagonal, +d on x and -d on the
+# equality rows (see _KKT)
 _REG = 1e-10
 # stopping tolerances: FEAS_TOL bounds the relative residuals and the
 # residual of an infeasibility certificate, GAP_TOL the relative gap
@@ -235,22 +242,9 @@ class _NT:
         return float(np.minimum.reduce(self.kappa[pos] / out[pos], initial=math.inf))
 
 
-def _kkt_solve(K: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
+def _kkt_solve(K: np.ndarray, B: np.ndarray) -> np.ndarray:
     try:
         X = np.linalg.solve(K, B)
-        if np.all(np.isfinite(X)):
-            return X
-    except np.linalg.LinAlgError:
-        pass
-    # regularized retry with refinement against the unregularized matrix
-    N = K.shape[0]
-    reg = np.full(N, -_REG)
-    reg[:n] = _REG
-    Kr = K + np.diag(reg)
-    try:
-        X = np.linalg.solve(Kr, B)
-        for _ in range(2):
-            X = X + np.linalg.solve(Kr, B - K @ X)
     except np.linalg.LinAlgError as exc:
         raise _Breakdown("singular KKT system") from exc
     if not np.all(np.isfinite(X)):
@@ -259,9 +253,11 @@ def _kkt_solve(K: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
 
 
 class _KKT:
-    """The scaled KKT system [[0, A', (W^{-1}G)'], [A, 0, 0], [W^{-1}G, 0, -I]].
+    """The regularized scaled KKT system
 
-    It is allocated once with W = I, so the -I block is written once per
+        [[d I, A', (W^{-1}G)'], [A, -d I, 0], [W^{-1}G, 0, -I]],  d = _REG.
+
+    It is allocated once with W = I, so the diagonal is written once per
     solve; ``set_scaling`` rewrites the W^{-1}G blocks, from one W^{-1} pass
     over the rows [G'; h'; rz'], and W^{-1}h in ``cbh`` = (c, b, W^{-1}h) and in
     the shared right-hand side column ``rhs[:, 0]`` = (-c, b, W^{-1}h).
@@ -275,6 +271,8 @@ class _KKT:
         self.AG = AG = np.vstack((sp.A, G))
         K[:n, n:] = AG.T
         K[n:, :n] = AG
+        np.fill_diagonal(K[:n, :n], _REG)
+        np.fill_diagonal(K[n:off, n:off], -_REG)
         np.fill_diagonal(K[off:, off:], -1.0)
         self._rows = np.vstack((G.T, h, h))
         self.cbh = np.concatenate((c, b, h))
@@ -326,7 +324,7 @@ def solve(prog: ConicProgram, max_iter: int = 200) -> Solution:
     init[n:, 0] = bh
     init[:n, 1] = -c
     try:
-        init = _kkt_solve(K, init, n)
+        init = _kkt_solve(K, init)
     except _Breakdown:
         init = np.zeros((off + p, 2))
     # the iterate is v = (x, y, z), with (y, z) one dual over the rows [A; G],
@@ -413,7 +411,7 @@ def solve(prog: ConicProgram, max_iter: int = 200) -> Solution:
                 f = 1.0 - sigma
                 np.multiply(res, -f, out=rhs[:, 1])
                 rhs[off:, 1] -= lds
-                sol = _kkt_solve(K, rhs, n)
+                sol = _kkt_solve(K, rhs)
                 t1, t2 = cbh @ sol
                 dtau = (-f * rt - dtk_rhs / tau - t2) / (t1 - kappa / tau)
                 d = sol[:, 1] + dtau * sol[:, 0]

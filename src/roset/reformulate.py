@@ -113,6 +113,18 @@ def _checked_rho(rho) -> float:
     return rho
 
 
+def _x_embedding(m: int, x_dim: int | None, x_offset: int) -> np.ndarray:
+    """The (m, x_dim) identity block placing x at ambient coordinates
+    [x_offset, x_offset + x_dim); x_dim defaults to m."""
+    if x_dim is None:
+        x_dim = m
+    if x_offset < 0 or x_offset + x_dim > m:
+        raise InvalidArgumentError("x embedding exceeds the ambient dimension")
+    embed = np.zeros((m, x_dim))
+    embed[x_offset: x_offset + x_dim] = np.eye(x_dim)
+    return embed
+
+
 def _rho_of_size(s: float) -> float:
     """Radius of the level set of a squared transform at size s."""
     return float(np.sqrt(max(float(s), 0.0)))
@@ -165,12 +177,8 @@ def rc_linear_polytope(halfspace_rows, halfspace_offsets, b: float, *,
     r, m = rows.shape
     if offs.size != r:
         raise InvalidArgumentError("halfspace rows and offsets must align")
-    if x_dim is None:
-        x_dim = m
-    if x_offset < 0 or x_offset + x_dim > m:
-        raise InvalidArgumentError("x embedding exceeds the ambient dimension")
-    embed = np.zeros((m, x_dim))
-    embed[x_offset: x_offset + x_dim] = np.eye(x_dim)
+    embed = _x_embedding(m, x_dim, x_offset)
+    x_dim = embed.shape[1]
     rows_x = np.vstack([np.zeros((1, x_dim)), embed, np.zeros((r, x_dim))])
     rows_aux = np.vstack([offs[None, :], -rows.T, -np.eye(r)])
     offsets = np.zeros(1 + m + r)
@@ -254,13 +262,8 @@ def rc_pca(shape: shapes.PcaEllipsoid, rho: float, b: float, *,
         raise InvalidArgumentError("rc_pca needs a PcaEllipsoid shape")
     m = shape.dim
     r = shape.rank
-    if x_dim is None:
-        x_dim = m
-    if x_offset < 0 or x_offset + x_dim > m:
-        raise InvalidArgumentError("x embedding exceeds the ambient dimension")
-    rho = float(rho)
-    if not (rho >= 0 and np.isfinite(rho)):
-        raise InvalidArgumentError("rho must be finite and >= 0")
+    embed = _x_embedding(m, x_dim, x_offset)
+    rho = _checked_rho(rho)
     evals, evecs = np.linalg.eigh(shape.sigma_reduced)
     if evals[0] <= 0 or evals[0] <= 1e-14 * evals[-1]:
         raise DegenerateShapeError("reduced covariance is rank deficient")
@@ -268,10 +271,8 @@ def rc_pca(shape: shapes.PcaEllipsoid, rho: float, b: float, *,
     lift = shape.projection.T @ s_isqrt           # (m, r)
     w = s_isqrt @ shape.center_reduced            # (r,)
 
-    embed = np.zeros((m, x_dim))
-    embed[x_offset: x_offset + x_dim] = np.eye(x_dim)
     k = 1 + m + (1 + r)
-    rows_x = np.zeros((k, x_dim))
+    rows_x = np.zeros((k, embed.shape[1]))
     rows_aux = np.zeros((k, r + 1))
     offsets = np.zeros(k)
     # b - w'u - rho*lambda >= 0
@@ -396,9 +397,7 @@ def rc_sdp_normbounded(abar_blocks, b_mat, rho: float) -> Block:
             raise InvalidArgumentError("coefficient matrices must be symmetric")
     mats = [(mat + mat.T) / 2.0 for mat in mats]
     b_mat = (b_mat + b_mat.T) / 2.0
-    rho = float(rho)
-    if not (rho >= 0 and np.isfinite(rho)):
-        raise InvalidArgumentError("rho must be finite and >= 0")
+    rho = _checked_rho(rho)
 
     side = d * p + p
     const = np.zeros((side, side))

@@ -305,7 +305,11 @@ def test_nt_operator_matches_dense_scaling():
         assert_rel(K[off:, :n], Winv @ sp.G)
         assert np.array_equal(K[:n, off:], K[off:, :n].T)
         assert np.array_equal(K[n:off, :n], sp.A) and np.array_equal(K[:n, n:off], sp.A.T)
-        assert not np.any(K[n:, n:off]) and not np.any(K[:n, :n])
+        # the static regularization: +d on the x diagonal, -d on the
+        # equality rows', nothing below them
+        assert np.array_equal(K[:n, :n], ipm._REG * np.eye(n))
+        assert np.array_equal(K[n:off, n:off], -ipm._REG * np.eye(off - n))
+        assert not np.any(K[off:, n:off])
         cbh = np.concatenate((sp.c, sp.b, Winv @ sp.h))
         assert_rel(kkt.cbh, cbh)
         assert_rel(kkt.rhs[:, 0], np.concatenate((-sp.c, cbh[n:])))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from roset import conic, harness, ipm, model, reformulate, shapes
+from roset import baselines, conic, harness, ipm, model, reformulate, shapes
 from roset.calibrate import CalibResult
 from roset.conic import ConicProgram, Nonneg, SecondOrder, SolveStatus, Zero
 
@@ -253,6 +253,53 @@ def test_degenerate_redundant_equalities():
     assert abs(sol.obj - 1.0) < 1e-7
 
 
+def test_lps_with_a_repeated_column_solve_optimal():
+    # feasible (h - Gx0 > 0) and bounded (-c in the cone of G's rows) by
+    # construction; the copy of column j changes neither, but it leaves
+    # [A; G] rank deficient, and only the regularized KKT matrix stays
+    # nonsingular near the optimum
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        n, p = rng.integers(2, 6), rng.integers(4, 12)
+        G = rng.normal(size=(p, n))
+        h = G @ rng.normal(size=n) + rng.uniform(0.1, 1.0, p)
+        c = -G.T @ rng.uniform(0.1, 1.0, p)
+        j = rng.integers(n)
+        ref = conic.solve(lp_min(c, G, h))
+        sol = conic.solve(lp_min(np.append(c, c[j]), np.column_stack((G, G[:, j])), h))
+        assert ref.status is SolveStatus.OPTIMAL, seed
+        assert sol.status is SolveStatus.OPTIMAL, (seed, sol.reason)
+        assert sol.obj == pytest.approx(ref.obj, rel=1e-6, abs=1e-6), seed
+
+
+def test_sg_solve_with_a_repeated_feature_matches_highs():
+    # a duplicated data column is a duplicated decision variable with the
+    # same cost: the scenario LP keeps the optimum of the 4-feature LP
+    d, n = 4, 100
+    c = -np.ones(d)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        data = rng.multivariate_normal(np.ones(d), 0.1 * np.eye(d), size=n)
+        ref = linprog(c, A_ub=data, b_ub=np.full(n, 10.0), bounds=(None, None),
+                      method="highs")
+        spec = model.CcpSpec(objective=np.append(c, c[0]),
+                             family=model.SingleLinear(), rhs=[10.0],
+                             epsilon=0.05, delta=0.05)
+        sol = baselines.sg_solve(spec, np.column_stack((data, data[:, 0])))
+        assert ref.status == 0, seed
+        assert sol.status is SolveStatus.OPTIMAL, (seed, sol.reason)
+        assert sol.obj == pytest.approx(ref.fun, rel=1e-6), seed
+
+
+def test_kkt_matrix_is_nonsingular_with_a_zero_column():
+    # x1 appears in no row, so [A; G] has a zero column; the +d on the x
+    # diagonal keeps the matrix quasi-definite
+    prog = ConicProgram(c=[1.0, 0.0], A=[[1.0, 0.0], [-1.0, 0.0]], b=[1.0, 0.0],
+                        cones=(Zero(1), Nonneg(1)))
+    kkt = ipm._KKT(ipm._split(prog))
+    assert np.all(np.isfinite(np.linalg.solve(kkt.K, kkt.rhs)))
+
+
 def test_unconstrained_programs():
     sol = conic.solve(ConicProgram(c=[0.0, 0.0], A=np.zeros((0, 2)), b=[],
                                    cones=()))
@@ -472,7 +519,7 @@ def test_iteration_limit_reports_reason():
 
 
 def test_breakdown_reports_its_reason(monkeypatch):
-    def singular(K, B, n):
+    def singular(K, B):
         raise ipm._Breakdown("singular KKT system")
 
     monkeypatch.setattr(ipm, "_kkt_solve", singular)
