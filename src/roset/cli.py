@@ -286,11 +286,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RosetError as exc:
-        err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(err, sort_keys=True), file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (RosetError, OSError) as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(err, sort_keys=True), file=sys.stderr)
         return 1

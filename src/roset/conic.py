@@ -23,6 +23,7 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedExportError,
 )
+from .model import frozen, read_fields, read_value
 
 
 @dataclass(frozen=True)
@@ -114,12 +115,6 @@ def triu_from_mat(mat: np.ndarray) -> np.ndarray:
     return np.array([mat[i, j] for i, j in psd_triu_indices(side)])
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class ConicProgram:
     """Immutable conic program: minimize c'x subject to b - Ax in K."""
@@ -130,11 +125,9 @@ class ConicProgram:
     cones: tuple[Cone, ...]
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float).reshape(-1)
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float).reshape(-1)
-        if A.ndim != 2:
-            raise InvalidArgumentError("constraint matrix must be 2-d")
+        c = frozen(self.c, "objective").reshape(-1)
+        A = frozen(self.A, "constraint matrix", 2)
+        b = frozen(self.b, "offset").reshape(-1)
         if c.size != A.shape[1]:
             raise InvalidArgumentError(
                 f"objective has {c.size} entries but matrix has {A.shape[1]} columns"
@@ -143,8 +136,6 @@ class ConicProgram:
             raise InvalidArgumentError(
                 f"offset has {b.size} entries but matrix has {A.shape[0]} rows"
             )
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-            raise InvalidArgumentError("program data must be finite")
         cones = tuple(self.cones)
         total = 0
         for cone in cones:
@@ -161,9 +152,9 @@ class ConicProgram:
             raise InvalidArgumentError(
                 f"cone rows sum to {total} but matrix has {A.shape[0]} rows"
             )
-        object.__setattr__(self, "c", _freeze(c))
-        object.__setattr__(self, "A", _freeze(A))
-        object.__setattr__(self, "b", _freeze(b))
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "cones", cones)
 
     @property
@@ -269,14 +260,12 @@ def _cone_to_obj(cone: Cone) -> dict:
 
 
 def _cone_from_obj(obj: dict) -> Cone:
-    try:
-        kind = obj["type"]
-        cls = _CONE_KINDS[kind]
-        if kind == "psd":
-            return cls(side=int(obj["side"]))
-        return cls(dim=int(obj["dim"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"bad cone entry {obj!r}") from exc
+    kind = obj.get("type") if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in _CONE_KINDS:
+        raise InvalidArgumentError(f"bad cone entry {obj!r}")
+    size = "side" if kind == "psd" else "dim"
+    read_fields(obj, f"{kind} cone", ("type", size), ("type", size))
+    return _CONE_KINDS[kind](read_value(obj[size], int, f"{kind} cone {size}"))
 
 
 def _export_json(prog: ConicProgram) -> str:
@@ -291,21 +280,26 @@ def _export_json(prog: ConicProgram) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+_PROGRAM_FIELDS = ("format", "objective", "matrix", "offset", "cones")
+
+
 def parse_json(text: str) -> ConicProgram:
     """Inverse of export(prog, "json"); round-trips exactly."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"invalid program JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != "conic-program":
+    read_fields(payload, "conic program document", (*_PROGRAM_FIELDS, "version"),
+                _PROGRAM_FIELDS)
+    if payload["format"] != "conic-program":
         raise InvalidArgumentError("not a conic program document")
     try:
-        c = np.array(payload["objective"], dtype=float)
-        A = np.array(payload["matrix"], dtype=float)
-        b = np.array(payload["offset"], dtype=float)
         cones = tuple(_cone_from_obj(o) for o in payload["cones"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise InvalidArgumentError(f"malformed program document: {exc}") from exc
+    c = frozen(payload["objective"], "objective")
+    A = frozen(payload["matrix"], "constraint matrix")
+    b = frozen(payload["offset"], "offset")
     if A.size == 0:
         A = A.reshape(b.size, c.size)
     return ConicProgram(c=c, A=A, b=b, cones=cones)

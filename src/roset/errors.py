@@ -1,7 +1,8 @@
 """Exception taxonomy shared by every module.
 
-Each exception carries a stable machine-readable ``code`` so the CLI can emit
-structured errors without string matching.
+The CLI reports a domain error as a JSON object on stderr whose "type" is
+the exception's class name, so callers can tell errors apart without
+matching messages.
 """
 
 from __future__ import annotations
@@ -10,11 +11,9 @@ from __future__ import annotations
 class RosetError(Exception):
     """Base class for all domain errors raised by this package."""
 
-    code = "error"
-
 
 class InvalidArgumentError(RosetError):
-    code = "invalid-argument"
+    pass
 
 
 class InfeasibleCalibrationError(RosetError):
@@ -24,46 +23,42 @@ class InfeasibleCalibrationError(RosetError):
     is missing.
     """
 
-    code = "infeasible-calibration"
-
     def __init__(self, message: str, required_min: int):
         super().__init__(message)
         self.required_min = required_min
 
 
 class DegenerateDataError(RosetError):
-    code = "degenerate-data"
+    pass
 
 
 class ClusterDegeneracyError(RosetError):
-    code = "cluster-degeneracy"
+    pass
 
 
 class TooFineGridError(RosetError):
-    code = "too-fine-grid"
+    pass
 
 
 class DegeneratePolytopeError(RosetError):
-    code = "degenerate-polytope"
+    pass
 
 
 class DegenerateShapeError(RosetError):
-    code = "degenerate-shape"
+    pass
 
 
 class UnsupportedCombinationError(RosetError):
-    code = "unsupported-combination"
+    pass
 
 
 class InvalidScaleError(RosetError):
-    code = "invalid-scale"
+    pass
 
 
 class ExportOnlyProgramError(RosetError):
     """Program contains PSD blocks; it can be exported but not solved here."""
 
-    code = "export-only"
-
 
 class UnsupportedExportError(RosetError):
-    code = "unsupported-export"
+    pass

@@ -16,7 +16,6 @@ import inspect
 import io
 import json
 import math
-import numbers
 import warnings
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields
@@ -47,6 +46,8 @@ __all__ = [
     "VIOLATION_MODES",
     "two_phase_ro",
     "ExperimentConfig",
+    "config_to_obj",
+    "config_from_obj",
     "ReplicationRecord",
     "ExperimentReport",
     "run_replications",
@@ -268,25 +269,29 @@ def scaled_beta_sampler(a0, a_rows, alpha: float = 2.0, beta: float = 2.0) -> Sa
     a_rows = np.asarray(a_rows, dtype=float)
     if a_rows.ndim != 2 or a_rows.shape[1] != a0.size:
         raise InvalidArgumentError("a_rows must be (L, d) matching a0")
+    alpha = model.read_value(alpha, float, "alpha")
+    beta = model.read_value(beta, float, "beta")
     if not (alpha > 0 and beta > 0):
         raise InvalidArgumentError("beta parameters must be positive")
     return Sampler("scaled_beta", {"a0": a0, "a_rows": a_rows,
-                                   "alpha": float(alpha), "beta": float(beta)})
+                                   "alpha": alpha, "beta": beta})
 
 
 def quadratic_wishart_sampler(d: int, q: float, mu_low: float = 0.0,
                               mu_high: float = 5.0, dof: int | None = None) -> Sampler:
-    d = int(d)
+    d = model.read_value(d, int, "dimension")
     if d < 1:
         raise InvalidArgumentError("dimension must be >= 1")
-    dof = d if dof is None else int(dof)
+    dof = d if dof is None else model.read_value(dof, int, "Wishart dof")
     if dof < d:
         raise InvalidArgumentError("Wishart dof must be >= dimension")
+    q = model.read_value(q, float, "q")
+    mu_low = model.read_value(mu_low, float, "mu_low")
+    mu_high = model.read_value(mu_high, float, "mu_high")
     if not mu_low <= mu_high:
         raise InvalidArgumentError("need mu_low <= mu_high")
-    return Sampler("quadratic_wishart", {"d": d, "dof": dof, "q": float(q),
-                                         "mu_low": float(mu_low),
-                                         "mu_high": float(mu_high)})
+    return Sampler("quadratic_wishart", {"d": d, "dof": dof, "q": q,
+                                         "mu_low": mu_low, "mu_high": mu_high})
 
 
 def sdp_wishart_sampler(a_mats, dof: int | None = None) -> Sampler:
@@ -294,7 +299,7 @@ def sdp_wishart_sampler(a_mats, dof: int | None = None) -> Sampler:
     if a_mats.ndim != 3 or a_mats.shape[1] != a_mats.shape[2]:
         raise InvalidArgumentError("a_mats must be (d, p, p)")
     p = a_mats.shape[1]
-    dof = p if dof is None else int(dof)
+    dof = p if dof is None else model.read_value(dof, int, "Wishart dof")
     if dof < p:
         raise InvalidArgumentError("Wishart dof must be >= matrix side")
     return Sampler("sdp_wishart", {"a_mats": a_mats, "dof": dof})
@@ -305,13 +310,14 @@ def pca_synthetic_sampler(mu, sigma, projection, noise: float = 0.0005) -> Sampl
     projection = np.asarray(projection, dtype=float)
     if projection.ndim != 2 or projection.shape[1] != mu.size:
         raise InvalidArgumentError("projection must be (m, k) matching mu")
+    noise = model.read_value(noise, float, "noise half-width")
     if noise < 0:
         raise InvalidArgumentError("noise half-width must be >= 0")
     return Sampler("pca_synthetic", {"mu": mu,
                                      "sigma": np.asarray(sigma, dtype=float),
                                      "chol": _spd_chol(sigma, "sigma"),
                                      "projection": projection,
-                                     "noise": float(noise)})
+                                     "noise": noise})
 
 
 _SAMPLERS = {
@@ -334,15 +340,15 @@ def sampler_to_obj(sampler: Sampler) -> dict:
 
 def sampler_from_obj(obj: dict) -> Sampler:
     """Call the kind's factory with params, which must name its arguments."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise InvalidArgumentError("sampler object needs a 'kind' field")
+    model.read_fields(obj, "sampler", ("kind", "params"), ("kind",))
     kind = obj["kind"]
     factory = _SAMPLERS.get(kind) if isinstance(kind, str) else None
     if factory is None:
         raise InvalidArgumentError(f"unknown sampler kind {kind!r}")
-    params = obj.get("params", {})
-    if not isinstance(params, dict):
-        raise InvalidArgumentError("sampler params must be an object")
+    names = inspect.signature(factory).parameters
+    params = model.read_fields(
+        obj.get("params", {}), f"{kind} sampler params", names,
+        [name for name, par in names.items() if par.default is par.empty])
     try:
         return factory(**params)
     except (TypeError, ValueError) as exc:
@@ -458,7 +464,6 @@ _REQUIRED_OPTIONS = {
                 if inspect.signature(fitter).parameters[name].default
                 is inspect.Parameter.empty)
     for kind, (fitter, types) in _SHAPE_FITTERS.items()}
-_OPTION_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
 def _shape_options(kind: str, options) -> dict:
@@ -467,21 +472,10 @@ def _shape_options(kind: str, options) -> dict:
         raise InvalidArgumentError(
             f"unknown shape kind {kind!r}; known: {', '.join(SHAPE_KINDS)}")
     types = _SHAPE_FITTERS[kind][1]
-    options = {} if options is None else options
-    if not isinstance(options, dict):
-        raise InvalidArgumentError("shape options must be an object")
-    for name in _REQUIRED_OPTIONS[kind]:
-        if name not in options:
-            raise InvalidArgumentError(f"{kind} shape needs the option {name!r}")
-    for name, value in options.items():
-        want = types.get(name)
-        if want is None:
-            raise InvalidArgumentError(f"unknown {kind} shape option {name!r}; "
-                                       f"known: {', '.join(types) or 'none'}")
-        if isinstance(value, bool) or not isinstance(value, _OPTION_TYPES[want]):
-            raise InvalidArgumentError(f"{kind} shape option {name!r} must be "
-                                       f"{want.__name__}, got {value!r}")
-    return {name: types[name](value) for name, value in options.items()}
+    options = model.read_fields({} if options is None else options,
+                                f"{kind} shape options", types, _REQUIRED_OPTIONS[kind])
+    return {name: model.read_value(value, types[name], f"{kind} shape option {name!r}")
+            for name, value in options.items()}
 
 
 def fit_shape(kind: str, phase1, options: dict | None = None):
@@ -764,7 +758,7 @@ def reconstruction_pipeline(data, spec: model.CcpSpec, n1: int, seed: int = 0,
     if scale not in SCALE_POLICIES:
         raise InvalidArgumentError("scale must be auto, margin, or std")
     pts = data.points if isinstance(data, model.Dataset) else np.asarray(data, dtype=float)
-    split = model.split_data(model.Dataset(pts), int(n1), seed)
+    split = model.split_data(model.Dataset(pts), n1, seed)
     ph1 = split.phase1.points
     ph2 = split.phase2.points
     if ph1.shape[0] < 1:
@@ -824,8 +818,9 @@ def reconstruction_pipeline(data, spec: model.CcpSpec, n1: int, seed: int = 0,
 # experiment configuration files
 
 
+_PERTURBATION_FIELDS = ("a0", "a_rows", "mu_minus", "mu_plus", "sigma")
 # field name -> (to document, from document); the other fields are plain
-# values, coerced on input by their annotation
+# values, read by their annotation
 _CONFIG_CODECS = {
     "spec": (lambda spec: json.loads(model.spec_to_json(spec)),
              lambda obj: model.spec_from_json(json.dumps(obj))),
@@ -834,7 +829,8 @@ _CONFIG_CODECS = {
         lambda pert: None if pert is None else {
             k: np.asarray(v, dtype=float).tolist() for k, v in pert.items()},
         lambda obj: None if obj is None else {
-            k: np.asarray(v, dtype=float) for k, v in obj.items()}),
+            k: model.frozen(v, f"perturbation {k}") for k, v in model.read_fields(
+                obj, "perturbation", _PERTURBATION_FIELDS).items()}),
 }
 _CONFIG_SCALARS = {"int": int, "str": str}
 
@@ -848,29 +844,19 @@ def config_to_obj(config: ExperimentConfig) -> dict:
 
 def config_from_obj(obj: dict) -> ExperimentConfig:
     """Inverse of config_to_obj; absent fields take the dataclass defaults."""
-    if not isinstance(obj, dict):
-        raise InvalidArgumentError("experiment config must be an object")
     known = fields(ExperimentConfig)
-    unknown = sorted(set(obj) - {f.name for f in known})
-    if unknown:
-        raise InvalidArgumentError(
-            f"unknown experiment config field(s): {', '.join(unknown)}")
+    model.read_fields(obj, "experiment config", [f.name for f in known],
+                      [f.name for f in known if f.default is MISSING])
     kwargs = {}
     for f in known:
         if f.name not in obj:
-            if f.default is MISSING:
-                raise InvalidArgumentError(
-                    f"experiment config missing field {f.name!r}")
             continue
         value = obj[f.name]
-        try:
-            if f.name in _CONFIG_CODECS:
-                value = _CONFIG_CODECS[f.name][1](value)
-            elif f.type in _CONFIG_SCALARS:
-                value = _CONFIG_SCALARS[f.type](value)
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise InvalidArgumentError(
-                f"malformed experiment config field {f.name!r}: {exc}") from exc
+        if f.name in _CONFIG_CODECS:
+            value = _CONFIG_CODECS[f.name][1](value)
+        elif f.type in _CONFIG_SCALARS:
+            value = model.read_value(value, _CONFIG_SCALARS[f.type],
+                                     f"experiment config field {f.name!r}")
         kwargs[f.name] = value
     return ExperimentConfig(**kwargs)
 

@@ -9,7 +9,8 @@ every consumer agrees on orientation.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -34,19 +35,54 @@ __all__ = [
     "split_quadratic_point",
     "split_semidefinite_point",
     "semidefinite_rhs_matrix",
+    "read_fields",
+    "read_value",
+    "frozen",
 ]
 
 
-def _as_float_matrix(points, what: str) -> np.ndarray:
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2:
-        raise InvalidArgumentError(f"{what} must be a 2-d array, got ndim={arr.ndim}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise InvalidArgumentError(f"{what} must have at least one row and one column")
-    if not np.all(np.isfinite(arr)):
+# ---------------------------------------------------------------------------
+# Checks for outside data: every document reader and every record with array
+# fields goes through these three
+
+def read_fields(obj, what: str, allowed, required=()) -> dict:
+    """obj itself, checked to be an object holding every required key and no
+    key outside allowed."""
+    if not isinstance(obj, dict):
+        raise InvalidArgumentError(f"{what} must be an object, got {obj!r}")
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise InvalidArgumentError(f"unknown {what} field(s): {', '.join(unknown)}; "
+                                   f"known: {', '.join(allowed) or 'none'}")
+    for key in required:
+        if key not in obj:
+            raise InvalidArgumentError(f"{what} missing field {key!r}")
+    return obj
+
+
+_VALUE_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
+
+
+def read_value(value, kind: type, what: str):
+    """value as kind (int, float or str); a bool, a number given as a
+    string or a fractional count is an error, not a cast."""
+    if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES[kind]):
+        raise InvalidArgumentError(f"{what} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def frozen(value, what: str, ndim: int | None = None) -> np.ndarray:
+    """A read-only float copy of value, checked finite and, given ndim, of
+    that many dimensions."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"{what} must be numeric: {exc}") from exc
+    if ndim is not None and arr.ndim != ndim:
+        raise InvalidArgumentError(f"{what} must be a {ndim}-d array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise InvalidArgumentError(f"{what} contains non-finite entries")
+    arr.flags.writeable = False
     return arr
 
 
@@ -57,9 +93,15 @@ class Dataset:
     points: np.ndarray
 
     def __post_init__(self):
-        arr = _as_float_matrix(self.points, "Dataset.points")
-        arr = arr.copy()
-        arr.flags.writeable = False
+        arr = frozen(self.points, "Dataset.points")
+        if arr.ndim == 1:
+            arr = arr.reshape(-1, 1)
+        if arr.ndim != 2:
+            raise InvalidArgumentError(
+                f"Dataset.points must be a 2-d array, got ndim={arr.ndim}")
+        if arr.shape[0] < 1 or arr.shape[1] < 1:
+            raise InvalidArgumentError(
+                "Dataset.points must have at least one row and one column")
         object.__setattr__(self, "points", arr)
 
     @property
@@ -87,7 +129,7 @@ def split_data(data: Dataset, n1: int, seed: int) -> DataSplit:
 
     Either part may be empty at the boundaries n1 = 0 or n1 = n.
     """
-    n1 = int(n1)
+    n1 = read_value(n1, int, "n1")
     if n1 < 0 or n1 > data.n:
         raise InvalidArgumentError(f"n1 must lie in [0, {data.n}], got {n1}")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -226,16 +268,10 @@ class DetConstraints:
     b_ub: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a_ub, dtype=float)
-        b = np.asarray(self.b_ub, dtype=float).reshape(-1)
-        if a.ndim != 2 or a.shape[0] != b.shape[0]:
+        a = frozen(self.a_ub, "det constraints A_ub", 2)
+        b = frozen(self.b_ub, "det constraints b_ub").reshape(-1)
+        if a.shape[0] != b.shape[0]:
             raise InvalidArgumentError("det constraints: A_ub rows must match b_ub length")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise InvalidArgumentError("det constraints contain non-finite entries")
-        a = a.copy()
-        b = b.copy()
-        a.flags.writeable = False
-        b.flags.writeable = False
         object.__setattr__(self, "a_ub", a)
         object.__setattr__(self, "b_ub", b)
 
@@ -252,27 +288,21 @@ class CcpSpec:
     det: DetConstraints | None = None
 
     def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float).reshape(-1)
-        if c.size < 1 or not np.all(np.isfinite(c)):
+        c = frozen(self.objective, "objective").reshape(-1)
+        if c.size < 1:
             raise InvalidArgumentError("objective must be a finite vector with d >= 1")
         if not (0.0 < self.epsilon < 1.0):
             raise InvalidArgumentError(f"epsilon must be in (0,1), got {self.epsilon}")
         if not (0.0 < self.delta < 1.0):
             raise InvalidArgumentError(f"delta must be in (0,1), got {self.delta}")
-        rhs = np.asarray(self.rhs, dtype=float).reshape(-1)
+        rhs = frozen(self.rhs, "rhs").reshape(-1)
         want = self.family.rhs_size()
         if rhs.size != want:
             raise InvalidArgumentError(
                 f"rhs must have {want} entries for family {self.family.kind}, got {rhs.size}"
             )
-        if not np.all(np.isfinite(rhs)):
-            raise InvalidArgumentError("rhs contains non-finite entries")
         if self.det is not None and self.det.a_ub.shape[1] != c.size:
             raise InvalidArgumentError("det constraints column count must equal d")
-        c = c.copy()
-        rhs = rhs.copy()
-        c.flags.writeable = False
-        rhs.flags.writeable = False
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "rhs", rhs)
 
@@ -360,15 +390,17 @@ def spec_to_json(spec: CcpSpec) -> str:
 
 def _family_from_json(obj):
     """A family from {"kind", **fields}; every family field is a row count."""
-    params = dict(obj) if isinstance(obj, dict) else {}
-    kind = params.pop("kind", None)
+    kind = obj.get("kind") if isinstance(obj, dict) else None
     cls = _FAMILY_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise InvalidArgumentError(f"unknown constraint family kind: {kind!r}")
-    try:
-        return cls(**{name: int(value) for name, value in params.items()})
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"malformed {kind} family: {exc}") from exc
+    names = [f.name for f in fields(cls)]
+    params = read_fields(obj, f"{kind} family", ("kind", *names), names)
+    return cls(**{name: read_value(params[name], int, f"{kind} family {name!r}")
+                  for name in names})
+
+
+_SPEC_FIELDS = ("objective", "family", "rhs", "epsilon", "delta")
 
 
 def spec_from_json(text: str) -> CcpSpec:
@@ -376,22 +408,16 @@ def spec_from_json(text: str) -> CcpSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"invalid CcpSpec JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InvalidArgumentError("CcpSpec JSON must be an object")
-    for key in ("objective", "family", "rhs", "epsilon", "delta"):
-        if key not in doc:
-            raise InvalidArgumentError(f"CcpSpec JSON missing field {key!r}")
-    try:
-        det = doc.get("det_constraints")
-        if det is not None:
-            det = DetConstraints(a_ub=det["A_ub"], b_ub=det["b_ub"])
-        return CcpSpec(
-            objective=np.asarray(doc["objective"], dtype=float),
-            family=_family_from_json(doc["family"]),
-            rhs=np.asarray(doc["rhs"], dtype=float),
-            epsilon=float(doc["epsilon"]),
-            delta=float(doc["delta"]),
-            det=det,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"malformed CcpSpec document: {exc!r}") from exc
+    read_fields(doc, "CcpSpec JSON", (*_SPEC_FIELDS, "det_constraints"), _SPEC_FIELDS)
+    det = doc.get("det_constraints")
+    if det is not None:
+        read_fields(det, "det_constraints", ("A_ub", "b_ub"), ("A_ub", "b_ub"))
+        det = DetConstraints(a_ub=det["A_ub"], b_ub=det["b_ub"])
+    return CcpSpec(
+        objective=doc["objective"],
+        family=_family_from_json(doc["family"]),
+        rhs=doc["rhs"],
+        epsilon=read_value(doc["epsilon"], float, "epsilon"),
+        delta=read_value(doc["delta"], float, "delta"),
+        det=det,
+    )

@@ -71,23 +71,14 @@ class Block:
     cones: tuple
 
     def __post_init__(self):
-        rx = np.atleast_2d(np.asarray(self.rows_x, dtype=float))
-        ra = np.atleast_2d(np.asarray(self.rows_aux, dtype=float))
-        off = np.asarray(self.offsets, dtype=float).reshape(-1)
+        rx = np.atleast_2d(model.frozen(self.rows_x, "block rows_x"))
+        ra = np.atleast_2d(model.frozen(self.rows_aux, "block rows_aux"))
+        off = model.frozen(self.offsets, "block offsets").reshape(-1)
         k = off.size
         if rx.shape[0] != k or ra.shape[0] != k:
             raise InvalidArgumentError("block row counts disagree")
         if sum(c.rows for c in self.cones) != k:
             raise InvalidArgumentError("cone rows do not cover the block")
-        for arr in (rx, ra, off):
-            if not np.all(np.isfinite(arr)):
-                raise InvalidArgumentError("block contains non-finite entries")
-        rx = rx.copy()
-        ra = ra.copy()
-        off = off.copy()
-        rx.flags.writeable = False
-        ra.flags.writeable = False
-        off.flags.writeable = False
         object.__setattr__(self, "rows_x", rx)
         object.__setattr__(self, "rows_aux", ra)
         object.__setattr__(self, "offsets", off)

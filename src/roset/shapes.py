@@ -9,7 +9,7 @@ covers the whole composite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import Optional, Union as TUnion
 
 import numpy as np
@@ -23,6 +23,7 @@ from .errors import (
     InvalidArgumentError,
     TooFineGridError,
 )
+from .model import frozen, read_fields, read_value
 
 DEFAULT_RIDGE = 1e-8
 _GRID_GUARD = 10**6
@@ -36,16 +37,6 @@ def _points_of(data) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise InvalidArgumentError("data must be finite")
     return pts
-
-
-def _freeze(arr, ndim) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    if out.ndim != ndim:
-        raise InvalidArgumentError(f"expected {ndim}-d array, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise InvalidArgumentError("shape parameters must be finite")
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +54,8 @@ class Ellipsoid:
     variant = "ellipsoid"
 
     def __post_init__(self):
-        center = _freeze(self.center, 1)
-        sigma = _freeze(self.sigma, 2)
+        center = frozen(self.center, "center", 1)
+        sigma = frozen(self.sigma, "sigma", 2)
         m = center.size
         if sigma.shape != (m, m):
             raise InvalidArgumentError("sigma must be m x m")
@@ -99,8 +90,8 @@ class DiagEllipsoid:
     variant = "diag_ellipsoid"
 
     def __post_init__(self):
-        center = _freeze(self.center, 1)
-        variances = _freeze(self.variances, 1)
+        center = frozen(self.center, "center", 1)
+        variances = frozen(self.variances, "variances", 1)
         if variances.size != center.size:
             raise InvalidArgumentError("variances must match center length")
         if np.any(variances <= 0):
@@ -122,7 +113,7 @@ class Ball:
     variant = "ball"
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _freeze(self.center, 1))
+        object.__setattr__(self, "center", frozen(self.center, "center", 1))
 
     @property
     def dim(self) -> int:
@@ -145,9 +136,9 @@ class Polytope:
     variant = "polytope"
 
     def __post_init__(self):
-        rows = _freeze(self.rows, 2)
-        offsets = _freeze(self.offsets, 1)
-        interior = _freeze(self.interior, 1)
+        rows = frozen(self.rows, "polytope rows", 2)
+        offsets = frozen(self.offsets, "polytope offsets", 1)
+        interior = frozen(self.interior, "interior point", 1)
         if rows.shape[0] != offsets.size or rows.shape[0] < 1:
             raise InvalidArgumentError("rows and offsets must align")
         if rows.shape[1] != interior.size:
@@ -177,9 +168,9 @@ class PcaEllipsoid:
     variant = "pca_ellipsoid"
 
     def __post_init__(self):
-        projection = _freeze(self.projection, 2)
-        center = _freeze(self.center_reduced, 1)
-        sigma = _freeze(self.sigma_reduced, 2)
+        projection = frozen(self.projection, "projection", 2)
+        center = frozen(self.center_reduced, "center_reduced", 1)
+        sigma = frozen(self.sigma_reduced, "sigma_reduced", 2)
         r = projection.shape[0]
         if center.size != r or sigma.shape != (r, r):
             raise InvalidArgumentError("reduced parameters must match projection rows")
@@ -207,7 +198,7 @@ class PcaEllipsoid:
 
 
 def _check_centers(centers) -> np.ndarray:
-    centers = _freeze(centers, 2)
+    centers = frozen(centers, "centers", 2)
     if centers.shape[0] < 1:
         raise InvalidArgumentError("need at least one center")
     return centers
@@ -249,7 +240,7 @@ class BoxGrid:
 
     def __post_init__(self):
         centers = _check_centers(self.centers)
-        hw = float(self.half_width)
+        hw = read_value(self.half_width, float, "half_width")
         if not (hw > 0 and np.isfinite(hw)):
             raise InvalidArgumentError("half_width must be positive")
         object.__setattr__(self, "centers", centers)
@@ -320,7 +311,8 @@ class Intersection:
             object.__setattr__(self, "components", _check_components(self.components))
             return
         components = _basic_components(self.components)
-        blocks = tuple(tuple(int(i) for i in blk) for blk in self.blocks)
+        blocks = tuple(tuple(read_value(i, int, "coordinate block index") for i in blk)
+                       for blk in self.blocks)
         if len(blocks) != len(components):
             raise InvalidArgumentError("need one coordinate block per component")
         seen = []
@@ -702,14 +694,14 @@ def shape_to_json(shape: Shape) -> str:
 
 def shape_from_obj(obj: dict) -> Shape:
     """Inverse of shape_to_obj; the parameters must name exactly the fields."""
-    try:
-        variant = obj["variant"]
-        par = obj["parameters"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidArgumentError("shape document needs variant and parameters") from exc
+    read_fields(obj, "shape document", ("variant", "parameters"), ("variant", "parameters"))
+    variant = obj["variant"]
     cls = _VARIANTS.get(variant) if isinstance(variant, str) else None
     if cls is None:
         raise InvalidArgumentError(f"unknown shape variant {variant!r}")
+    par = read_fields(obj["parameters"], f"{variant} parameters",
+                      [f.name for f in fields(cls)],
+                      [f.name for f in fields(cls) if f.default is MISSING])
     try:
         if "components" in par:
             par = {**par, "components": tuple(shape_from_obj(c)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,17 @@ def test_parse_json_rejects_garbage():
         conic.parse_json("not json")
     with pytest.raises(InvalidArgumentError):
         conic.parse_json("{\"format\": \"other\"}")
+    doc = json.loads(conic.export(_small_program(), "json"))
+    assert conic.export(conic.parse_json(json.dumps(doc)), "json") == \
+        json.dumps(doc, indent=2, sort_keys=True)
+    cone = doc["cones"][0]
+    for bad, match in (({**doc, "offsets": doc["offset"]}, "offsets"),
+                       ({**doc, "cones": [{**cone, "dim": 1.9}]}, "dim"),
+                       ({**doc, "cones": [{**cone, "dim": True}]}, "dim"),
+                       ({**doc, "cones": [{**cone, "side": 2}]}, "side"),
+                       ({**doc, "matrix": "[[1]]"}, "matrix")):
+        with pytest.raises(InvalidArgumentError, match=match):
+            conic.parse_json(json.dumps(bad))
 
 
 def test_sdpa_rejects_soc():

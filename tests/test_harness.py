@@ -139,7 +139,11 @@ def test_sampler_round_trip_and_dims():
                                  rng.normal(size=(10, 2))),
     ]
     for samp in samplers:
-        back = hz.sampler_from_obj(hz.sampler_to_obj(samp))
+        obj = json.loads(json.dumps(hz.sampler_to_obj(samp)))
+        back = hz.sampler_from_obj(obj)
+        assert hz.sampler_to_obj(back) == obj
+        with pytest.raises(InvalidArgumentError, match="param"):
+            hz.sampler_from_obj({**obj, "param": obj["params"]})
         assert back.kind == samp.kind
         r1 = np.random.Generator(np.random.PCG64(5))
         r2 = np.random.Generator(np.random.PCG64(5))
@@ -147,6 +151,10 @@ def test_sampler_round_trip_and_dims():
         c = back.draw(r2, 8)
         assert a.shape == (8, samp.dim)
         assert np.array_equal(a, c)
+    for params in ({"d": 3.5, "q": 4.0}, {"d": 3, "q": 4.0, "dof": "4"},
+                   {"d": 3, "q": 4.0, "mu_high": True}):
+        with pytest.raises(InvalidArgumentError):
+            hz.sampler_from_obj({"kind": "quadratic_wishart", "params": params})
 
 
 def test_scaled_beta_bounded_support():
@@ -530,8 +538,16 @@ def test_experiment_config_document_round_trip_and_strictness():
         hz.config_from_obj({**obj, "shape_option": {"k": 3}})
     with pytest.raises(InvalidArgumentError, match="'n'"):
         hz.config_from_obj({k: v for k, v in obj.items() if k != "n"})
-    with pytest.raises(InvalidArgumentError):
-        hz.config_from_obj({**obj, "n": "many"})
+    # counts must be JSON integers: no truncation, bool or string cast
+    for name, value in (("n", "many"), ("n", 200.9), ("n", 80.0), ("n1", True),
+                        ("n_eval", "300"), ("method", 3)):
+        with pytest.raises(InvalidArgumentError, match=f"'{name}'"):
+            hz.config_from_obj({**obj, name: value})
+    # nested documents reject unknown keys too
+    with pytest.raises(InvalidArgumentError, match="kind"):
+        hz.config_from_obj({**obj, "spec": {**obj["spec"], "kind": "x"}})
+    with pytest.raises(InvalidArgumentError, match="a_0"):
+        hz.config_from_obj({**obj, "perturbation": {"a_0": [1.0]}})
 
 
 def test_theorem_confidence_end_to_end():

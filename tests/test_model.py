@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,25 @@ def test_spec_json_rejects_garbage():
             '{"objective": [1.0], "family": {"kind": "single_linear"}, "rhs": [0.0],'
             ' "epsilon": 0.1, "delta": 0.1, "det_constraints": {"A_ub": [[1.0]]}}'
         )
+    # a misspelled optional key, a fractional row count, a string number and
+    # an unknown family field are errors, not dropped or cast
+    good = json.loads(model.spec_to_json(model.CcpSpec(
+        objective=[1.0, 2.0], family=model.JointLinear(l=2), rhs=[0.0, 1.0],
+        epsilon=0.1, delta=0.1,
+        det=model.DetConstraints(a_ub=[[-1.0, 0.0]], b_ub=[0.0]))))
+    assert model.spec_to_json(model.spec_from_json(json.dumps(good))) == \
+        json.dumps(good, indent=2, sort_keys=True)
+    misspelled = {("det_constraint" if k == "det_constraints" else k): v
+                  for k, v in good.items()}
+    for bad, match in (
+            (misspelled, "det_constraint"),
+            ({**good, "family": {"kind": "joint_linear", "l": 2.9}}, "'l'"),
+            ({**good, "family": {"kind": "joint_linear", "l": True}}, "'l'"),
+            ({**good, "family": {"kind": "joint_linear", "l": 2, "q": 1}}, "q"),
+            ({**good, "epsilon": "0.1"}, "epsilon"),
+            ({**good, "det_constraints": {**good["det_constraints"], "c": 1}}, "c")):
+        with pytest.raises(InvalidArgumentError, match=match):
+            model.spec_from_json(json.dumps(bad))
 
 
 def test_vectorize_round_trip():

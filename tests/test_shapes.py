@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -31,7 +32,9 @@ from roset.shapes import (
     pca_ellipsoid,
     polytope_from_halfspaces,
     shape_from_json,
+    shape_from_obj,
     shape_to_json,
+    shape_to_obj,
     transform_eval,
     transform_values,
 )
@@ -418,6 +421,19 @@ def test_shape_json_rejects_garbage():
     with pytest.raises(InvalidArgumentError):
         shape_from_json('{"variant": "ball", "parameters": {"center": [0.0],'
                         ' "radius": 1.0}}')
+    grid = shape_to_obj(BoxGrid(centers=np.array([[0.5, 0.5]]), half_width=0.5))
+    inter = shape_to_obj(Intersection(components=(Ball(center=np.zeros(2)),
+                                                  Ball(center=np.ones(2))),
+                                      blocks=((0, 1), (2, 3))))
+    for doc in (grid, inter):
+        assert shape_to_obj(shape_from_obj(json.loads(json.dumps(doc)))) == doc
+    # unknown keys, strings for numbers and fractional indices are errors
+    for bad in ({**grid, "version": 1},
+                {**grid, "parameters": {**grid["parameters"], "half_width": "0.5"}},
+                {**inter, "parameters": {**inter["parameters"],
+                                         "blocks": [[0.9, 1], [2, 3]]}}):
+        with pytest.raises(InvalidArgumentError):
+            shape_from_obj(bad)
 
 
 def test_intersection_blocks_transform_and_dim():
