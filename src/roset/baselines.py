@@ -19,7 +19,6 @@ from .errors import InvalidArgumentError, UnsupportedCombinationError
 
 __all__ = [
     "sg_min_size",
-    "sg_min_size_discard",
     "sg_solve",
     "safe_hoeffding",
     "safe_gaussian",
@@ -57,28 +56,10 @@ def sg_min_size(epsilon: float, delta: float, d: int) -> int:
     """
     epsilon = _check_prob(epsilon, "epsilon")
     delta = _check_prob(delta, "delta")
-    d = int(d)
+    d = model.read_value(d, int, "decision dimension")
     if d < 1:
         raise InvalidArgumentError("decision dimension must be >= 1")
     return _min_size(epsilon, d - 1, math.log(delta))
-
-
-def sg_min_size_discard(epsilon: float, delta: float, d: int, k_discard: int) -> int:
-    """Scenario count when k_discard constraints may be discarded a posteriori.
-
-    Smallest n with C(k+d-1, k) * P(Bin(n, epsilon) <= k+d-1) <= delta.
-    With k_discard = 0 this reduces to sg_min_size.
-    """
-    epsilon = _check_prob(epsilon, "epsilon")
-    delta = _check_prob(delta, "delta")
-    d = int(d)
-    k = int(k_discard)
-    if d < 1:
-        raise InvalidArgumentError("decision dimension must be >= 1")
-    if k < 0:
-        raise InvalidArgumentError("k_discard must be >= 0")
-    log_comb = (math.lgamma(k + d) - math.lgamma(k + 1) - math.lgamma(d))
-    return _min_size(epsilon, k + d - 1, math.log(delta) - log_comb)
 
 
 def sg_solve(spec: model.CcpSpec, scenarios) -> conic.Solution:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleCalibrationError, InvalidArgumentError
+from .model import read_value
 
 __all__ = [
     "CalibResult",
@@ -32,7 +33,6 @@ __all__ = [
     "upper_rank_confidence",
     "calib_index_lower",
     "calibrate_size",
-    "theoretical_confidence",
     "binom_cdf",
 ]
 
@@ -103,7 +103,7 @@ def upper_rank_confidence(n2: int, epsilon: float, delta: float) -> tuple[int, f
     off one cumulative table."""
     epsilon = _check_prob(epsilon, "epsilon")
     delta = _check_prob(delta, "delta")
-    n2 = int(n2)
+    n2 = read_value(n2, int, "n2")
     required = min_phase2_size(epsilon, delta)
     if n2 < required:
         raise InfeasibleCalibrationError(
@@ -130,7 +130,7 @@ def calib_index_lower(n2: int, epsilon: float, delta: float) -> int:
     with confidence 1-delta."""
     epsilon = _check_prob(epsilon, "epsilon")
     delta = _check_prob(delta, "delta")
-    n2 = int(n2)
+    n2 = read_value(n2, int, "n2")
     # validity: P(Bin(n2, 1-eps) >= 1) = 1 - eps^n2 must reach 1 - delta
     if 1.0 - epsilon**n2 < (1.0 - delta) - _BOUNDARY_SLACK:
         raise InfeasibleCalibrationError(
@@ -169,8 +169,3 @@ def calibrate_size(t_values, epsilon: float, delta: float) -> CalibResult:
         delta=float(delta),
         tie_warning=ties,
     )
-
-
-def theoretical_confidence(n2: int, epsilon: float, delta: float) -> float:
-    """Achieved confidence 1 - delta_theoretical at the chosen rank i*."""
-    return upper_rank_confidence(n2, epsilon, delta)[1]

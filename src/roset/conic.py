@@ -351,21 +351,3 @@ def _export_sdpa(prog: ConicProgram) -> str:
         for blk_i, i, j, v in entries[k]:
             lines.append(f"{k} {blk_i} {i} {j} {_fmt(v)}")
     return "\n".join(lines) + "\n"
-
-
-def format_program(prog: ConicProgram) -> str:
-    """Human-readable rendering of a program."""
-    lines = [f"conic program: {prog.n_vars} variables, {prog.n_rows} rows"]
-    terms = [f"{c:+.6g}*x{k}" for k, c in enumerate(prog.c) if c != 0.0]
-    lines.append("minimize " + (" ".join(terms) if terms else "0"))
-    names = {"zero": "= 0", "nonneg": ">= 0", "soc": "in Q", "psd": ">> 0 (psd)"}
-    for idx, (cone, sl) in enumerate(prog.cone_slices()):
-        if isinstance(cone, PsdExportOnly):
-            head = f"block {idx}: Psd(side={cone.side})"
-        else:
-            head = f"block {idx}: {type(cone).__name__}({cone.dim})"
-        lines.append(head + f"  rows {sl.start}..{sl.stop - 1}, b - Ax {names[cone.kind]}")
-        for r in range(sl.start, sl.stop):
-            coeffs = " ".join(f"{v:9.4g}" for v in prog.A[r])
-            lines.append(f"  [{prog.b[r]:9.4g}] - [{coeffs}] x")
-    return "\n".join(lines) + "\n"

@@ -40,10 +40,6 @@ class TooFineGridError(RosetError):
     pass
 
 
-class DegeneratePolytopeError(RosetError):
-    pass
-
-
 class DegenerateShapeError(RosetError):
     pass
 

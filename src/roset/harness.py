@@ -60,7 +60,7 @@ __all__ = [
 
 def _rep_seeds(master_seed: int, r: int) -> tuple[int, int]:
     """(data, evaluation) seeds of replication r, independent across (master, r)."""
-    children = np.random.SeedSequence([int(master_seed), int(r)]).spawn(2)
+    children = np.random.SeedSequence([master_seed, r]).spawn(2)
     return tuple(int(child.generate_state(1, np.uint64)[0]) for child in children)
 
 
@@ -87,7 +87,7 @@ class Sampler:
         or without ``project``, so the random stream is the same.  Other
         kinds draw the points and multiply.
         """
-        n = int(n)
+        n = model.read_value(n, int, "draw count")
         if n < 0:
             raise InvalidArgumentError("draw count must be >= 0")
         if project is None:
@@ -241,8 +241,8 @@ def _spd_chol(sigma, what: str) -> np.ndarray:
 
 
 def gaussian_sampler(mu, sigma) -> Sampler:
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    sigma = np.asarray(sigma, dtype=float)
+    mu = model.frozen(mu, "mu").reshape(-1)
+    sigma = model.frozen(sigma, "sigma")
     if sigma.shape != (mu.size, mu.size):
         raise InvalidArgumentError("sigma must be square and match mu")
     return Sampler("gaussian", {"mu": mu, "sigma": sigma,
@@ -250,9 +250,9 @@ def gaussian_sampler(mu, sigma) -> Sampler:
 
 
 def mixture_sampler(weights, means, sigmas) -> Sampler:
-    weights = np.asarray(weights, dtype=float).reshape(-1)
-    means = np.asarray(means, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=float)
+    weights = model.frozen(weights, "weights").reshape(-1)
+    means = model.frozen(means, "means")
+    sigmas = model.frozen(sigmas, "sigmas")
     if means.ndim != 2 or means.shape[0] != weights.size:
         raise InvalidArgumentError("means must be (k, m) aligned with weights")
     if sigmas.shape != (weights.size, means.shape[1], means.shape[1]):
@@ -265,8 +265,8 @@ def mixture_sampler(weights, means, sigmas) -> Sampler:
 
 
 def scaled_beta_sampler(a0, a_rows, alpha: float = 2.0, beta: float = 2.0) -> Sampler:
-    a0 = np.asarray(a0, dtype=float).reshape(-1)
-    a_rows = np.asarray(a_rows, dtype=float)
+    a0 = model.frozen(a0, "a0").reshape(-1)
+    a_rows = model.frozen(a_rows, "a_rows")
     if a_rows.ndim != 2 or a_rows.shape[1] != a0.size:
         raise InvalidArgumentError("a_rows must be (L, d) matching a0")
     alpha = model.read_value(alpha, float, "alpha")
@@ -295,7 +295,7 @@ def quadratic_wishart_sampler(d: int, q: float, mu_low: float = 0.0,
 
 
 def sdp_wishart_sampler(a_mats, dof: int | None = None) -> Sampler:
-    a_mats = np.asarray(a_mats, dtype=float)
+    a_mats = model.frozen(a_mats, "a_mats")
     if a_mats.ndim != 3 or a_mats.shape[1] != a_mats.shape[2]:
         raise InvalidArgumentError("a_mats must be (d, p, p)")
     p = a_mats.shape[1]
@@ -306,15 +306,15 @@ def sdp_wishart_sampler(a_mats, dof: int | None = None) -> Sampler:
 
 
 def pca_synthetic_sampler(mu, sigma, projection, noise: float = 0.0005) -> Sampler:
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    projection = np.asarray(projection, dtype=float)
+    mu = model.frozen(mu, "mu").reshape(-1)
+    sigma = model.frozen(sigma, "sigma")
+    projection = model.frozen(projection, "projection")
     if projection.ndim != 2 or projection.shape[1] != mu.size:
         raise InvalidArgumentError("projection must be (m, k) matching mu")
     noise = model.read_value(noise, float, "noise half-width")
     if noise < 0:
         raise InvalidArgumentError("noise half-width must be >= 0")
-    return Sampler("pca_synthetic", {"mu": mu,
-                                     "sigma": np.asarray(sigma, dtype=float),
+    return Sampler("pca_synthetic", {"mu": mu, "sigma": sigma,
                                      "chol": _spd_chol(sigma, "sigma"),
                                      "projection": projection,
                                      "noise": noise})
@@ -604,9 +604,8 @@ def two_phase_ro(spec: model.CcpSpec, data: model.Dataset, n1: int, seed: int,
                  shape: str, shape_options: dict | None):
     """Split, fit the Phase-1 shape, calibrate on Phase 2, reformulate."""
     split = model.split_data(data, n1, seed)
-    fitted = fit_shape(shape, split.phase1.points, shape_options)
-    pset = shapes.build_prediction_set(fitted, split.phase2.points,
-                                       spec.epsilon, spec.delta)
+    fitted = fit_shape(shape, split.phase1, shape_options)
+    pset = shapes.build_prediction_set(fitted, split.phase2, spec.epsilon, spec.delta)
     return reformulate.assemble_ro(spec, pset)
 
 
@@ -685,7 +684,8 @@ def _run_one(config: ExperimentConfig, master_seed: int, r: int) -> ReplicationR
 def run_replications(config: ExperimentConfig, r_count: int,
                      master_seed: int) -> ExperimentReport:
     """Run R independent replications, in replication order."""
-    r_count = int(r_count)
+    r_count = model.read_value(r_count, int, "replication count")
+    master_seed = model.read_value(master_seed, int, "master seed")
     if r_count < 1:
         raise InvalidArgumentError("replication count must be >= 1")
     records = [_run_one(config, master_seed, r) for r in range(r_count)]
@@ -709,7 +709,7 @@ def run_replications(config: ExperimentConfig, r_count: int,
         "n": config.n,
         "n1": config.n1,
         "n2": config.n2,
-        "seed": int(master_seed),
+        "seed": master_seed,
         "n_eval": config.n_eval,
         "violation": config.violation,
     }
@@ -757,14 +757,14 @@ def reconstruction_pipeline(data, spec: model.CcpSpec, n1: int, seed: int = 0,
     """
     if scale not in SCALE_POLICIES:
         raise InvalidArgumentError("scale must be auto, margin, or std")
-    pts = data.points if isinstance(data, model.Dataset) else np.asarray(data, dtype=float)
-    split = model.split_data(model.Dataset(pts), n1, seed)
+    if not isinstance(data, model.Dataset):
+        data = model.Dataset(data)
+    split = model.split_data(data, n1, seed)
     ph1 = split.phase1.points
-    ph2 = split.phase2.points
     if ph1.shape[0] < 1:
         raise InvalidArgumentError("reconstruction needs at least one Phase-1 row")
 
-    fitted = fit_shape(shape, ph1, shape_options)
+    fitted = fit_shape(shape, split.phase1, shape_options)
     values = np.sort(shapes.transform_values(fitted, ph1))
     cover = min(len(values), max(1, math.ceil(len(values) * (1.0 - spec.epsilon))))
     s0 = float(values[cover - 1])
@@ -805,7 +805,7 @@ def reconstruction_pipeline(data, spec: model.CcpSpec, n1: int, seed: int = 0,
         fallback = tuple(int(i) for i in bad)
 
     pset_rec = reformulate.build_reconstruction_set(
-        x_hat, spec, k, ph2, spec.epsilon, spec.delta)
+        x_hat, spec, k, split.phase2, spec.epsilon, spec.delta)
     status, x_tilde = reformulate.solve_reconstruction(spec, x_hat, pset_rec)
     return ReconstructionResult(
         x_hat=x_hat, x_tilde=x_tilde, obj_hat=obj_hat,

@@ -2,8 +2,8 @@
 
 The data matrix convention is row-major observations: a Dataset holds n rows
 of points in R^m. Matrix-valued uncertainty is vectorized by concatenating the
-rows of A (C order), and this module owns the reshape in both directions so
-every consumer agrees on orientation.
+rows of A (C order), and this module owns the split of a point back into its
+matrices so every consumer agrees on orientation.
 """
 
 from __future__ import annotations
@@ -27,11 +27,8 @@ __all__ = [
     "CcpSpec",
     "split_data",
     "load_dataset_csv",
-    "save_dataset_csv",
     "spec_to_json",
     "spec_from_json",
-    "vectorize_matrix",
-    "devectorize_matrix",
     "split_quadratic_point",
     "split_semidefinite_point",
     "semidefinite_rhs_matrix",
@@ -319,18 +316,6 @@ class CcpSpec:
 # ---------------------------------------------------------------------------
 # Matrix/vector layout owned here so all modules agree
 
-def vectorize_matrix(a: np.ndarray) -> np.ndarray:
-    """vec(A) = concatenation of the rows of A."""
-    return np.asarray(a, dtype=float).reshape(-1)
-
-
-def devectorize_matrix(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.size != rows * cols:
-        raise InvalidArgumentError(f"cannot reshape {v.size} entries to {rows}x{cols}")
-    return v.reshape(rows, cols)
-
-
 def split_quadratic_point(v: np.ndarray, q: int, d: int):
     """(vec(A), b, c) layout -> (A: q x d, b: R^d, c: scalar)."""
     v = np.asarray(v, dtype=float).reshape(-1)
@@ -368,10 +353,6 @@ def load_dataset_csv(path, skip_header: bool = False) -> Dataset:
     except ValueError as exc:
         raise InvalidArgumentError(f"could not parse CSV dataset: {exc}") from exc
     return Dataset(arr)
-
-
-def save_dataset_csv(data: Dataset, path) -> None:
-    np.savetxt(path, data.points, delimiter=",", fmt="%.17g")
 
 
 def spec_to_json(spec: CcpSpec) -> str:

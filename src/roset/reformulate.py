@@ -35,7 +35,6 @@ __all__ = [
     "RobustProgram",
     "rc_linear_ellipsoid",
     "rc_linear_polytope",
-    "rc_linear_vecnorm",
     "rc_quadratic_ellipsoid",
     "rc_sdp_normbounded",
     "rc_pca",
@@ -208,32 +207,6 @@ def _vecnorm_blocks(abar: np.ndarray, tails: np.ndarray, rho: float,
     offsets[:, 0] = b
     return Block(rows_x=rows_x.reshape(l * (1 + d), d), rows_aux=_no_aux(l * (1 + d)),
                  offsets=offsets, cones=(conic.SecondOrder(1 + d),) * l)
-
-
-def rc_linear_vecnorm(abar, m_factor, rho: float, b) -> Block:
-    """Joint linear rows under ||M(vec(A) - vec(Abar))||_2 <= rho.
-
-    Row i becomes abar_i'x + rho ||(M')^{-1} x_i||_2 <= b_i with x_i the
-    zero-padded embedding of x at block i.  Only the L2 norm (self-dual) is
-    supported.
-    """
-    abar = np.atleast_2d(np.asarray(abar, dtype=float))
-    b = np.asarray(b, dtype=float).reshape(-1)
-    l, d = abar.shape
-    m = l * d
-    if b.size != l:
-        raise InvalidArgumentError("need one rhs entry per constraint row")
-    m_factor = np.atleast_2d(np.asarray(m_factor, dtype=float))
-    if m_factor.shape != (m, m):
-        raise InvalidArgumentError("M must be square over vec(A)")
-    try:
-        tails = np.linalg.solve(m_factor.T, np.eye(m))
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateShapeError("factor M is singular") from exc
-    resid = float(np.max(np.abs(m_factor.T @ tails - np.eye(m))))
-    if not np.isfinite(resid) or resid > 1e-6:
-        raise DegenerateShapeError("factor M is numerically singular")
-    return _vecnorm_blocks(abar, tails, rho, b)
 
 
 def rc_pca(shape: shapes.PcaEllipsoid, rho: float, b: float, *,

@@ -8,7 +8,6 @@ covers the whole composite.
 
 from __future__ import annotations
 
-import json
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import Optional, Union as TUnion
 
@@ -19,22 +18,22 @@ from .calibrate import CalibResult
 from .errors import (
     ClusterDegeneracyError,
     DegenerateDataError,
-    DegeneratePolytopeError,
     InvalidArgumentError,
     TooFineGridError,
 )
-from .model import frozen, read_fields, read_value
+from .model import Dataset, frozen, read_fields, read_value
 
 DEFAULT_RIDGE = 1e-8
 _GRID_GUARD = 10**6
 
 
 def _points_of(data) -> np.ndarray:
-    pts = getattr(data, "points", data)
-    pts = np.asarray(pts, dtype=float)
+    """The (n, m) points of a Dataset or an array, n >= 1; a Dataset's points
+    were checked finite when it was built."""
+    pts = data.points if isinstance(data, Dataset) else np.asarray(data, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise InvalidArgumentError("need a 2-d point array with at least one row")
-    if not np.all(np.isfinite(pts)):
+    if not isinstance(data, Dataset) and not np.all(np.isfinite(pts)):
         raise InvalidArgumentError("data must be finite")
     return pts
 
@@ -490,45 +489,6 @@ def fit_polytope_box(phase1) -> Polytope:
     return Polytope(rows=rows, offsets=offsets, interior=(lo + hi) / 2.0)
 
 
-def chebyshev_center(rows_or_shape, offsets=None):
-    """Center and radius of the largest inscribed ball of a polytope.
-
-    Accepts either a Polytope shape or raw (rows, offsets) half-space data;
-    the latter form also works for sets with no known interior point.
-    """
-    from . import conic
-
-    if isinstance(rows_or_shape, Polytope):
-        rows, offs = rows_or_shape.rows, rows_or_shape.offsets
-    else:
-        rows = np.asarray(rows_or_shape, dtype=float)
-        offs = np.asarray(offsets, dtype=float).reshape(-1)
-        if rows.ndim != 2 or rows.shape[0] != offs.size:
-            raise InvalidArgumentError("rows and offsets must align")
-    m = rows.shape[1]
-    norms = np.linalg.norm(rows, axis=1)
-    # max r  s.t.  rows z + r*||rows_i|| <= offsets
-    c = np.zeros(m + 1)
-    c[m] = -1.0
-    A = np.hstack([rows, norms[:, None]])
-    prog = conic.ConicProgram(c=c, A=A, b=offs, cones=(conic.Nonneg(offs.size),))
-    sol = conic.solve(prog)
-    if sol.status is conic.SolveStatus.UNBOUNDED:
-        raise DegeneratePolytopeError("polytope is unbounded")
-    if sol.status is not conic.SolveStatus.OPTIMAL:
-        raise DegeneratePolytopeError(f"center LP ended with {sol.status.value}")
-    radius = float(sol.x[m])
-    if radius <= 0:
-        raise DegeneratePolytopeError("polytope has empty interior")
-    return sol.x[:m].copy(), radius
-
-
-def polytope_from_halfspaces(rows, offsets) -> Polytope:
-    """Build a Polytope from user half-spaces, locating an interior point."""
-    center, _ = chebyshev_center(rows, offsets)
-    return Polytope(rows=rows, offsets=offsets, interior=center)
-
-
 def _kmeans(pts: np.ndarray, k: int, seed: int):
     n = pts.shape[0]
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -688,10 +648,6 @@ def shape_to_obj(shape: Shape) -> dict:
     return {"variant": shape.variant, "parameters": params}
 
 
-def shape_to_json(shape: Shape) -> str:
-    return json.dumps(shape_to_obj(shape), indent=2, sort_keys=True)
-
-
 def shape_from_obj(obj: dict) -> Shape:
     """Inverse of shape_to_obj; the parameters must name exactly the fields."""
     read_fields(obj, "shape document", ("variant", "parameters"), ("variant", "parameters"))
@@ -709,11 +665,3 @@ def shape_from_obj(obj: dict) -> Shape:
         return cls(**par)
     except (TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"malformed {variant} parameters: {exc}") from exc
-
-
-def shape_from_json(text: str) -> Shape:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidArgumentError(f"invalid shape JSON: {exc}") from exc
-    return shape_from_obj(obj)

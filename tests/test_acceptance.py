@@ -112,7 +112,7 @@ def test_criterion_03_tightness_large_phase2():
 
 
 def test_criterion_04_confidence_curve_maxima():
-    dt = {n2: 1.0 - calibrate.theoretical_confidence(n2, EPS, DELTA)
+    dt = {n2: 1.0 - calibrate.upper_rank_confidence(n2, EPS, DELTA)[1]
           for n2 in range(59, 202)}
     maxima = [n for n in range(60, 200) if dt[n] > dt[n - 1] and dt[n] > dt[n + 1]]
     if dt[59] > dt[60]:

@@ -69,33 +69,16 @@ def test_sg_min_size_monotone():
     assert sizes_e == sorted(sizes_e)
 
 
-def test_sg_min_size_discard_oracle():
-    assert bl.sg_min_size_discard(0.05, 0.05, 5, 10) == 689
-    # direct summation oracle
-    n = 689
-    comb = math.comb(10 + 5 - 1, 10)
-    assert comb * stats.binom.cdf(14, n, 0.05) <= 0.05
-    assert comb * stats.binom.cdf(14, n - 1, 0.05) > 0.05
-
-
-def test_sg_min_size_discard_reductions():
-    for eps, delta in [(0.05, 0.05), (0.1, 0.01), (0.2, 0.1)]:
-        for d in (1, 5, 11):
-            assert bl.sg_min_size_discard(eps, delta, d, 0) == \
-                bl.sg_min_size(eps, delta, d)
-    sizes = [bl.sg_min_size_discard(e, 0.05, 3, 4) for e in (0.3, 0.2, 0.1, 0.05)]
-    assert sizes == sorted(sizes)
-
-
 def test_sg_min_size_validation():
     with pytest.raises(InvalidArgumentError):
         bl.sg_min_size(0.0, 0.05, 5)
     with pytest.raises(InvalidArgumentError):
         bl.sg_min_size(0.05, 1.0, 5)
-    with pytest.raises(InvalidArgumentError):
-        bl.sg_min_size(0.05, 0.05, 0)
-    with pytest.raises(InvalidArgumentError):
-        bl.sg_min_size_discard(0.05, 0.05, 5, -1)
+    # a count must be an integer: 2.9 and True are errors, not d = 2 and 1
+    for d in (0, 2.9, True):
+        with pytest.raises(InvalidArgumentError):
+            bl.sg_min_size(0.05, 0.05, d)
+    assert bl.sg_min_size(0.05, 0.05, np.int64(5)) == 181
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,11 @@ def test_min_phase2_size_is_minimal_grid():
 def test_index_upper_frozen_values():
     for (n2, eps, delta), want in FROZEN_I_UPPER.items():
         assert calibrate.calib_index_upper(n2, eps, delta) == want
+        assert calibrate.calib_index_upper(np.int64(n2), eps, delta) == want
+    # a count must be an integer: 59.7 and True are errors, not n2 = 59 and 1
+    for n2 in (59.7, True):
+        with pytest.raises(InvalidArgumentError, match="n2"):
+            calibrate.calib_index_upper(n2, 0.05, 0.05)
 
 
 def test_index_upper_matches_oracle_randomized():
@@ -86,6 +91,10 @@ def test_index_upper_requires_min_size():
 def test_index_lower_frozen_values():
     for (n2, eps, delta), want in FROZEN_I_LOWER.items():
         assert calibrate.calib_index_lower(n2, eps, delta) == want
+        assert calibrate.calib_index_lower(np.int64(n2), eps, delta) == want
+    for n2 in (59.7, True):
+        with pytest.raises(InvalidArgumentError, match="n2"):
+            calibrate.calib_index_lower(n2, 0.05, 0.05)
 
 
 def test_index_lower_matches_oracle_randomized():
@@ -174,19 +183,19 @@ def test_calibrate_size_too_few():
 
 def test_theoretical_confidence_frozen():
     for (n2, eps, delta), want in FROZEN_CONFIDENCE.items():
-        got = calibrate.theoretical_confidence(n2, eps, delta)
+        got = calibrate.upper_rank_confidence(n2, eps, delta)[1]
         assert abs(got - want) < 1e-10
-    assert abs(calibrate.theoretical_confidence(1, 0.5, 0.5) - 0.5) < 1e-15
+    assert abs(calibrate.upper_rank_confidence(1, 0.5, 0.5)[1] - 0.5) < 1e-15
 
 
 def test_theoretical_confidence_dominates_target():
     for n2 in range(59, 140):
-        assert calibrate.theoretical_confidence(n2, 0.05, 0.05) >= 0.95 - 1e-12
+        assert calibrate.upper_rank_confidence(n2, 0.05, 0.05)[1] >= 0.95 - 1e-12
 
 
 def test_appendix_curve_local_maxima():
     dt = {
-        n2: 1.0 - calibrate.theoretical_confidence(n2, 0.05, 0.05)
+        n2: 1.0 - calibrate.upper_rank_confidence(n2, 0.05, 0.05)[1]
         for n2 in range(59, 202)
     }
     maxima = [n for n in range(60, 200) if dt[n] > dt[n - 1] and dt[n] > dt[n + 1]]

@@ -23,7 +23,7 @@ def fixtures(tmp_path_factory):
     sampler = hz.gaussian_sampler(mu, sigma)
     data = sampler.draw(np.random.default_rng(7), 120)
     data_path = root / "d.csv"
-    model.save_dataset_csv(model.Dataset(data), str(data_path))
+    np.savetxt(data_path, data, delimiter=",", fmt="%.17g")
     cfg = hz.ExperimentConfig(spec=spec, sampler=sampler, method="ro",
                               n=120, n1=60)
     cfg_path = root / "cfg.json"
@@ -38,7 +38,7 @@ def fixtures(tmp_path_factory):
     ptsq = hz.quadratic_wishart_sampler(2, q=2.0).draw(
         np.random.default_rng(0), 80)
     dataq_path = root / "dq.csv"
-    model.save_dataset_csv(model.Dataset(ptsq), str(dataq_path))
+    np.savetxt(dataq_path, ptsq, delimiter=",", fmt="%.17g")
     return {"root": root, "spec": str(spec_path), "data": str(data_path),
             "config": str(cfg_path), "spec_q": str(specq_path),
             "data_q": str(dataq_path), "objective": -mu}

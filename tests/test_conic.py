@@ -188,9 +188,3 @@ def test_solve_refuses_psd():
     assert p.is_export_only
     with pytest.raises(ExportOnlyProgramError):
         conic.solve(p)
-
-
-def test_format_program_mentions_blocks():
-    text = conic.format_program(_small_program())
-    assert "Zero(1)" in text and "Nonneg(2)" in text and "SecondOrder(3)" in text
-    assert "minimize" in text

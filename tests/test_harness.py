@@ -349,6 +349,17 @@ def test_sampler_validation():
     with pytest.raises(InvalidArgumentError):
         hz.sampler_from_obj({"kind": "scaled_beta", "params": {
             "a0": [0.0], "a_rows": [[1.0]], "alpah": 3.0}})
+    # a non-finite array is refused when the sampler is built, not drawn
+    with pytest.raises(InvalidArgumentError, match="mu"):
+        hz.gaussian_sampler([np.nan, 0.0], np.eye(2))
+    with pytest.raises(InvalidArgumentError, match="a0"):
+        hz.sampler_from_obj(json.loads(
+            '{"kind": "scaled_beta", "params": {"a0": [Infinity], "a_rows": [[1.0]]}}'))
+    # a draw count must be an integer: 2.5 is an error, not 2 rows
+    samp = hz.gaussian_sampler([0.0, 0.0], np.eye(2))
+    assert samp.draw(np.random.default_rng(0), np.int64(3)).shape == (3, 2)
+    with pytest.raises(InvalidArgumentError, match="draw count"):
+        samp.draw(np.random.default_rng(0), 2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +375,13 @@ def test_run_replications_deterministic():
     assert [rec.replication for rec in rep_a.records] == list(range(6))
     rep_d = hz.run_replications(cfg, 6, master_seed=12)
     assert rep_d.records != rep_a.records
+    # integral numpy counts are counts; a fractional count or seed is an
+    # error, not 2 replications or seed 5
+    rep_np = hz.run_replications(cfg, np.int64(6), master_seed=np.int64(11))
+    assert rep_np.records == rep_a.records and rep_np.config_echo["seed"] == 11
+    for r_count, seed in ((2.5, 0), (3, 5.7)):
+        with pytest.raises(InvalidArgumentError):
+            hz.run_replications(cfg, r_count, seed)
 
 
 def test_master_seeds_share_no_replication_data():
@@ -518,7 +536,7 @@ def test_shape_options_keep_their_defaults():
             ("box_grid", {"width": 1}, {"width": 1.0})):
         want = hz.fit_shape(kind, pts, options)
         got = hz.fit_shape(kind, pts, default)
-        assert shapes.shape_to_json(got) == shapes.shape_to_json(want)
+        assert shapes.shape_to_obj(got) == shapes.shape_to_obj(want)
 
 
 def test_experiment_config_document_round_trip_and_strictness():

@@ -152,13 +152,6 @@ def test_spec_json_rejects_garbage():
             model.spec_from_json(json.dumps(bad))
 
 
-def test_vectorize_round_trip():
-    a = np.arange(6.0).reshape(2, 3)
-    v = model.vectorize_matrix(a)
-    assert v.tolist() == [0, 1, 2, 3, 4, 5]  # row concatenation
-    assert np.array_equal(model.devectorize_matrix(v, 2, 3), a)
-
-
 def test_quadratic_point_layout():
     q, d = 2, 3
     v = np.arange(float(q * d + d + 1))
@@ -176,9 +169,8 @@ def test_semidefinite_point_layout():
 
 def test_csv_roundtrip(tmp_path):
     pts = np.array([[1.0 / 3.0, 2.0], [1e-17, -4.5]])
-    d = model.Dataset(pts)
     path = tmp_path / "data.csv"
-    model.save_dataset_csv(d, path)
+    np.savetxt(path, pts, delimiter=",", fmt="%.17g")
     back = model.load_dataset_csv(path)
     assert np.array_equal(back.points, pts)  # decimal repr round-trips doubles
 

@@ -1,6 +1,7 @@
 """Robust counterpart correctness: closed forms, dual oracles, LMI structure."""
 
 import itertools
+import json
 from dataclasses import replace
 from functools import partial
 
@@ -10,7 +11,6 @@ import pytest
 from roset import conic, model, reformulate as rf, shapes
 from roset.calibrate import CalibResult, calibrate_size
 from roset.errors import (
-    DegenerateShapeError,
     ExportOnlyProgramError,
     InvalidArgumentError,
     InvalidScaleError,
@@ -198,7 +198,7 @@ def test_polytope_level_offsets_match_transform():
 
 def test_vecnorm_identity_reduces_to_ellipsoid_rc():
     abar = np.array([[0.5, -0.25]])
-    b1 = rf.rc_linear_vecnorm(abar, np.eye(2), 0.7, [1.3])
+    b1 = rf._vecnorm_blocks(abar, np.eye(2), 0.7, np.array([1.3]))
     b2 = rf.rc_linear_ellipsoid(abar[0], np.eye(2), 0.7, 1.3)
     assert np.array_equal(b1.rows_x, b2.rows_x)
     assert np.array_equal(b1.offsets, b2.offsets)
@@ -209,7 +209,7 @@ def test_vecnorm_stack_matches_per_row_ellipsoid_rows():
     """One QR over the stack of tails gives row i the norm of the per-row
     rc_linear_ellipsoid block (R_i'R_i = tail_i'tail_i), the same cones, and
     the nominal rows at rho = 0; for the ellipsoid, diag-ellipsoid and ball
-    factors and for rc_linear_vecnorm's (M')^{-1}."""
+    factors and for a general (M')^{-1}."""
     rng = np.random.default_rng(20261019)
     for l, d in ((1, 1), (1, 3), (2, 2), (3, 5), (4, 2)):
         m = l * d
@@ -224,10 +224,7 @@ def test_vecnorm_stack_matches_per_row_ellipsoid_rows():
         abar, b = center.reshape(l, d), rng.uniform(1.0, 2.0, l)
         for k, tail in enumerate(tails):
             for rho in (0.0, 0.7):
-                if tail is vecnorm_tail:
-                    block = rf.rc_linear_vecnorm(abar, m_factor, rho, b)
-                else:
-                    block = rf._vecnorm_blocks(abar, tail, rho, b)
+                block = rf._vecnorm_blocks(abar, tail, rho, b)
                 refs = [rf.rc_linear_ellipsoid(abar[i], tail[:, i * d: (i + 1) * d].T,
                                                rho, b[i]) for i in range(l)]
                 assert block.cones == tuple(c for ref in refs for c in ref.cones)
@@ -247,7 +244,7 @@ def test_vecnorm_stack_matches_per_row_ellipsoid_rows():
 
 def test_vecnorm_two_rows_identity_factor():
     """With M = I and Abar = 0 every row's worst case is ||x||_2."""
-    block = rf.rc_linear_vecnorm(np.zeros((2, 2)), np.eye(4), 1.0, [1.0, 1.0])
+    block = rf._vecnorm_blocks(np.zeros((2, 2)), np.eye(4), 1.0, np.ones(2))
     assert block.cones == (conic.SecondOrder(3), conic.SecondOrder(3))
     sol = solve_block(block, [-1.0, -1.0])
     # min -(x1+x2) s.t. ||x|| <= 1  ->  -(sqrt 2)
@@ -265,7 +262,8 @@ def test_vecnorm_sampling_oracle():
         m_factor = raw @ raw.T + 1.5 * np.eye(m)
         rho = float(rng.uniform(0.5, 2.0))
         x = rng.normal(size=d)
-        block = rf.rc_linear_vecnorm(abar, m_factor, rho, np.zeros(l))
+        block = rf._vecnorm_blocks(abar, np.linalg.solve(m_factor.T, np.eye(m)), rho,
+                                   np.zeros(l))
 
         u = rng.normal(size=(n_samp, m))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
@@ -284,12 +282,6 @@ def test_vecnorm_sampling_oracle():
         assert block.cones == (conic.SecondOrder(1 + d), conic.SecondOrder(1 + d))
 
 
-def test_vecnorm_singular_factor_rejected():
-    m_factor = np.zeros((4, 4))
-    with pytest.raises(DegenerateShapeError):
-        rf.rc_linear_vecnorm(np.zeros((2, 2)), m_factor, 1.0, [1.0, 1.0])
-
-
 def test_vecnorm_qr_rows_match_uncompressed_rows():
     """Each row's d x d QR factor has the optimum of its raw (m x d) tail."""
     rng = np.random.default_rng(23)
@@ -305,7 +297,7 @@ def test_vecnorm_qr_rows_match_uncompressed_rows():
             rows_x=np.vstack([abar[i], -rho * tails[:, i * d: (i + 1) * d]]),
             rows_aux=np.zeros((1 + m, 0)), offsets=np.append(b[i], np.zeros(m)),
             cones=(conic.SecondOrder(1 + m),)) for i in range(l)]
-        compressed = rf.rc_linear_vecnorm(abar, m_factor, rho, b)
+        compressed = rf._vecnorm_blocks(abar, tails, rho, b)
         assert compressed.cones == (conic.SecondOrder(1 + d),) * l
         det = model.DetConstraints(a_ub=np.vstack([-np.eye(d), np.ones((1, d))]),
                                    b_ub=np.append(np.full(d, 0.2), 0.3))
@@ -835,9 +827,10 @@ def test_union_of_balls_document_assembles_like_ball_basis():
     pts = rng.normal(size=(12, 4))
     spec = model.CcpSpec(objective=[-1.0, -0.5], family=model.JointLinear(l=2),
                          rhs=[3.0, 2.0], epsilon=0.5, delta=0.5)
-    legacy = shapes.shape_from_json(shapes.shape_to_json(
-        shapes.Union(components=tuple(shapes.Ball(center=p) for p in pts))))
-    basis = shapes.shape_from_json(shapes.shape_to_json(shapes.ball_basis(pts)))
+    legacy = shapes.shape_from_obj(json.loads(json.dumps(shapes.shape_to_obj(
+        shapes.Union(components=tuple(shapes.Ball(center=p) for p in pts))))))
+    basis = shapes.shape_from_obj(json.loads(json.dumps(
+        shapes.shape_to_obj(shapes.ball_basis(pts)))))
     assert isinstance(basis, shapes.BallBasis)
     assert np.array_equal(basis.centers, pts)
     old = rf.assemble_ro(spec, pset_with_size(legacy, 0.3)).program
