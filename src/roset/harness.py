@@ -508,6 +508,10 @@ class ExperimentConfig:
     scale: str = "auto"      # one of SCALE_POLICIES
 
     def __post_init__(self):
+        # the counts, also those of a config document, are read here
+        for name in ("n", "n1", "n_eval"):
+            object.__setattr__(self, name, model.read_value(
+                getattr(self, name), int, f"experiment config field {name!r}"))
         if self.method not in _METHODS:
             raise InvalidArgumentError(
                 f"method must be one of {', '.join(_METHODS)}")
@@ -688,6 +692,8 @@ def run_replications(config: ExperimentConfig, r_count: int,
     master_seed = model.read_value(master_seed, int, "master seed")
     if r_count < 1:
         raise InvalidArgumentError("replication count must be >= 1")
+    if master_seed < 0:
+        raise InvalidArgumentError("master seed must be >= 0")
     records = [_run_one(config, master_seed, r) for r in range(r_count)]
     statuses = dict(Counter(rec.status for rec in records))
     failures = r_count - statuses.get("optimal", 0)
@@ -832,7 +838,7 @@ _CONFIG_CODECS = {
             k: model.frozen(v, f"perturbation {k}") for k, v in model.read_fields(
                 obj, "perturbation", _PERTURBATION_FIELDS).items()}),
 }
-_CONFIG_SCALARS = {"int": int, "str": str}
+_CONFIG_SCALARS = {"str": str}  # the int fields are read by ExperimentConfig
 
 
 def config_to_obj(config: ExperimentConfig) -> dict:

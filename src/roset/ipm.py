@@ -46,10 +46,15 @@ whatever the rank of [A; G] (Vanderbei 1995): repeated or all-zero columns
 need no other path.  It is dense, (n+me+p) square, and LU-factored twice per
 iteration.  Eliminating its -I block gives the reduced system
 [[(W^{-1}G)'(W^{-1}G) + d I, A'], [A, -d I]], which waits until the
-benchmark's peak_rss_mb measures the working set: the benchmark keeps every
-op's output, so a 30 s scenario_lp run read 55.7 MB after 333 ops of the
-dense system and 64.2 MB after 1347 ops of a reduced-system prototype, past
-the 10% bound.
+benchmark's peak_rss_mb stops growing with the op count (see the README).
+
+Built once per solve: the cone layout (``_Cones``: block heads, row-to-block
+index, J, tail mask, cone identity e), the KKT matrix but its W^{-1}G blocks,
+the (2, p) scaled-step buffer and the residual scales.  Each residual is
+scaled by the data its own conditions involve: the primal ones by
+max(1, ||b||) and max(1, ||h||), the dual one and a ray's (||Ax||, ||Gx + s||
+at c'x = -1) by max(1, ||c||), a Farkas certificate's (||A'y + G'z|| at
+b'y + h'z = -1) by max(1, ||(b, h)||).
 """
 
 from __future__ import annotations
@@ -88,8 +93,8 @@ class _Cones:
     """Inequality-row layout: second-order blocks in program row order.
 
     A Nonneg row is a block of dimension 1.  ``heads`` holds each block's
-    first row, ``blk`` each row's block, ``J`` is +1 on a head and -1
-    elsewhere, and ``tail`` is 0 on a head and 1 elsewhere.
+    first row and ``blk`` each row's block; ``J``, ``tail`` and the cone
+    identity ``e`` are 1, 0 and 1 on a head and -1, 1 and 0 elsewhere.
     """
 
     dims: np.ndarray
@@ -97,6 +102,7 @@ class _Cones:
     blk: np.ndarray
     J: np.ndarray
     tail: np.ndarray
+    e: np.ndarray
 
     def tdot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Per-block dot products u1'v1 of the block tails.
@@ -142,7 +148,7 @@ def _split(prog: ConicProgram) -> _Split:
     return _Split(c=prog.c.copy(), A=prog.A[eq], b=prog.b[eq],
                   G=prog.A[~eq], h=prog.b[~eq],
                   cones=_Cones(dims=dims, heads=heads, blk=blk,
-                               J=1.0 - 2.0 * tail, tail=tail),
+                               J=1.0 - 2.0 * tail, tail=tail, e=1.0 - tail),
                   nu=1.0 + dims.size)  # 1 for the tau*kappa pair
 
 
@@ -187,45 +193,50 @@ class _NT:
     """
 
     def __init__(self, cones: _Cones, sz: np.ndarray):
-        heads, blk, J = cones.heads, cones.blk, cones.J
-        head = sz[:, heads]
+        heads, blk, J, e = cones.heads, cones.blk, cones.J, cones.e
+        head = sz.take(heads, axis=1)
         det = head * head - cones.tdot(sz, sz)
         # interior: heads and determinants all positive (det > 0 alone also
         # admits the negative cone); NaN fails
         if not np.minimum(head, det).min(initial=math.inf) > 0.0:
             raise _Breakdown("iterate left the cone interior")
         self.cones = cones
-        root = np.sqrt(det)
+        root_s, root_z = root = np.sqrt(det)
         # s and z scaled to unit J-norm
-        unit = sz / root[:, blk]
-        unit0 = head / root
-        sn, zn = unit
+        sn, zn = unit = sz / root.take(blk, axis=1)
+        sn0, zn0 = unit0 = head / root
+        heads_sum = sn0 + zn0
         gamma = np.sqrt((1.0 + np.add.reduceat(sn * zn, heads)) / 2.0)
-        e = (1.0 + J) / 2.0
-        wbar = (sn + J * zn) / (2.0 * gamma)[blk]
-        self._v = (wbar + e) / np.sqrt(2.0 * (1.0 + wbar[heads]))[blk]
-        self._Jv = J * self._v
-        self._eta = np.sqrt(root[0] / root[1])[blk]
-        self.kappa = np.sqrt(root[0] * root[1])
+        gamma2 = 2.0 * gamma
+        # v = (wbar + e) / sqrt(2 (1 + wbar0)), wbar0 = (sn0 + zn0) / (2 gamma)
+        v = ((sn + J * zn) / gamma2[blk] + e) / np.sqrt(2.0 + heads_sum / gamma)[blk]
+        self._v = np.array((v, J * v))  # the reflections of W and of W^{-1}
+        self._eta = np.sqrt(root_s / root_z)[blk]
+        self.kappa = np.sqrt(root_s * root_z)
         # lbar1 = ((gamma + zn0) sn1 + (gamma + sn0) zn1) / (sn0 + zn0 + 2 gamma)
-        lbar = ((gamma + unit0[::-1])[:, blk] * unit).sum(axis=0) / (
-            unit0.sum(axis=0) + 2.0 * gamma)[blk]
+        lbar = ((gamma + unit0[::-1]).take(blk, axis=1) * unit).sum(axis=0) / (
+            heads_sum + gamma2)[blk]
         lbar[heads] = gamma
         self.lam = lbar * self.kappa[blk]
-        self._u = (J * lbar + e) / np.sqrt(2.0 * (1.0 + gamma))[blk]
+        self._u = (J * lbar + e) / np.sqrt(gamma2 + 2.0)[blk]
 
     def _reflect(self, u: np.ndarray, x: np.ndarray) -> np.ndarray:
         """(2uu' - J) x per block, along the last axis of x."""
         dot = np.add.reduceat(u * x, self.cones.heads, axis=-1)
-        return (2.0 * dot)[..., self.cones.blk] * u - self.cones.J * x
+        return (2.0 * dot).take(self.cones.blk, axis=-1) * u - self.cones.J * x
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """W x; on a (k, p) x, W of each row."""
-        return self._reflect(self._v, x) * self._eta
+        return self._reflect(self._v[0], x) * self._eta
 
     def apply_inv(self, x: np.ndarray) -> np.ndarray:
         """W^{-1} x; on a (k, p) x, W^{-1} of each row."""
-        return self._reflect(self._Jv, x) / self._eta
+        return self._reflect(self._v[1], x) / self._eta
+
+    def unscale(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(W d[0], W^{-1} d[1]): ds and dz from (W^{-1} ds, W dz)."""
+        ds, dz = self._reflect(self._v, d)
+        return ds * self._eta, dz / self._eta
 
     def max_step(self, d: np.ndarray) -> float:
         """Largest alpha >= 0 with lam + alpha*d in the cone (can be inf).
@@ -237,7 +248,8 @@ class _NT:
         block the step is -lam/d.  A NaN never sets the step.
         """
         t = self._reflect(self._u, d)
-        out = np.fmax.reduce(np.sqrt(self.cones.tdot(t, t)) - t[:, self.cones.heads])
+        out = np.fmax.reduce(np.sqrt(self.cones.tdot(t, t))
+                             - t.take(self.cones.heads, axis=1))
         pos = out > 0.0
         return float(np.minimum.reduce(self.kappa[pos] / out[pos], initial=math.inf))
 
@@ -247,7 +259,7 @@ def _kkt_solve(K: np.ndarray, B: np.ndarray) -> np.ndarray:
         X = np.linalg.solve(K, B)
     except np.linalg.LinAlgError as exc:
         raise _Breakdown("singular KKT system") from exc
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise _Breakdown("non-finite KKT solution")
     return X
 
@@ -313,8 +325,9 @@ def solve(prog: ConicProgram, max_iter: int = 200) -> Solution:
                         y=None, z=None, s=None, obj=None, gap=None, gap_abs=None,
                         pres=None, dres=None, iterations=0, cert_residual=0.0)
 
-    resx0, resy0, resz0 = (max(1.0, float(np.linalg.norm(v))) for v in (c, b, h))
     off, bh = n + me, np.concatenate((b, h))
+    # the scales of the residuals, each by the data its conditions involve
+    resx0, resy0, resz0, resbh = (max(1.0, _norm(v)) for v in (c, b, h, bh))
 
     # initialization: least-norm heuristic with identity scaling, then shift
     # s and z into the cone interior
@@ -332,11 +345,10 @@ def solve(prog: ConicProgram, max_iter: int = 200) -> Solution:
     v = init[:, 1].copy()
     v[:n] = init[:n, 0]
     s = -init[off:, 0]
-    e = (1.0 + cones.J) / 2.0
     for u in (s, v[off:]):
         t = -_min_eig(cones, u)
         if t >= 0.0:
-            u += (1.0 + t) * e
+            u += (1.0 + t) * cones.e
     tau, kappa = 1.0, 1.0
     # the scaled step (W^{-1} ds, W dz) that _NT.max_step reads
     dsc = np.empty((2, p))
@@ -349,7 +361,8 @@ def solve(prog: ConicProgram, max_iter: int = 200) -> Solution:
 
     for it in range(1, max_iter + 1):
         x, yz, z = v[:n], v[n:], v[off:]
-        rx = AG.T @ yz + c * tau
+        aty = AG.T @ yz
+        rx = aty + c * tau
         r = AG @ x - bh * tau
         r[me:] += s
         ry, rz = r[:me], r[me:]
@@ -377,8 +390,8 @@ def solve(prog: ConicProgram, max_iter: int = 200) -> Solution:
 
         # infeasibility certificates from the embedding
         if byhz < 0.0:
-            # A'y + G'z = rx - c tau
-            resid = _norm(rx - c * tau) / (-byhz) / resx0
+            # A'y + G'z, with b'y + h'z scaled to -1
+            resid = _norm(aty) / (-byhz) * resbh
             if resid <= FEAS_TOL:
                 scale = -1.0 / byhz
                 return Solution(status=SolveStatus.INFEASIBLE, x=None,
@@ -387,9 +400,9 @@ def solve(prog: ConicProgram, max_iter: int = 200) -> Solution:
                                 dres=None, iterations=it, cert_residual=resid,
                                 trace=trace_array(trace))
         if cx < 0.0:
-            # A x = ry + b tau, G x + s = rz + h tau
+            # A x = ry + b tau and G x + s = rz + h tau, with c'x scaled to -1
             rb = r + bh * tau
-            resid = max(_norm(rb[:me]) / resy0, _norm(rb[me:]) / resz0) / (-cx)
+            resid = max(_norm(rb[:me]), _norm(rb[me:])) / (-cx) * resx0
             if resid <= FEAS_TOL:
                 scale = -1.0 / cx
                 return Solution(status=SolveStatus.UNBOUNDED, x=x * scale,
@@ -399,7 +412,7 @@ def solve(prog: ConicProgram, max_iter: int = 200) -> Solution:
                                 trace=trace_array(trace))
 
         try:
-            nt = _NT(cones, np.stack((s, z)))
+            nt = _NT(cones, np.array((s, z)))
             lam = nt.lam
             res = np.concatenate((rx, ry, kkt.set_scaling(nt, rz)))
 
@@ -412,38 +425,32 @@ def solve(prog: ConicProgram, max_iter: int = 200) -> Solution:
                 np.multiply(res, -f, out=rhs[:, 1])
                 rhs[off:, 1] -= lds
                 sol = _kkt_solve(K, rhs)
-                t1, t2 = cbh @ sol
+                t1, t2 = (cbh @ sol).tolist()
                 dtau = (-f * rt - dtk_rhs / tau - t2) / (t1 - kappa / tau)
                 d = sol[:, 1] + dtau * sol[:, 0]
                 dsc[1] = d[off:]
-                dsc[0] = lds - dsc[1]
+                np.subtract(lds, dsc[1], out=dsc[0])
                 return d, dtau, (dtk_rhs - kappa * dtau) / tau
 
-            # predictor: lam o lds = -lam o lam gives lds = -lam; s'z =
-            # lam'lam and W is symmetric, so the affine s'z is read off the
-            # scaled directions
+            def _max_step(dtau, dkappa):
+                """Largest step keeping lam, tau and kappa in their cones."""
+                return min(nt.max_step(dsc), -tau / dtau if dtau < 0.0 else math.inf,
+                           -kappa / dkappa if dkappa < 0.0 else math.inf)
+
+            # predictor: lds = -lam; as lam'lam = s'z and dsc[0] + dsc[1] = lds,
+            # the affine s'z is (1 - a) s'z + a^2 dsc[0]'dsc[1]
             _, dta, dka = _direction(0.0, -lam, -tau * kappa)
-            alpha = nt.max_step(dsc)
-            if dta < 0.0:
-                alpha = min(alpha, -tau / dta)
-            if dka < 0.0:
-                alpha = min(alpha, -kappa / dka)
-            a = min(1.0, alpha)
-            mu_aff = ((lam + a * dsc[0]) @ (lam + a * dsc[1])
+            a = min(1.0, _max_step(dta, dka))
+            mu_aff = ((1.0 - a) * sz + a * a * float(dsc[0] @ dsc[1])
                       + (tau + a * dta) * (kappa + a * dka)) / nu
             sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
-            # corrector
+            # corrector: lam o (lds + lam) = sigma mu e - dsc[0] o dsc[1]
             corr = _jprod(cones, dsc[0], dsc[1])
-            lds = _jdiv(cones, lam, sigma * mu * e - _jprod(cones, lam, lam) - corr)
+            lds = _jdiv(cones, lam, sigma * mu * cones.e - corr) - lam
             dtk_rhs = sigma * mu - tau * kappa - dta * dka
             d, dtau, dkappa = _direction(sigma, lds, dtk_rhs)
-
-            alpha = nt.max_step(dsc)
-            if dtau < 0.0:
-                alpha = min(alpha, -tau / dtau)
-            if dkappa < 0.0:
-                alpha = min(alpha, -kappa / dkappa)
+            alpha = _max_step(dtau, dkappa)
             # SDPT3's step fraction (Toh, Todd & Tutuncu 1999): 0.99 alpha
             # (at most a full step) when alpha >= 1, falling to 0.9 alpha as
             # alpha shrinks
@@ -452,9 +459,9 @@ def solve(prog: ConicProgram, max_iter: int = 200) -> Solution:
                 raise _Breakdown("no progress possible")
             trace[-1] = row + (a,)
 
-            d[off:] = nt.apply_inv(dsc[1])
+            ds, d[off:] = nt.unscale(dsc)
             v = v + a * d
-            s = s + a * nt.apply(dsc[0])
+            s = s + a * ds
             tau = tau + a * dtau
             kappa = kappa + a * dkappa
             if tau <= 0.0 or kappa <= 0.0:

@@ -177,6 +177,27 @@ def test_solve_example_and_determinism(capsys, fixtures):
     assert out3 != out  # a different seed moves the split
 
 
+def test_solve_with_a_large_rhs_is_optimal(capsys, tmp_path):
+    # the robust program is bounded and feasible at every rhs, and its
+    # optimum scales with the rhs; at 1e9 the ray residual, once divided by
+    # max(1, |h|), certified it unbounded
+    data = tmp_path / "d.csv"
+    np.savetxt(data, np.random.default_rng(0).normal(1.0, 0.3, (140, 2)),
+               delimiter=",")
+    objective = {}
+    for rhs in (10.0, 1e9):
+        spec = tmp_path / "p.json"
+        spec.write_text(json.dumps({
+            "objective": [-1.0, -1.0], "family": {"kind": "single_linear"},
+            "rhs": [rhs], "epsilon": 0.05, "delta": 0.05}))
+        code, out, _ = run_cli(capsys, ["solve", "--spec", str(spec), "--data", str(data)])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["status"] == "optimal"
+        objective[rhs] = doc["objective"]
+    assert objective[1e9] == pytest.approx(1e8 * objective[10.0], rel=1e-8)
+
+
 def test_solve_conic_family_points_to_export(capsys, fixtures):
     argv = ["solve", "--spec", fixtures["spec_q"], "--data",
             fixtures["data_q"], "--split", "0.5", "--seed", "1"]

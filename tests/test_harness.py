@@ -384,6 +384,14 @@ def test_run_replications_deterministic():
             hz.run_replications(cfg, r_count, seed)
 
 
+def test_run_replications_rejects_a_negative_seed():
+    # as the CLI's --seed flag does, instead of numpy's SeedSequence error
+    spec, samp, _, _ = gaussian_instance(7, d=3, b=6.0)
+    cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method="sg", n=30)
+    with pytest.raises(InvalidArgumentError, match="master seed"):
+        hz.run_replications(cfg, 2, -1)
+
+
 def test_master_seeds_share_no_replication_data():
     spec, samp, _, _ = gaussian_instance(7, d=3, b=6.0)
     cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method="sg", n=30)
@@ -486,6 +494,20 @@ def test_experiment_config_validation():
     # the closed form draws nothing, so n_eval is not read
     cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method="sg", n=8, n_eval=0)
     assert hz.run_replications(cfg, 1, master_seed=0).failures == 0
+
+
+def test_experiment_config_reads_its_counts():
+    # a fractional or boolean count is refused when the config is built, not
+    # once per replication (n) or out of run_replications (n_eval)
+    spec, samp, _, _ = gaussian_instance(10, d=3, b=6.0)
+    for counts in ({"n": 130.5}, {"n": 130, "n1": 20.5}, {"n": 130, "n1": True},
+                   {"n": 8, "n_eval": 10.5, "violation": "mc"}):
+        with pytest.raises(InvalidArgumentError, match="must be int"):
+            hz.ExperimentConfig(spec=spec, sampler=samp, method="sg", **counts)
+    cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method="ro",
+                              n=np.int64(130), n1=np.int64(40), n_eval=np.int64(500))
+    assert (type(cfg.n), type(cfg.n1), type(cfg.n_eval)) == (int, int, int)
+    assert cfg.n2 == 90
 
 
 def test_experiment_config_rejects_a_too_small_phase_2():

@@ -579,3 +579,70 @@ def test_iteration_counts_on_workload_shaped_programs():
     sols = [conic.solve(prog) for prog in _ball_basis_programs(60)]
     assert all(sol.status is SolveStatus.OPTIMAL for sol in sols)
     assert sum(sol.iterations for sol in sols) <= 729
+
+
+def _in_cones(prog, u, tol):
+    """Whether u lies in the program's Nonneg and SecondOrder cones, to tol."""
+    row = 0
+    for cone in prog.cones:
+        part, row = u[row:row + cone.dim], row + cone.dim
+        if type(cone) is Nonneg and not np.all(part >= -tol):
+            return False
+        if type(cone) is SecondOrder and not part[0] >= np.linalg.norm(part[1:]) - tol:
+            return False
+    return True
+
+
+def _scenario_lp(rng, rows=390, d=10):
+    """min -mu'x s.t. xi_i'x <= 10 over Gaussian scenarios xi_i ~ N(mu, sigma)."""
+    mu = rng.uniform(1.0, 3.0, size=d)
+    raw = rng.normal(size=(d, d)) * 0.3
+    xi = rng.multivariate_normal(mu, raw @ raw.T + 0.5 * np.eye(d), size=rows)
+    return lp_min(-mu, xi, np.full(rows, 10.0))
+
+
+# iterations of the parent solver on the programs below; a change to the
+# iteration's fixed cost changes no iterate beyond its last bits, so no count
+# may grow
+_WORKLOAD_SHAPE_ITERATIONS = {"3 x SOC(6)": 9, "30 Nonneg + SOC(11)": 13,
+                              "390-row scenario LP": 10}
+
+
+def test_one_program_of_each_workload_shape():
+    progs = {"3 x SOC(6)": next(_replicate_programs(1)),
+             "30 Nonneg + SOC(11)": next(_ball_basis_programs(1)),
+             "390-row scenario LP": _scenario_lp(np.random.default_rng(9))}
+    for name, prog in progs.items():
+        sol = conic.solve(prog)
+        assert sol.status is SolveStatus.OPTIMAL, name
+        assert sol.iterations <= _WORKLOAD_SHAPE_ITERATIONS[name], name
+        assert sol.obj == pytest.approx(float(prog.c @ sol.x), rel=1e-12)
+        if name == "390-row scenario LP":
+            ref = linprog(prog.c, A_ub=prog.A, b_ub=prog.b, bounds=(None, None),
+                          method="highs")
+            assert ref.status == 0
+            assert abs(sol.obj - ref.fun) <= 1e-6 * max(1.0, abs(ref.fun))
+        # x is feasible and z dual feasible, so by weak duality no feasible
+        # point does better than -b'z, which the objective meets
+        assert _in_cones(prog, prog.b - prog.A @ sol.x, 1e-7), name
+        assert _in_cones(prog, sol.z, 1e-9), name
+        assert np.linalg.norm(prog.A.T @ sol.z + prog.c) <= 1e-7 * max(
+            1.0, np.linalg.norm(prog.c))
+        assert abs(sol.obj + float(prog.b @ sol.z)) <= 1e-6 * max(1.0, abs(sol.obj))
+
+
+def test_large_data_scales_give_no_false_certificates():
+    # bounded, feasible LPs with a large c or h: each certificate residual is
+    # scaled by the data its own conditions involve, where a Farkas residual
+    # divided by max(1, |c|) read the min LP as infeasible at c = 1e8 and a
+    # ray residual divided by max(1, |h|) read the max LP as unbounded at
+    # h = 1e9
+    G = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+    for scale in (1.0, 1e8, 1e9, 1e12):
+        for c, h in (([scale, scale], [-1.0, -1.0, 10.0]),  # x >= 1, x1 + x2 <= 10
+                     ([-1.0, -1.0], [0.0, 0.0, scale]),     # x >= 0, x1 + x2 <= h
+                     ([-scale, -scale], [0.0, 0.0, 10.0])):
+            ref = linprog(c, A_ub=G, b_ub=h, bounds=(None, None), method="highs")
+            sol = conic.solve(lp_min(c, G, h))
+            assert sol.status is SolveStatus.OPTIMAL, (c, h)
+            assert abs(sol.obj - ref.fun) <= 1e-6 * abs(ref.fun), (c, h)
