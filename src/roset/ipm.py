@@ -40,12 +40,16 @@ The KKT system is the scaled one of ``coneqp`` (Vandenberghe 2010): the one
 with a -W^2 block, its last block row multiplied by W^{-1}, in the unknowns
 (dx, dy, W dz).  Its -I block stays well scaled where W^2 spreads apart near
 the boundary, and W dz is the scaled direction that max_step reads.  A static
-d = 1e-10 on the x diagonal and -d on the equality rows' diagonal, as in
-ECOS (Domahidi, Chu & Boyd 2013), makes it quasi-definite and so nonsingular
+d_x on the x diagonal and -d on the equality rows' diagonal, as in ECOS
+(Domahidi, Chu & Boyd 2013), makes it quasi-definite and so nonsingular
 whatever the rank of [A; G] (Vanderbei 1995): repeated or all-zero columns
-need no other path.  It is dense, (n+me+p) square, and LU-factored twice per
-iteration.  Eliminating its -I block gives the reduced system
-[[(W^{-1}G)'(W^{-1}G) + d I, A'], [A, -d I]], which waits until the
+need no other path.  d = 1e-10 and d_x = d min(1, max(1, ||c||) /
+max(1, ||(b, h)||)): the term d_x dx that the x diagonal adds to the dual
+residual grows with x, whose scale is that of (b, h) over that of c, so an
+absolute d_x stalls the dual residual of a program with a large solution.
+It is dense, (n+me+p) square, and LU-factored twice per iteration.
+Eliminating its -I block gives the reduced system
+[[(W^{-1}G)'(W^{-1}G) + d_x I, A'], [A, -d I]], which waits until the
 benchmark's peak_rss_mb stops growing with the op count (see the README).
 
 Built once per solve: the cone layout (``_Cones``: block heads, row-to-block
@@ -75,8 +79,8 @@ from .conic import (
 )
 from .errors import ExportOnlyProgramError
 
-# the static regularization d of the KKT diagonal, +d on x and -d on the
-# equality rows (see _KKT)
+# the static regularization d of the KKT diagonal: -d on the equality rows,
+# and +d on x scaled down for data whose (b, h) outweighs c (see _KKT)
 _REG = 1e-10
 # stopping tolerances: FEAS_TOL bounds the relative residuals and the
 # residual of an infeasibility certificate, GAP_TOL the relative gap
@@ -121,6 +125,8 @@ class _Split:
     h: np.ndarray
     cones: _Cones
     nu: float
+    # max(1, ||v||) for v = c, b, h and (b, h): the residual scales
+    scales: tuple
 
 
 def _split(prog: ConicProgram) -> _Split:
@@ -145,11 +151,13 @@ def _split(prog: ConicProgram) -> _Split:
     blk = np.repeat(np.arange(dims.size), dims)
     tail = np.ones(blk.size)
     tail[heads] = 0.0
-    return _Split(c=prog.c.copy(), A=prog.A[eq], b=prog.b[eq],
-                  G=prog.A[~eq], h=prog.b[~eq],
+    c, b, h = prog.c.copy(), prog.b[eq], prog.b[~eq]
+    return _Split(c=c, A=prog.A[eq], b=b, G=prog.A[~eq], h=h,
                   cones=_Cones(dims=dims, heads=heads, blk=blk,
                                J=1.0 - 2.0 * tail, tail=tail, e=1.0 - tail),
-                  nu=1.0 + dims.size)  # 1 for the tau*kappa pair
+                  nu=1.0 + dims.size,  # 1 for the tau*kappa pair
+                  scales=tuple(max(1.0, _norm(v))
+                               for v in (c, b, h, np.concatenate((b, h)))))
 
 
 def _min_eig(cones: _Cones, v: np.ndarray) -> float:
@@ -267,7 +275,9 @@ def _kkt_solve(K: np.ndarray, B: np.ndarray) -> np.ndarray:
 class _KKT:
     """The regularized scaled KKT system
 
-        [[d I, A', (W^{-1}G)'], [A, -d I, 0], [W^{-1}G, 0, -I]],  d = _REG.
+        [[d_x I, A', (W^{-1}G)'], [A, -d I, 0], [W^{-1}G, 0, -I]],
+
+    d = _REG and d_x = d min(1, max(1, ||c||) / max(1, ||(b, h)||)).
 
     It is allocated once with W = I, so the diagonal is written once per
     solve; ``set_scaling`` rewrites the W^{-1}G blocks, from one W^{-1} pass
@@ -283,7 +293,7 @@ class _KKT:
         self.AG = AG = np.vstack((sp.A, G))
         K[:n, n:] = AG.T
         K[n:, :n] = AG
-        np.fill_diagonal(K[:n, :n], _REG)
+        np.fill_diagonal(K[:n, :n], _REG * min(1.0, sp.scales[0] / sp.scales[3]))
         np.fill_diagonal(K[n:off, n:off], -_REG)
         np.fill_diagonal(K[off:, off:], -1.0)
         self._rows = np.vstack((G.T, h, h))
@@ -327,7 +337,7 @@ def solve(prog: ConicProgram, max_iter: int = 200) -> Solution:
 
     off, bh = n + me, np.concatenate((b, h))
     # the scales of the residuals, each by the data its conditions involve
-    resx0, resy0, resz0, resbh = (max(1.0, _norm(v)) for v in (c, b, h, bh))
+    resx0, resy0, resz0, resbh = sp.scales
 
     # initialization: least-norm heuristic with identity scaling, then shift
     # s and z into the cone interior

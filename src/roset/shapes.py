@@ -379,9 +379,6 @@ def transform_values(shape: Shape, points) -> np.ndarray:
     if isinstance(shape, DiagEllipsoid):
         diff = pts - shape.center
         return np.sum(diff * diff / shape.variances, axis=1)
-    if isinstance(shape, Ball):
-        diff = pts - shape.center
-        return np.sum(diff * diff, axis=1)
     if isinstance(shape, Polytope):
         slack = shape.offsets - shape.rows @ shape.interior
         vals = (pts - shape.interior) @ shape.rows.T / slack
@@ -390,15 +387,15 @@ def transform_values(shape: Shape, points) -> np.ndarray:
         proj = pts @ shape.projection.T - shape.center_reduced
         w = np.linalg.solve(shape.chol, proj.T)
         return np.sum(w * w, axis=0)
-    if isinstance(shape, BallBasis):
-        # the same sum over the last axis as the Ball branch, so the values
-        # equal the minimum over the component balls bit for bit
-        return _nearest(pts, shape.centers,
-                         lambda diff: np.sum(diff * diff, axis=2))
-    if isinstance(shape, BoxGrid):
-        dist = _nearest(pts, shape.centers,
-                        lambda diff: np.max(np.abs(diff), axis=2))
-        return dist / shape.half_width
+    if isinstance(shape, (Ball, BallBasis, BoxGrid)):
+        # a Ball is the basis of its one center; chunks of centers bound the
+        # (n, chunk, m) difference of the squared 2-norm
+        centers = shape.center[None, :] if isinstance(shape, Ball) else shape.centers
+        norm = np.inf if isinstance(shape, BoxGrid) else 2
+        step = max(1, 10**7 // max(1, pts.size))
+        dist = np.min([_distances(pts, centers[lo : lo + step], norm).min(axis=1)
+                       for lo in range(0, centers.shape[0], step)], axis=0)
+        return dist / shape.half_width if norm == np.inf else dist
     if isinstance(shape, Union):
         vals = [transform_values(comp, pts) for comp in shape.components]
         return np.min(vals, axis=0)
@@ -414,15 +411,16 @@ def transform_values(shape: Shape, points) -> np.ndarray:
     raise InvalidArgumentError(f"unknown shape {shape!r}")
 
 
-def _nearest(pts: np.ndarray, centers: np.ndarray, dist) -> np.ndarray:
-    """min_k dist(pts - centers_k), with dist reducing an (n, k, m) difference
-    to (n, k); chunked over centers to keep that difference bounded."""
-    best = np.full(pts.shape[0], np.inf)
-    step = max(1, 10**7 // max(1, pts.shape[0] * pts.shape[1]))
-    for lo in range(0, centers.shape[0], step):
-        block = centers[lo : lo + step]
-        best = np.minimum(best, dist(pts[:, None, :] - block[None, :, :]).min(axis=1))
-    return best
+def _distances(pts: np.ndarray, centers: np.ndarray, norm) -> np.ndarray:
+    """The (n, k) distances from n points to k centers: the squared 2-norm
+    for norm 2, the max-norm for norm inf (one coordinate at a time)."""
+    if norm == 2:
+        diff = pts[:, None, :] - centers
+        return np.einsum("nkm,nkm->nk", diff, diff)
+    dist = np.zeros((pts.shape[0], centers.shape[0]))
+    for j in range(pts.shape[1]):
+        np.maximum(dist, np.abs(pts[:, j, None] - centers[:, j]), out=dist)
+    return dist
 
 
 def transform_eval(shape: Shape, xi) -> float:
@@ -494,19 +492,19 @@ def _kmeans(pts: np.ndarray, k: int, seed: int):
     rng = np.random.Generator(np.random.PCG64(seed))
     centers = np.empty((k, pts.shape[1]))
     centers[0] = pts[rng.integers(n)]
-    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    d2 = _distances(pts, centers[:1], 2)[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
             centers[j] = pts[rng.integers(n)]
         else:
             centers[j] = pts[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
+        d2 = np.minimum(d2, _distances(pts, centers[j : j + 1], 2)[:, 0])
 
     repaired = False
     labels = None
     for _ in range(100):
-        dist = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        dist = _distances(pts, centers, 2)
         labels = np.argmin(dist, axis=1)
         counts = np.bincount(labels, minlength=k)
         if np.any(counts == 0):

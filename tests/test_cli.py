@@ -180,12 +180,13 @@ def test_solve_example_and_determinism(capsys, fixtures):
 def test_solve_with_a_large_rhs_is_optimal(capsys, tmp_path):
     # the robust program is bounded and feasible at every rhs, and its
     # optimum scales with the rhs; at 1e9 the ray residual, once divided by
-    # max(1, |h|), certified it unbounded
+    # max(1, |h|), certified it unbounded, and at 1e12 an absolute x-diagonal
+    # regularization stalled the dual residual until the iteration limit
     data = tmp_path / "d.csv"
     np.savetxt(data, np.random.default_rng(0).normal(1.0, 0.3, (140, 2)),
                delimiter=",")
     objective = {}
-    for rhs in (10.0, 1e9):
+    for rhs in (10.0, 1e9, 1e12):
         spec = tmp_path / "p.json"
         spec.write_text(json.dumps({
             "objective": [-1.0, -1.0], "family": {"kind": "single_linear"},
@@ -196,6 +197,7 @@ def test_solve_with_a_large_rhs_is_optimal(capsys, tmp_path):
         assert doc["status"] == "optimal"
         objective[rhs] = doc["objective"]
     assert objective[1e9] == pytest.approx(1e8 * objective[10.0], rel=1e-8)
+    assert objective[1e12] == pytest.approx(1e11 * objective[10.0], rel=1e-8)
 
 
 def test_solve_conic_family_points_to_export(capsys, fixtures):

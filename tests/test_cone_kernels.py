@@ -305,9 +305,11 @@ def test_nt_operator_matches_dense_scaling():
         assert_rel(K[off:, :n], Winv @ sp.G)
         assert np.array_equal(K[:n, off:], K[off:, :n].T)
         assert np.array_equal(K[n:off, :n], sp.A) and np.array_equal(K[:n, n:off], sp.A.T)
-        # the static regularization: +d on the x diagonal, -d on the
-        # equality rows', nothing below them
-        assert np.array_equal(K[:n, :n], ipm._REG * np.eye(n))
+        # the static regularization: +d_x on the x diagonal, -d on the
+        # equality rows', nothing below them; d_x = d min(1, max(1, |c|) /
+        # max(1, |(b, h)|))
+        scale = max(1.0, np.linalg.norm(sp.c)) / max(1.0, np.linalg.norm(np.r_[sp.b, sp.h]))
+        assert np.array_equal(K[:n, :n], ipm._REG * min(1.0, scale) * np.eye(n))
         assert np.array_equal(K[n:off, n:off], -ipm._REG * np.eye(off - n))
         assert not np.any(K[off:, n:off])
         cbh = np.concatenate((sp.c, sp.b, Winv @ sp.h))

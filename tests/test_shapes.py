@@ -236,6 +236,36 @@ def test_ball_basis_transform_equals_min_over_balls():
         assert np.array_equal(transform_values(union, pts), balls)
 
 
+def test_nearest_center_kernel_matches_a_loop_over_centers():
+    # shapes._distances against one center at a time, for both norms, and the
+    # chunked minimum of transform_values against the minimum of that loop;
+    # the squared 2-norms sum m <= 300 nonnegative terms in another order, so
+    # each is within m * 2**-53 of the exact sum, and they agree to 1e-13
+    rng = np.random.default_rng(23)
+    # (20_000, 120, 10) spans three chunks of 50 centers; m = 300 is the
+    # dimension of the largest experiments
+    for n, k, m in ((1, 1, 1), (1, 5, 2), (40, 7, 3), (120, 30, 10),
+                    (20_000, 120, 10), (50, 4, 300), (1000, 1, 300)):
+        centers = rng.normal(size=(k, m))
+        pts = rng.normal(size=(n, m)) * 2.0
+        sq = np.column_stack([np.sum((pts - c) ** 2, axis=1) for c in centers])
+        inf = np.column_stack([np.max(np.abs(pts - c), axis=1) for c in centers])
+        np.testing.assert_allclose(shapes._distances(pts, centers, 2), sq,
+                                   rtol=1e-13, atol=0)
+        assert np.array_equal(shapes._distances(pts, centers, np.inf), inf)
+        np.testing.assert_allclose(transform_values(BallBasis(centers=centers), pts),
+                                   sq.min(axis=1), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(transform_values(Ball(center=centers[0]), pts),
+                                   sq[:, 0], rtol=1e-13, atol=0)
+        # the max-norm is exact, so a box grid equals the (n, k, m) formula
+        # bit for bit, over all centers at once or one center at a time
+        grid = BoxGrid(centers=centers, half_width=0.3)
+        if n * k * m <= 10**6:
+            full = np.max(np.abs(pts[:, None, :] - centers[None, :, :]), axis=2)
+            assert np.array_equal(transform_values(grid, pts), full.min(axis=1) / 0.3)
+        assert np.array_equal(transform_values(grid, pts), inf.min(axis=1) / 0.3)
+
+
 def test_grid_histogram_examples():
     g = grid_histogram(np.array([[0.1], [0.9]]), width=1.0)
     assert g.centers.shape == (1, 1)
