@@ -23,11 +23,11 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedExportError,
 )
-from .model import frozen, read_fields, read_value
+from .model import Counts, frozen, read_fields
 
 
 @dataclass(frozen=True)
-class Zero:
+class Zero(Counts):
     """Equality rows: b - Ax = 0."""
 
     dim: int
@@ -40,7 +40,7 @@ class Zero:
 
 
 @dataclass(frozen=True)
-class Nonneg:
+class Nonneg(Counts):
     """Componentwise rows: b - Ax >= 0."""
 
     dim: int
@@ -53,7 +53,7 @@ class Nonneg:
 
 
 @dataclass(frozen=True)
-class SecondOrder:
+class SecondOrder(Counts):
     """Rows (t, u) with t >= ||u||_2; dim counts t plus the entries of u."""
 
     dim: int
@@ -66,7 +66,7 @@ class SecondOrder:
 
 
 @dataclass(frozen=True)
-class PsdExportOnly:
+class PsdExportOnly(Counts):
     """A symmetric side x side block required to be PSD.
 
     The block occupies side*(side+1)/2 consecutive rows holding its upper
@@ -139,13 +139,7 @@ class ConicProgram:
         cones = tuple(self.cones)
         total = 0
         for cone in cones:
-            if isinstance(cone, PsdExportOnly):
-                if cone.side < 1:
-                    raise InvalidArgumentError("psd cone side must be >= 1")
-            elif isinstance(cone, (Zero, Nonneg, SecondOrder)):
-                if cone.dim < 1:
-                    raise InvalidArgumentError(f"{cone.kind} cone dim must be >= 1")
-            else:
+            if not isinstance(cone, (Zero, Nonneg, SecondOrder, PsdExportOnly)):
                 raise InvalidArgumentError(f"unknown cone {cone!r}")
             total += cone.rows
         if total != A.shape[0]:
@@ -265,7 +259,7 @@ def _cone_from_obj(obj: dict) -> Cone:
         raise InvalidArgumentError(f"bad cone entry {obj!r}")
     size = "side" if kind == "psd" else "dim"
     read_fields(obj, f"{kind} cone", ("type", size), ("type", size))
-    return _CONE_KINDS[kind](read_value(obj[size], int, f"{kind} cone {size}"))
+    return _CONE_KINDS[kind](obj[size])
 
 
 def _export_json(prog: ConicProgram) -> str:

@@ -40,10 +40,6 @@ class TooFineGridError(RosetError):
     pass
 
 
-class DegenerateShapeError(RosetError):
-    pass
-
-
 class UnsupportedCombinationError(RosetError):
     pass
 

@@ -32,6 +32,7 @@ __all__ = [
     "split_quadratic_point",
     "split_semidefinite_point",
     "semidefinite_rhs_matrix",
+    "Counts",
     "read_fields",
     "read_value",
     "frozen",
@@ -39,8 +40,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Checks for outside data: every document reader and every record with array
-# fields goes through these three
+# Checks for outside data: every document reader, every record with array
+# fields and every family or cone with a count goes through these
 
 def read_fields(obj, what: str, allowed, required=()) -> dict:
     """obj itself, checked to be an object holding every required key and no
@@ -81,6 +82,21 @@ def frozen(value, what: str, ndim: int | None = None) -> np.ndarray:
         raise InvalidArgumentError(f"{what} contains non-finite entries")
     arr.flags.writeable = False
     return arr
+
+
+class Counts:
+    """Base of the frozen dataclasses whose every field is a count (row
+    counts, cone sizes): each is read with read_value as an int >= 1 when
+    the instance is built, so a NumPy integer is stored as int and a bool,
+    a string or a fractional count is refused."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            what = f"{self.kind} {f.name!r}"
+            value = read_value(getattr(self, f.name), int, what)
+            if value < 1:
+                raise InvalidArgumentError(f"{what} must be >= 1, got {value}")
+            object.__setattr__(self, f.name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,6 +145,9 @@ def split_data(data: Dataset, n1: int, seed: int) -> DataSplit:
     n1 = read_value(n1, int, "n1")
     if n1 < 0 or n1 > data.n:
         raise InvalidArgumentError(f"n1 must lie in [0, {data.n}], got {n1}")
+    seed = read_value(seed, int, "split seed")
+    if seed < 0:
+        raise InvalidArgumentError(f"split seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     perm = rng.permutation(data.n)
     idx1 = np.sort(perm[:n1])
@@ -140,7 +159,7 @@ def split_data(data: Dataset, n1: int, seed: int) -> DataSplit:
     return DataSplit(
         phase1=_maybe_empty(p1, data.m),
         phase2=_maybe_empty(p2, data.m),
-        seed=int(seed),
+        seed=seed,
     )
 
 
@@ -179,15 +198,11 @@ class SingleLinear:
 
 
 @dataclass(frozen=True)
-class JointLinear:
+class JointLinear(Counts):
     """Ax <= b with A in R^{l x d}; xi = vec(A) (row concatenation)."""
 
     l: int
     kind = "joint_linear"
-
-    def __post_init__(self):
-        if self.l < 1:
-            raise InvalidArgumentError("JointLinear needs l >= 1 rows")
 
     def data_dim(self, d: int) -> int:
         return self.l * d
@@ -200,7 +215,7 @@ class JointLinear:
 
 
 @dataclass(frozen=True)
-class Quadratic:
+class Quadratic(Counts):
     """x'A'Ax - b'x - c <= rhs with stochastic (A, b, c), A in R^{q x d}.
 
     A data point is (vec(A), b, c) laid out as q*d + d + 1 reals.
@@ -208,10 +223,6 @@ class Quadratic:
 
     q: int
     kind = "quadratic"
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise InvalidArgumentError("Quadratic needs q >= 1 rows in A")
 
     def data_dim(self, d: int) -> int:
         return self.q * d + d + 1
@@ -224,7 +235,7 @@ class Quadratic:
 
 
 @dataclass(frozen=True)
-class Semidefinite:
+class Semidefinite(Counts):
     """B + sum_j xi_j x_j >= 0 (PSD) with xi_j in R^{p x p}.
 
     A data point stacks the d coefficient matrices vertically:
@@ -234,10 +245,6 @@ class Semidefinite:
 
     p: int
     kind = "semidefinite"
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise InvalidArgumentError("Semidefinite needs side p >= 1")
 
     def data_dim(self, d: int) -> int:
         return d * self.p * self.p
@@ -370,15 +377,14 @@ def spec_to_json(spec: CcpSpec) -> str:
 
 
 def _family_from_json(obj):
-    """A family from {"kind", **fields}; every family field is a row count."""
+    """A family from {"kind", **fields}; the family reads its own counts."""
     kind = obj.get("kind") if isinstance(obj, dict) else None
     cls = _FAMILY_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise InvalidArgumentError(f"unknown constraint family kind: {kind!r}")
     names = [f.name for f in fields(cls)]
     params = read_fields(obj, f"{kind} family", ("kind", *names), names)
-    return cls(**{name: read_value(params[name], int, f"{kind} family {name!r}")
-                  for name in names})
+    return cls(**{name: params[name] for name in names})
 
 
 _SPEC_FIELDS = ("objective", "family", "rhs", "epsilon", "delta")

@@ -7,9 +7,13 @@ squared transforms (ellipsoid family, ball bases, PCA sets) enter with
 radius sqrt(size); half-space transforms (polytopes, box grids) scale
 linearly in the size.  That conversion happens here and nowhere else.
 
+Linear families have one dispatch, _linear_blocks.  The ellipsoid shapes,
+PCA sets and the safe approximations of baselines all emit ellipsoidal
+rows a_i'x + rho ||T_i x|| <= b_i from one builder, _vecnorm_blocks; a PCA
+set adds the equality rows that keep x in its projection's row space.
 Ball bases (and unions made only of balls) and box grids share one norm
 epigraph across all their components and rows; other unions replicate
-the rows once per component.
+the rows once per component, and polytopes get their dual, once per row.
 
 Conic row convention throughout: a block contributes rows
 ``offsets - rows_x @ x - rows_aux @ aux`` that must land in its cones.
@@ -24,7 +28,6 @@ import numpy as np
 from . import conic, model, shapes
 from .calibrate import calibrate_size
 from .errors import (
-    DegenerateShapeError,
     InvalidArgumentError,
     InvalidScaleError,
     UnsupportedCombinationError,
@@ -37,9 +40,6 @@ __all__ = [
     "rc_linear_polytope",
     "rc_quadratic_ellipsoid",
     "rc_sdp_normbounded",
-    "rc_pca",
-    "rc_union",
-    "rc_partition",
     "build_reconstruction_set",
     "solve_reconstruction",
     "det_blocks",
@@ -128,30 +128,16 @@ def rc_linear_ellipsoid(a0, delta, rho: float, b: float) -> Block:
     """Protect a0'x + worst ellipsoidal perturbation <= b.
 
     The uncertain row is a = a0 + rho * delta u with ||u|| <= 1, giving the
-    second-order row a0'x + rho ||delta' x|| <= b.  All-zero columns of delta
-    do not change the norm and are dropped; with rho = 0 or no column left the
-    row degenerates to the nominal half-space.  With t > d columns left, the
-    t x d tail delta' is replaced by the d x d triangular factor R of its QR
-    decomposition: ||delta' x|| = ||R x||, so the cone has 1 + min(t, d) rows.
+    second-order row a0'x + rho ||delta' x|| <= b of _vecnorm_blocks.  All-zero
+    columns of delta do not change the norm and are dropped first, so with
+    none left the row is the nominal half-space.
     """
     a0 = np.asarray(a0, dtype=float).reshape(-1)
     delta = np.atleast_2d(np.asarray(delta, dtype=float))
-    d = a0.size
-    if delta.shape[0] != d:
+    if delta.shape[0] != a0.size:
         raise InvalidArgumentError("delta must have one row per x coordinate")
-    rho = _checked_rho(rho)
     tail = delta.T[np.any(delta != 0.0, axis=0)]
-    if rho == 0.0 or tail.shape[0] == 0:
-        return Block(rows_x=a0[None, :], rows_aux=_no_aux(1),
-                     offsets=[float(b)], cones=(conic.Nonneg(1),))
-    if tail.shape[0] > d:
-        tail = np.linalg.qr(tail, mode="r")
-    t = tail.shape[0]
-    rows_x = np.vstack([a0[None, :], -rho * tail])
-    offsets = np.zeros(1 + t)
-    offsets[0] = float(b)
-    return Block(rows_x=rows_x, rows_aux=_no_aux(1 + t), offsets=offsets,
-                 cones=(conic.SecondOrder(1 + t),))
+    return _vecnorm_blocks(a0[None, :], tail, rho, np.array([float(b)]))
 
 
 def rc_linear_polytope(halfspace_rows, halfspace_offsets, b: float, *,
@@ -183,78 +169,33 @@ def rc_linear_polytope(halfspace_rows, halfspace_offsets, b: float, *,
 
 def _vecnorm_blocks(abar: np.ndarray, tails: np.ndarray, rho: float,
                     b: np.ndarray) -> Block:
-    """Joint rows a_i'x + rho ||tails[:, block_i] @ x|| <= b_i, stacked.
+    """The ellipsoidal rows abar_i'x + rho ||tails[:, block i] x|| <= b_i, stacked.
 
-    ``tails`` is the (m, m) matrix whose (m, d) columns at block i produce
-    the worst-case direction for row i.  One QR over the (l, m, d) stack of
-    tails gives each row its d x d triangular factor R_i, with
-    ||R_i x|| = ||tail_i x||, so row i is one SOC(1 + d), as in
-    rc_linear_ellipsoid; a tail that is upper triangular over its first d
-    rows and zero below is its own factor.  With rho = 0 every row is the
-    nominal half-space.
+    ``abar`` is (l, d), ``tails`` is (t, l*d) and block i is the columns
+    [i*d, (i+1)*d), which act on row i's uncertain vector.  Row i is one
+    SOC(1 + min(t, d)).  With t > d one QR over the (l, t, d) stack of
+    tails gives each row its d x d triangular factor R_i instead, with
+    ||R_i x|| = ||tail_i x||; a tail that is already triangular or diagonal
+    is its own factor, so t <= d needs none.  With rho = 0 or t = 0 every
+    row is the nominal half-space, one Nonneg(1) each.
     """
     l, d = abar.shape
-    m = l * d
-    if tails.shape != (m, m):
-        raise InvalidArgumentError("tail factor must be m x m over vec(A)")
+    t = tails.shape[0]
+    if tails.shape != (t, l * d):
+        raise InvalidArgumentError("tails must have one column per entry of the rows")
     rho = _checked_rho(rho)
-    if rho == 0.0:
+    if rho == 0.0 or t == 0:
         return Block(rows_x=abar, rows_aux=_no_aux(l), offsets=b,
                      cones=(conic.Nonneg(1),) * l)
-    factors = np.linalg.qr(tails.reshape(m, l, d).transpose(1, 0, 2), mode="r")
+    factors = tails.reshape(t, l, d).transpose(1, 0, 2)
+    if t > d:
+        factors = np.linalg.qr(factors, mode="r")
+    k = factors.shape[1]
     rows_x = np.concatenate([abar[:, None, :], -rho * factors], axis=1)
-    offsets = np.zeros((l, 1 + d))
+    offsets = np.zeros((l, 1 + k))
     offsets[:, 0] = b
-    return Block(rows_x=rows_x.reshape(l * (1 + d), d), rows_aux=_no_aux(l * (1 + d)),
-                 offsets=offsets, cones=(conic.SecondOrder(1 + d),) * l)
-
-
-def rc_pca(shape: shapes.PcaEllipsoid, rho: float, b: float, *,
-           x_dim: int | None = None, x_offset: int = 0) -> Block:
-    """Protect a row against the lifted PCA ellipsoid of squared radius rho^2.
-
-    New variables u in R^r and lambda, with rows
-      mu' S^{-1/2} u + rho * lambda <= b,
-      M' S^{-1/2} u = x_emb,
-      ||u||_2 <= lambda,
-    where S^{-1/2} is the symmetric inverse square root of the reduced
-    covariance.  The equality rows force x_emb into the row space of the
-    projection; outside it the worst case is unbounded and the program is
-    rightly infeasible.
-    """
-    if not isinstance(shape, shapes.PcaEllipsoid):
-        raise InvalidArgumentError("rc_pca needs a PcaEllipsoid shape")
-    m = shape.dim
-    r = shape.rank
-    embed = _x_embedding(m, x_dim, x_offset)
-    rho = _checked_rho(rho)
-    evals, evecs = np.linalg.eigh(shape.sigma_reduced)
-    if evals[0] <= 0 or evals[0] <= 1e-14 * evals[-1]:
-        raise DegenerateShapeError("reduced covariance is rank deficient")
-    s_isqrt = (evecs / np.sqrt(evals)) @ evecs.T
-    lift = shape.projection.T @ s_isqrt           # (m, r)
-    w = s_isqrt @ shape.center_reduced            # (r,)
-
-    k = 1 + m + (1 + r)
-    rows_x = np.zeros((k, embed.shape[1]))
-    rows_aux = np.zeros((k, r + 1))
-    offsets = np.zeros(k)
-    # b - w'u - rho*lambda >= 0
-    offsets[0] = float(b)
-    rows_aux[0, :r] = w
-    rows_aux[0, r] = rho
-    # x_emb - lift u = 0
-    rows_x[1: 1 + m] = embed
-    rows_aux[1: 1 + m, :r] = -lift
-    # (lambda, u) in the second-order cone
-    rows_aux[1 + m, r] = -1.0
-    rows_aux[2 + m:, :r] = -np.eye(r)
-    return Block(
-        rows_x=rows_x,
-        rows_aux=rows_aux,
-        offsets=offsets,
-        cones=(conic.Nonneg(1), conic.Zero(m), conic.SecondOrder(1 + r)),
-    )
+    return Block(rows_x=rows_x.reshape(l * (1 + k), d), rows_aux=_no_aux(l * (1 + k)),
+                 offsets=offsets, cones=(conic.SecondOrder(1 + k),) * l)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +344,33 @@ def _ellipsoid_factor(shape) -> np.ndarray:
     return np.eye(shape.dim)
 
 
+def _pca_blocks(shape: shapes.PcaEllipsoid, rho: float, rhs: np.ndarray,
+                d: int) -> list:
+    """Rows protected against {xi : M xi = mu + rho L u, ||u|| <= 1}.
+
+    xi enters the set only through M xi, so row i's worst case is finite
+    only if x, placed at block i, lies in the row space of M: x_emb = M'z.
+    There it is mu'z + rho ||L'z||, an ellipsoidal row whose center is
+    lift'mu and whose tails are L' lift, where z = lift x_emb and lift is
+    (M^+)' (M itself when its rows are orthonormal, as a fitted PCA's are).
+    The null-space basis N of M adds the equality rows N'[:, block i] x = 0
+    of every row i in one Zero block, none when M has full column rank.
+    """
+    l, r = rhs.size, shape.rank
+    u, sv, vt = np.linalg.svd(shape.projection)
+    if sv.size < r or not sv[-1] > 1e-12 * sv[0]:
+        raise InvalidArgumentError("the PCA projection rows must be linearly independent")
+    lift = (u / sv) @ vt[:r]
+    blocks = [_vecnorm_blocks((shape.center_reduced @ lift).reshape(l, d),
+                              shape.chol.T @ lift, rho, rhs)]
+    null = vt[r:].reshape(-1, l, d).transpose(1, 0, 2).reshape(-1, d)
+    if null.size:
+        k = null.shape[0]
+        blocks.append(Block(rows_x=null, rows_aux=_no_aux(k), offsets=np.zeros(k),
+                            cones=(conic.Zero(k),)))
+    return blocks
+
+
 def _nearest_center_block(centers: np.ndarray, radius: float, norm: int,
                           rhs: np.ndarray, l: int, d: int) -> Block:
     """Rows protected against a union of equal balls (norm 2) or cubes (norm 1).
@@ -442,84 +410,66 @@ def _nearest_center_block(centers: np.ndarray, radius: float, norm: int,
                  cones=cones)
 
 
-def _basic_linear_blocks(comp, s: float, rhs: np.ndarray, l: int, d: int) -> list:
-    """RC blocks protecting all l rows against one basic shape at size s."""
+def _linear_blocks(shape, s: float, rhs: np.ndarray, d: int) -> list:
+    """RC blocks protecting the rows a_i'x <= rhs_i against shape at size s.
+
+    A union replicates the rows once per component, except that a union
+    made only of balls is a ball basis and gets its shared-epigraph block.
+    An intersection with coordinate blocks holds constraint-wise sets:
+    component i protects row i, whose coordinates its block must cover.
+    """
+    l = rhs.size
+    if isinstance(shape, shapes.Union):
+        if not all(isinstance(comp, shapes.Ball) for comp in shape.components):
+            return [blk for comp in shape.components
+                    for blk in _linear_blocks(comp, s, rhs, d)]
+        shape = shapes.BallBasis(centers=[comp.center for comp in shape.components])
+    if isinstance(shape, shapes.Intersection):
+        if shape.blocks is None:
+            raise UnsupportedCombinationError(
+                "a same-space intersection has no exact linear robust counterpart; "
+                "use an Intersection with coordinate blocks (one per constraint row)"
+            )
+        if len(shape.components) != l:
+            raise InvalidArgumentError(
+                f"partition has {len(shape.components)} blocks but the family has {l} rows"
+            )
+        out = []
+        for i, (comp, blk) in enumerate(zip(shape.components, shape.blocks)):
+            if blk != tuple(range(i * d, (i + 1) * d)):
+                raise InvalidArgumentError(
+                    "partition blocks must align with the constraint rows "
+                    f"(block {i} must cover coordinates {i * d}..{(i + 1) * d - 1})"
+                )
+            out.extend(_linear_blocks(comp, s, rhs[i: i + 1], d))
+        return out
     m = l * d
-    if comp.dim != m:
+    if shape.dim != m:
         raise InvalidArgumentError(
-            f"shape dimension {comp.dim} does not match the data dimension {m}"
+            f"shape dimension {shape.dim} does not match the data dimension {m}"
         )
     rho = _rho_of_size(s)
-    if isinstance(comp, _ELLIPSOIDS):
-        abar = comp.center.reshape(l, d)
-        return [_vecnorm_blocks(abar, _ellipsoid_factor(comp).T, rho, rhs)]
-    if isinstance(comp, shapes.Polytope):
-        offs = polytope_level_offsets(comp, s)
+    if isinstance(shape, _ELLIPSOIDS):
+        abar = shape.center.reshape(l, d)
+        return [_vecnorm_blocks(abar, _ellipsoid_factor(shape).T, rho, rhs)]
+    if isinstance(shape, shapes.PcaEllipsoid):
+        return _pca_blocks(shape, rho, rhs, d)
+    if isinstance(shape, shapes.Polytope):
+        offs = polytope_level_offsets(shape, s)
         return [
-            rc_linear_polytope(comp.rows, offs, float(rhs[i]),
+            rc_linear_polytope(shape.rows, offs, float(rhs[i]),
                                x_dim=d, x_offset=i * d)
             for i in range(l)
         ]
-    if isinstance(comp, shapes.PcaEllipsoid):
-        return [
-            rc_pca(comp, rho, float(rhs[i]), x_dim=d, x_offset=i * d)
-            for i in range(l)
-        ]
-    if isinstance(comp, shapes.BallBasis):
-        return [_nearest_center_block(comp.centers, rho, 2, rhs, l, d)]
-    if isinstance(comp, shapes.BoxGrid):
-        half = comp.half_width * max(float(s), 0.0)
-        return [_nearest_center_block(comp.centers, half, 1, rhs, l, d)]
+    if isinstance(shape, shapes.BallBasis):
+        return [_nearest_center_block(shape.centers, rho, 2, rhs, l, d)]
+    if isinstance(shape, shapes.BoxGrid):
+        half = shape.half_width * max(float(s), 0.0)
+        return [_nearest_center_block(shape.centers, half, 1, rhs, l, d)]
     raise UnsupportedCombinationError(
-        f"no linear robust counterpart for shape {comp.variant!r}; "
+        f"no linear robust counterpart for shape {shape.variant!r}; "
         f"supported pairs: {SUPPORTED_PAIRS}"
     )
-
-
-def rc_union(shape: shapes.Union, s: float, rhs, d: int) -> list:
-    """Protect against a union: replicate the rows once per component.
-
-    A union made only of balls is a ball basis and gets its shared-epigraph
-    block instead.
-    """
-    if not isinstance(shape, shapes.Union):
-        raise InvalidArgumentError("rc_union needs a Union shape")
-    rhs = np.asarray(rhs, dtype=float).reshape(-1)
-    if all(isinstance(comp, shapes.Ball) for comp in shape.components):
-        basis = shapes.BallBasis(centers=[comp.center for comp in shape.components])
-        return _basic_linear_blocks(basis, s, rhs, rhs.size, d)
-    return [blk for comp in shape.components
-            for blk in _basic_linear_blocks(comp, s, rhs, rhs.size, d)]
-
-
-def rc_partition(shape: shapes.Intersection, s: float, rhs, d: int) -> list:
-    """Constraint-wise sets: component i protects row i at the shared size.
-
-    The intersection must carry coordinate blocks aligned with the rows:
-    block i covers exactly the coordinates of row i's uncertain vector.
-    """
-    if not isinstance(shape, shapes.Intersection):
-        raise InvalidArgumentError("rc_partition needs an Intersection shape")
-    if shape.blocks is None:
-        raise UnsupportedCombinationError(
-            "a same-space intersection has no exact linear robust counterpart; "
-            "use an Intersection with coordinate blocks (one per constraint row)"
-        )
-    rhs = np.asarray(rhs, dtype=float).reshape(-1)
-    l = rhs.size
-    if len(shape.components) != l:
-        raise InvalidArgumentError(
-            f"partition has {len(shape.components)} blocks but the family has {l} rows"
-        )
-    out = []
-    for i, (comp, blk) in enumerate(zip(shape.components, shape.blocks)):
-        if blk != tuple(range(i * d, (i + 1) * d)):
-            raise InvalidArgumentError(
-                "partition blocks must align with the constraint rows "
-                f"(block {i} must cover coordinates {i * d}..{(i + 1) * d - 1})"
-            )
-        out.extend(_basic_linear_blocks(comp, s, rhs[i: i + 1], 1, d))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -652,11 +602,7 @@ def _shape_blocks(spec: model.CcpSpec, pset: shapes.PredictionSet) -> list:
     d = spec.d
 
     if isinstance(family, (model.SingleLinear, model.JointLinear)):
-        if isinstance(shape, shapes.Union):
-            return rc_union(shape, s, spec.rhs, d)
-        if isinstance(shape, shapes.Intersection):
-            return rc_partition(shape, s, spec.rhs, d)
-        return _basic_linear_blocks(shape, s, spec.rhs, family.n_rows(), d)
+        return _linear_blocks(shape, s, spec.rhs, d)
 
     if isinstance(family, model.Quadratic):
         if not isinstance(shape, _ELLIPSOIDS):

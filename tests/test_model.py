@@ -1,9 +1,10 @@
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from roset import model
+from roset import conic, harness, model
 from roset.errors import InvalidArgumentError
 
 
@@ -66,6 +67,41 @@ def test_split_n1_out_of_range():
     d = model.Dataset(np.zeros((5, 1)) + np.arange(5)[:, None])
     with pytest.raises(InvalidArgumentError):
         model.split_data(d, 6, seed=0)
+
+
+def test_split_seed_must_be_a_nonnegative_int():
+    """As the master seed of an experiment: a negative, fractional, boolean
+    or string seed is an InvalidArgumentError, also through the pipelines
+    that pass it through; a NumPy integer is stored as int."""
+    data = model.Dataset(np.arange(20.0).reshape(10, 2))
+    spec = model.CcpSpec(objective=[-1.0, -1.0], family=model.SingleLinear(),
+                         rhs=[10.0], epsilon=0.5, delta=0.5)
+    for bad in (-1, 2.5, True, "3"):
+        with pytest.raises(InvalidArgumentError, match="split seed"):
+            model.split_data(data, 5, bad)
+        with pytest.raises(InvalidArgumentError, match="split seed"):
+            harness.two_phase_ro(spec, data, 5, bad, "ellipsoid", None)
+        with pytest.raises(InvalidArgumentError, match="split seed"):
+            harness.reconstruction_pipeline(data, spec, 5, seed=bad)
+    split = model.split_data(data, 5, np.int64(7))
+    assert type(split.seed) is int
+    assert np.array_equal(split.phase1.points, model.split_data(data, 5, 7).phase1.points)
+
+
+@pytest.mark.parametrize("make, name", [
+    (model.JointLinear, "'l'"), (model.Quadratic, "'q'"), (model.Semidefinite, "'p'"),
+    (conic.Zero, "dim"), (conic.Nonneg, "dim"), (conic.SecondOrder, "dim"),
+    (conic.PsdExportOnly, "side")])
+def test_counts_are_read_when_a_family_or_cone_is_built(make, name):
+    """A family's row count and a cone's size are read as document counts
+    are: a fraction (even 2.0), a bool, a string or a count below 1 is an
+    InvalidArgumentError naming the field; a NumPy integer is stored as int."""
+    for bad in (2.5, 2.0, True, "3", 0, -1):
+        with pytest.raises(InvalidArgumentError, match=name):
+            make(bad)
+    built = make(np.int64(2))
+    (count,) = astuple(built)
+    assert type(count) is int and count == 2 and built == make(2)
 
 
 def test_ccp_spec_validation():

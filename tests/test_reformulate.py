@@ -326,11 +326,11 @@ def test_pca_identity_projection_matches_ellipsoid():
     ell = shapes.fit_ellipsoid(pts)
     pca = shapes.PcaEllipsoid(projection=np.eye(2), center_reduced=ell.center,
                               sigma_reduced=ell.sigma)
+    spec = model.CcpSpec(objective=[-1.0, -0.4], family=model.SingleLinear(),
+                         rhs=[1.0], epsilon=0.5, delta=0.5)
     s = 2.3
-    blk = rf.rc_pca(pca, np.sqrt(s), 1.0)
-    sol_p = solve_block(blk, [-1.0, -0.4])
-    sol_e = solve_block(rf.rc_linear_ellipsoid(ell.center, ell.chol, np.sqrt(s), 1.0),
-                        [-1.0, -0.4])
+    sol_p, sol_e = (conic.solve(rf.assemble_ro(spec, pset_with_size(shape, s)).program)
+                    for shape in (pca, ell))
     assert abs(sol_p.obj - sol_e.obj) <= 1e-6
 
 
@@ -373,6 +373,120 @@ def test_pca_sampling_oracle():
         margin = 1e-4 * (1.0 + abs(analytic))
         assert feasible_at(pin_spec(np.zeros(m), fam, [analytic + margin], x), pset)
         assert not feasible_at(pin_spec(np.zeros(m), fam, [analytic - margin], x), pset)
+
+
+def _block_aligned_pca(rng, d, ranks):
+    """A PcaEllipsoid over l = len(ranks) row blocks of size d whose
+    projection rows each lie in one block: ranks[i] orthonormal rows in
+    block i, spanning the first ranks[i] columns of the rotation Q also
+    returned, so Q[:, 0] lies in every block's span."""
+    l = len(ranks)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    rows = []
+    for i, k in enumerate(ranks):
+        spin, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        block = np.zeros((k, l * d))
+        block[:, i * d: (i + 1) * d] = (q[:, :k] @ spin).T
+        rows.append(block)
+    r = sum(ranks)
+    raw = rng.normal(size=(r, r))
+    pca = shapes.PcaEllipsoid(projection=np.vstack(rows),
+                              center_reduced=rng.uniform(0.5, 1.5, size=r),
+                              sigma_reduced=0.1 * raw @ raw.T + 0.2 * np.eye(r))
+    return pca, q
+
+
+@pytest.mark.parametrize("ranks", [(3, 3), (3, 2), (1, 1), (3, 3, 3), (3, 1, 2)])
+def test_pca_joint_rows_oracle(ranks):
+    """Joint rows against a PCA set whose projection rows each lie in one row
+    block.  The program has no auxiliary column, one SOC(1 + min(r, d)) per
+    row and one Zero(l (m - r)) block for the null space of M (none at
+    r = m).  Its row i is the worst case of row i over the set: attained at a
+    point of the set, above every sampled point of it, and the pinned x is
+    feasible just above it and infeasible just below."""
+    rng = np.random.default_rng(sum(ranks) * 10 + len(ranks))
+    d, l = 3, len(ranks)
+    m = l * d
+    pca, q = _block_aligned_pca(rng, d, ranks)
+    r = pca.rank
+    s = float(rng.uniform(0.5, 2.5))
+    rho = np.sqrt(s)
+    x = 1.3 * q[:, 0]
+    fam = model.JointLinear(l=l)
+    spec = model.CcpSpec(objective=-x, family=fam, rhs=np.full(l, 5.0),
+                         epsilon=0.5, delta=0.5)
+    program = rf.assemble_ro(spec, pset_with_size(pca, s)).program
+    assert program.n_vars == d
+    null_cones = (conic.Zero(l * (m - r)),) if r < m else ()
+    assert program.cones == (conic.SecondOrder(1 + min(r, d)),) * l + null_cones
+
+    n_samp = 20_000
+    w = rng.normal(size=(n_samp, r))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    z = pca.center_reduced + rho * w @ pca.chol.T
+    null = np.eye(m) - pca.projection.T @ pca.projection
+    lift = z @ pca.projection + rng.normal(size=(n_samp, m)) @ null.T
+    sampled = rf.linear_row_values(lift, x, l).max(axis=0)
+    analytic = np.empty(l)
+    for i in range(l):
+        x_emb = np.zeros(m)
+        x_emb[i * d: (i + 1) * d] = x
+        mx = pca.projection @ x_emb
+        tail = pca.chol.T @ mx
+        analytic[i] = pca.center_reduced @ mx + rho * np.linalg.norm(tail)
+        worst = (pca.center_reduced + rho * pca.chol @ tail / np.linalg.norm(tail)) \
+            @ pca.projection
+        assert shapes.transform_eval(pca, worst) <= s * (1 + 1e-12)
+        assert abs(worst[i * d: (i + 1) * d] @ x - analytic[i]) <= 1e-9 * (1 + abs(analytic[i]))
+    assert np.all(sampled <= analytic + 1e-9)
+
+    margin = 1e-4 * (1.0 + np.abs(analytic))
+    assert feasible_at(pin_spec(np.zeros(d), fam, analytic + margin, x),
+                       pset_with_size(pca, s))
+    for i in range(l):
+        rhs = analytic + margin
+        rhs[i] = analytic[i] - margin[i]
+        assert not feasible_at(pin_spec(np.zeros(d), fam, rhs, x), pset_with_size(pca, s))
+    if r < m:
+        # Q[:, -1] leaves the span of a block of rank below d, and outside the
+        # row space of M that row's worst case is unbounded
+        assert not feasible_at(pin_spec(np.zeros(d), fam, np.full(l, 1e3), x + q[:, -1]),
+                               pset_with_size(pca, s))
+
+
+def test_pca_with_rows_not_orthonormal_matches_its_ellipsoid():
+    """With an invertible M the PCA set is the ellipsoid of center M^-1 mu and
+    covariance M^-1 S M^-T, so both programs have one optimum."""
+    rng = np.random.default_rng(8)
+    for l, d in ((1, 2), (2, 2), (3, 2)):
+        m = l * d
+        proj = rng.normal(size=(m, m)) + 2.0 * np.eye(m)
+        raw = rng.normal(size=(m, m))
+        sigma = 0.1 * raw @ raw.T + 0.2 * np.eye(m)
+        pca = shapes.PcaEllipsoid(projection=proj, center_reduced=rng.normal(size=m),
+                                  sigma_reduced=sigma)
+        inv = np.linalg.inv(proj)
+        ell = shapes.Ellipsoid(center=inv @ pca.center_reduced, sigma=inv @ sigma @ inv.T)
+        spec = model.CcpSpec(
+            objective=-rng.uniform(0.5, 1.5, size=d),
+            family=model.SingleLinear() if l == 1 else model.JointLinear(l=l),
+            rhs=np.full(l, 3.0), epsilon=0.5, delta=0.5,
+            det=model.DetConstraints(a_ub=np.vstack([np.eye(d), -np.eye(d)]),
+                                     b_ub=np.full(2 * d, 5.0)))
+        want, got = (_solved_objective(rf.assemble_ro(spec, pset_with_size(shape, 1.4)).program)
+                     for shape in (ell, pca))
+        assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), (l, d)
+
+
+def test_pca_projection_with_dependent_rows_is_rejected():
+    spec = model.CcpSpec(objective=[-1.0, -1.0], family=model.SingleLinear(),
+                         rhs=[1.0], epsilon=0.5, delta=0.5)
+    for projection in ([[1.0, 0.0], [2.0, 0.0]], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]):
+        r = len(projection)
+        pca = shapes.PcaEllipsoid(projection=projection, center_reduced=np.zeros(r),
+                                  sigma_reduced=np.eye(r))
+        with pytest.raises(InvalidArgumentError, match="linearly independent"):
+            rf.assemble_ro(spec, pset_with_size(pca, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +914,7 @@ def test_nearest_center_rows_are_the_worst_case_over_the_set():
             radius, aux = shape.half_width * s, np.abs(x)
             direction = np.sign(x)
             unit = rng.uniform(-1.0, 1.0, size=(500, m))
-        blk = rf._basic_linear_blocks(shape, s, spec.rhs, l, d)[0]
+        blk = rf._linear_blocks(shape, s, spec.rhs, d)[0]
         r = blk.cones[0].dim - (0 if isinstance(shape, shapes.BallBasis) else 2 * d)
         lhs = blk.rows_x[:r] @ x + blk.rows_aux[:r] @ aux
         assert np.all(lhs <= blk.offsets[:r] + 1e-7)
