@@ -56,9 +56,7 @@ def sg_min_size(epsilon: float, delta: float, d: int) -> int:
     """
     epsilon = _check_prob(epsilon, "epsilon")
     delta = _check_prob(delta, "delta")
-    d = model.read_value(d, int, "decision dimension")
-    if d < 1:
-        raise InvalidArgumentError("decision dimension must be >= 1")
+    d = model.read_value(d, int, "decision dimension", least=1)
     return _min_size(epsilon, d - 1, math.log(delta))
 
 

@@ -40,7 +40,7 @@ _BOUNDARY_SLACK = 1e-12
 
 
 def _check_prob(value: float, name: str) -> float:
-    value = float(value)
+    value = read_value(value, float, name)
     if not (0.0 < value < 1.0):
         raise InvalidArgumentError(f"{name} must lie strictly in (0,1), got {value}")
     return value
@@ -88,8 +88,11 @@ def _pmf(n: int, p: float, k: int) -> np.ndarray:
 def binom_cdf(k: int, n: int, p: float) -> float:
     """P(Bin(n, p) <= k), the pmf summed in order from 0 upward.
 
-    Terms far in the left tail underflow to zero, which is exactly their weight.
+    k and n are ints, n >= 0, and 0 < p < 1.  Terms far in the left tail
+    underflow to zero, which is exactly their weight.
     """
+    k, n = read_value(k, int, "k"), read_value(n, int, "n", least=0)
+    p = _check_prob(p, "p")
     if k < 0:
         return 0.0
     if k >= n:

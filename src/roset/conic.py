@@ -209,7 +209,7 @@ class Solution:
     ``trace["pres"]`` is the residual history and ``trace[i]["gap"]`` one
     entry; ``trace["step"]`` is the step length taken from each iterate,
     NaN where none was (the last record, unless the iteration limit ended
-    the solve); it is empty when no iteration ran.
+    the solve).
     """
 
     status: SolveStatus
@@ -228,14 +228,14 @@ class Solution:
     reason: Optional[str] = None
 
 
-def solve(prog: ConicProgram, max_iter: int = 200) -> Solution:
+def solve(prog: ConicProgram) -> Solution:
     """Solve an LP/SOC program with the interior-point method.
 
     Raises ExportOnlyProgramError if the program has a PSD block.
     """
     from . import ipm
 
-    return ipm.solve(prog, max_iter=max_iter)
+    return ipm.solve(prog)
 
 
 def export(prog: ConicProgram, format: str) -> str:

@@ -87,9 +87,7 @@ class Sampler:
         or without ``project``, so the random stream is the same.  Other
         kinds draw the points and multiply.
         """
-        n = model.read_value(n, int, "draw count")
-        if n < 0:
-            raise InvalidArgumentError("draw count must be >= 0")
+        n = model.read_value(n, int, "draw count", least=0)
         if project is None:
             return self._points(rng, n)
         project = np.asarray(project, dtype=float)
@@ -279,9 +277,7 @@ def scaled_beta_sampler(a0, a_rows, alpha: float = 2.0, beta: float = 2.0) -> Sa
 
 def quadratic_wishart_sampler(d: int, q: float, mu_low: float = 0.0,
                               mu_high: float = 5.0, dof: int | None = None) -> Sampler:
-    d = model.read_value(d, int, "dimension")
-    if d < 1:
-        raise InvalidArgumentError("dimension must be >= 1")
+    d = model.read_value(d, int, "dimension", least=1)
     dof = d if dof is None else model.read_value(dof, int, "Wishart dof")
     if dof < d:
         raise InvalidArgumentError("Wishart dof must be >= dimension")
@@ -359,29 +355,43 @@ def sampler_from_obj(obj: dict) -> Sampler:
 # violation metrics
 
 
+def _decision(x, d: int) -> np.ndarray:
+    """x read as d finite floats."""
+    x = model.frozen(x, "x").reshape(-1)
+    if x.size != d:
+        raise InvalidArgumentError(f"x must have {d} entries, got {x.size}")
+    return x
+
+
 def gaussian_violation(x, mu, sigma, b: float) -> float:
     """P(xi'x > b) for xi ~ N(mu, sigma), evaluated in closed form."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    sigma = np.asarray(sigma, dtype=float)
+    mu = model.frozen(mu, "mu", ndim=1)
+    x = _decision(x, mu.size)
+    sigma = model.frozen(sigma, "sigma", ndim=2)
+    if sigma.shape != (mu.size, mu.size):
+        raise InvalidArgumentError(f"sigma must be ({mu.size}, {mu.size}), got {sigma.shape}")
+    b = float(model.frozen(b, "b", ndim=0))
     if np.all(x == 0.0):
         return 0.0 if b >= 0 else 1.0
     var = float(x @ sigma @ x)
     if var <= 0.0:
         raise InvalidArgumentError("sigma must be positive definite")
-    t = (float(b) - float(mu @ x)) / math.sqrt(var)
+    t = (b - float(mu @ x)) / math.sqrt(var)
     return 0.5 * math.erfc(t / math.sqrt(2.0))
 
 
 def violation_rate(spec: model.CcpSpec, x, points) -> float:
     """Fraction of observation rows whose constraint is violated at x."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != spec.data_dim:
-        raise InvalidArgumentError(
-            f"points must be (n, {spec.data_dim}), got {pts.shape}")
+    pts = model.frozen(points, "points", ndim=2)
+    if pts.shape[1] != spec.data_dim:
+        raise InvalidArgumentError(f"points must be (n, {spec.data_dim}), got {pts.shape}")
     if pts.shape[0] < 1:
         raise InvalidArgumentError("points must have at least one row")
+    return _violation_rate(spec, _decision(x, spec.d), pts)
+
+
+def _violation_rate(spec: model.CcpSpec, x: np.ndarray, pts: np.ndarray) -> float:
+    """violation_rate at a read x and (n, data_dim) points."""
     fam = spec.family
     if isinstance(fam, (model.SingleLinear, model.JointLinear)):
         return _rows_violated(reformulate.linear_row_values(pts, x, fam.n_rows()),
@@ -427,15 +437,13 @@ def mc_violation(x, sampler: Sampler, spec: model.CcpSpec,
     violation_rate(spec, x, sampler.draw(rng, n_eval)).  Other families
     score the drawn points with violation_rate.
     """
-    if n_eval < 1:
-        raise InvalidArgumentError("n_eval must be >= 1")
+    n_eval = model.read_value(n_eval, int, "n_eval", least=1)
+    seed = model.read_value(seed, int, "violation seed", least=0)
+    x = _decision(x, spec.d)
     rng = np.random.Generator(np.random.PCG64(seed))
     fam = spec.family
     if not isinstance(fam, (model.SingleLinear, model.JointLinear)):
-        return violation_rate(spec, x, sampler.draw(rng, n_eval))
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != spec.d:
-        raise InvalidArgumentError(f"x must have {spec.d} entries, got {x.size}")
+        return _violation_rate(spec, x, sampler.draw(rng, n_eval))
     embed = np.kron(np.eye(fam.n_rows()), x[:, None])
     return _rows_violated(sampler.draw(rng, n_eval, project=embed), spec)
 
@@ -468,7 +476,7 @@ _REQUIRED_OPTIONS = {
 
 def _shape_options(kind: str, options) -> dict:
     """The kind's fitting options, checked by name and type."""
-    if kind not in _SHAPE_FITTERS:
+    if not isinstance(kind, str) or kind not in _SHAPE_FITTERS:
         raise InvalidArgumentError(
             f"unknown shape kind {kind!r}; known: {', '.join(SHAPE_KINDS)}")
     types = _SHAPE_FITTERS[kind][1]
@@ -480,7 +488,8 @@ def _shape_options(kind: str, options) -> dict:
 
 def fit_shape(kind: str, phase1, options: dict | None = None):
     """Fit a Phase-1 shape by its registry name."""
-    return _SHAPE_FITTERS[kind][0](phase1, **_shape_options(kind, options))
+    options = _shape_options(kind, options)
+    return _SHAPE_FITTERS[kind][0](phase1, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -688,12 +697,8 @@ def _run_one(config: ExperimentConfig, master_seed: int, r: int) -> ReplicationR
 def run_replications(config: ExperimentConfig, r_count: int,
                      master_seed: int) -> ExperimentReport:
     """Run R independent replications, in replication order."""
-    r_count = model.read_value(r_count, int, "replication count")
-    master_seed = model.read_value(master_seed, int, "master seed")
-    if r_count < 1:
-        raise InvalidArgumentError("replication count must be >= 1")
-    if master_seed < 0:
-        raise InvalidArgumentError("master seed must be >= 0")
+    r_count = model.read_value(r_count, int, "replication count", least=1)
+    master_seed = model.read_value(master_seed, int, "master seed", least=0)
     records = [_run_one(config, master_seed, r) for r in range(r_count)]
     statuses = dict(Counter(rec.status for rec in records))
     failures = r_count - statuses.get("optimal", 0)

@@ -17,6 +17,10 @@ one dual vector over the rows [A; G]; residuals
 all vanish at a solution of the embedding, and the sign of tau vs kappa at
 convergence separates optimality from infeasibility certificates.
 
+Every program takes one loop of at most MAX_ITER iterations and one exit,
+``_solution``.  Without rows the first iterate is x = 0, optimal when the
+dual residual ||c|| / max(1, ||c||) is within FEAS_TOL, else the second is a ray.
+
 The cone layer is blockwise over second-order blocks only: a nonnegative row
 is the one-dimensional second-order cone, so each solve gives every Nonneg row
 its own one-row block and keeps the inequality rows in program order.  The
@@ -48,9 +52,6 @@ max(1, ||(b, h)||)): the term d_x dx that the x diagonal adds to the dual
 residual grows with x, whose scale is that of (b, h) over that of c, so an
 absolute d_x stalls the dual residual of a program with a large solution.
 It is dense, (n+me+p) square, and LU-factored twice per iteration.
-Eliminating its -I block gives the reduced system
-[[(W^{-1}G)'(W^{-1}G) + d_x I, A'], [A, -d I]], which waits until the
-benchmark's peak_rss_mb stops growing with the op count (see the README).
 
 Built once per solve: the cone layout (``_Cones``: block heads, row-to-block
 index, J, tail mask, cone identity e), the KKT matrix but its W^{-1}G blocks,
@@ -86,6 +87,8 @@ _REG = 1e-10
 # residual of an infeasibility certificate, GAP_TOL the relative gap
 FEAS_TOL = 1e-8
 GAP_TOL = 1e-8
+# the iteration limit: a solve that reaches it returns its best iterate
+MAX_ITER = 200
 
 
 class _Breakdown(Exception):
@@ -233,10 +236,6 @@ class _NT:
         dot = np.add.reduceat(u * x, self.cones.heads, axis=-1)
         return (2.0 * dot).take(self.cones.blk, axis=-1) * u - self.cones.J * x
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """W x; on a (k, p) x, W of each row."""
-        return self._reflect(self._v[0], x) * self._eta
-
     def apply_inv(self, x: np.ndarray) -> np.ndarray:
         """W^{-1} x; on a (k, p) x, W^{-1} of each row."""
         return self._reflect(self._v[1], x) / self._eta
@@ -318,23 +317,11 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
-def solve(prog: ConicProgram, max_iter: int = 200) -> Solution:
+def solve(prog: ConicProgram) -> Solution:
     sp = _split(prog)
     c, b, h = sp.c, sp.b, sp.h
     cones, nu = sp.cones, sp.nu
     n, me, p = c.size, b.size, h.size
-
-    if me == 0 and p == 0:
-        if np.linalg.norm(c) == 0.0:
-            return Solution(status=SolveStatus.OPTIMAL, x=np.zeros(n),
-                            y=np.zeros(0), z=np.zeros(0), s=np.zeros(0),
-                            obj=0.0, gap=0.0, gap_abs=0.0, pres=0.0, dres=0.0,
-                            iterations=0)
-        ray = -c / np.linalg.norm(c)
-        return Solution(status=SolveStatus.UNBOUNDED, x=ray / max(-(c @ ray), 1e-300),
-                        y=None, z=None, s=None, obj=None, gap=None, gap_abs=None,
-                        pres=None, dres=None, iterations=0, cert_residual=0.0)
-
     off, bh = n + me, np.concatenate((b, h))
     # the scales of the residuals, each by the data its conditions involve
     resx0, resy0, resz0, resbh = sp.scales
@@ -363,13 +350,10 @@ def solve(prog: ConicProgram, max_iter: int = 200) -> Solution:
     # the scaled step (W^{-1} ds, W dz) that _NT.max_step reads
     dsc = np.empty((2, p))
 
-    best = None
-    best_score = math.inf
-    trace = []
-    it = 0
-    reason = "iteration limit"
+    best, best_score, trace = None, math.inf, []
+    status, cert, reason = SolveStatus.ITER_LIMIT, None, "iteration limit"
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         x, yz, z = v[:n], v[n:], v[off:]
         aty = AG.T @ yz
         rx = aty + c * tau
@@ -396,30 +380,23 @@ def solve(prog: ConicProgram, max_iter: int = 200) -> Solution:
             best_score, best = score, point
 
         if pres <= FEAS_TOL and dres <= FEAS_TOL and relgap <= GAP_TOL:
-            return _solution(SolveStatus.OPTIMAL, n, point, it, trace)
+            status, best = SolveStatus.OPTIMAL, point
+            break
 
         # infeasibility certificates from the embedding
         if byhz < 0.0:
             # A'y + G'z, with b'y + h'z scaled to -1
             resid = _norm(aty) / (-byhz) * resbh
             if resid <= FEAS_TOL:
-                scale = -1.0 / byhz
-                return Solution(status=SolveStatus.INFEASIBLE, x=None,
-                                y=v[n:off] * scale, z=z * scale, s=None,
-                                obj=None, gap=None, gap_abs=None, pres=None,
-                                dres=None, iterations=it, cert_residual=resid,
-                                trace=trace_array(trace))
+                status, best, cert = SolveStatus.INFEASIBLE, (v, s, -1.0 / byhz), resid
+                break
         if cx < 0.0:
             # A x = ry + b tau and G x + s = rz + h tau, with c'x scaled to -1
             rb = r + bh * tau
             resid = max(_norm(rb[:me]), _norm(rb[me:])) / (-cx) * resx0
             if resid <= FEAS_TOL:
-                scale = -1.0 / cx
-                return Solution(status=SolveStatus.UNBOUNDED, x=x * scale,
-                                y=None, z=None, s=s * scale, obj=None,
-                                gap=None, gap_abs=None, pres=None, dres=None,
-                                iterations=it, cert_residual=resid,
-                                trace=trace_array(trace))
+                status, best, cert = SolveStatus.UNBOUNDED, (v, s, -1.0 / cx), resid
+                break
 
         try:
             nt = _NT(cones, np.array((s, z)))
@@ -480,15 +457,29 @@ def solve(prog: ConicProgram, max_iter: int = 200) -> Solution:
             reason = str(exc)
             break
 
-    return _solution(SolveStatus.ITER_LIMIT, n, best, it, trace, reason)
+    return _solution(status, n, best, it, trace, cert, reason)
 
 
 def _solution(status: SolveStatus, n: int, point: tuple, it: int, trace: list,
-              reason: str | None = None) -> Solution:
-    """The Solution at an iterate point, deflated by its tau."""
-    v, s, tau, pcost, relgap, gap_abs, pres, dres = point
+              cert: float | None, reason: str | None) -> Solution:
+    """The Solution of status at point; reason is kept for ITER_LIMIT only.
+
+    An optimal or best iterate, point = (v, s, tau, obj, gap, gap_abs, pres,
+    dres), is deflated by its tau.  A certificate, point = (v, s, scale)
+    with residual cert, is the iterate times scale, which sets b'y + h'z or
+    c'x to -1: its (y, z) when INFEASIBLE, its (x, s) when UNBOUNDED.
+    """
+    v, s, t, *stats = point  # t: the iterate's tau or the certificate's scale
     off = v.size - s.size
-    return Solution(status=status, x=v[:n] / tau, y=v[n:off] / tau,
-                    z=v[off:] / tau, s=s / tau, obj=pcost, gap=relgap,
+    x, y, z = v[:n], v[n:off], v[off:]
+    if cert is None:
+        x, y, z, s = x / t, y / t, z / t, s / t
+    elif status is SolveStatus.INFEASIBLE:
+        x, y, z, s = None, y * t, z * t, None
+    else:
+        x, y, z, s = x * t, None, None, s * t
+    obj, gap, gap_abs, pres, dres = stats or (None,) * 5
+    return Solution(status=status, x=x, y=y, z=z, s=s, obj=obj, gap=gap,
                     gap_abs=gap_abs, pres=pres, dres=dres, iterations=it,
-                    trace=trace_array(trace), reason=reason)
+                    cert_residual=cert, trace=trace_array(trace),
+                    reason=reason if status is SolveStatus.ITER_LIMIT else None)

@@ -61,12 +61,16 @@ def read_fields(obj, what: str, allowed, required=()) -> dict:
 _VALUE_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
-def read_value(value, kind: type, what: str):
+def read_value(value, kind: type, what: str, least=None):
     """value as kind (int, float or str); a bool, a number given as a
-    string or a fractional count is an error, not a cast."""
+    string or a fractional count is an error, not a cast, and so is a value
+    below least, when given."""
     if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES[kind]):
         raise InvalidArgumentError(f"{what} must be {kind.__name__}, got {value!r}")
-    return kind(value)
+    value = kind(value)
+    if least is not None and value < least:
+        raise InvalidArgumentError(f"{what} must be >= {least}, got {value}")
+    return value
 
 
 def frozen(value, what: str, ndim: int | None = None) -> np.ndarray:
@@ -93,10 +97,8 @@ class Counts:
     def __post_init__(self):
         for f in fields(self):
             what = f"{self.kind} {f.name!r}"
-            value = read_value(getattr(self, f.name), int, what)
-            if value < 1:
-                raise InvalidArgumentError(f"{what} must be >= 1, got {value}")
-            object.__setattr__(self, f.name, value)
+            object.__setattr__(self, f.name,
+                               read_value(getattr(self, f.name), int, what, least=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,9 +147,7 @@ def split_data(data: Dataset, n1: int, seed: int) -> DataSplit:
     n1 = read_value(n1, int, "n1")
     if n1 < 0 or n1 > data.n:
         raise InvalidArgumentError(f"n1 must lie in [0, {data.n}], got {n1}")
-    seed = read_value(seed, int, "split seed")
-    if seed < 0:
-        raise InvalidArgumentError(f"split seed must be >= 0, got {seed}")
+    seed = read_value(seed, int, "split seed", least=0)
     rng = np.random.Generator(np.random.PCG64(seed))
     perm = rng.permutation(data.n)
     idx1 = np.sort(perm[:n1])

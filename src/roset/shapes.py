@@ -533,8 +533,7 @@ def cluster_union(phase1, k: int, mode: str = "full", seed: int = 0,
                   ridge: float = DEFAULT_RIDGE) -> Shape:
     """k-means the data and fit one ellipsoid per cluster; union of the fits."""
     pts = _points_of(phase1)
-    if k < 1:
-        raise InvalidArgumentError("k must be >= 1")
+    k = read_value(k, int, "cluster count k", least=1)
     if k == 1:
         return fit_ellipsoid(pts, mode=mode, ridge=ridge)
     if 2 * k > pts.shape[0]:

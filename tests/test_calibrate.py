@@ -221,6 +221,19 @@ def test_binom_cdf_against_scipy_wide():
         assert abs(calibrate.binom_cdf(k, n, p) - stats.binom.cdf(k, n, p)) < 1e-11
 
 
+def test_binom_cdf_reads_counts_and_probability():
+    # a fractional k was P(Bin <= ceil(k)), 0.6496 at k = 2.5
+    assert calibrate.binom_cdf(2, 10, 0.3) == pytest.approx(stats.binom.cdf(2, 10, 0.3),
+                                                            abs=1e-12)
+    assert calibrate.binom_cdf(np.int64(2), np.int64(10), np.float64(0.3)) == \
+        calibrate.binom_cdf(2, 10, 0.3)
+    for args, what in (((2.5, 10, 0.3), "k"), ((True, 10, 0.3), "k"),
+                       ((2, 10.5, 0.3), "n"), ((2, -1, 0.3), "n"),
+                       ((2, 10, 1.5), "p"), ((2, 10, 0.0), "p"), ((2, 10, "0.3"), "p")):
+        with pytest.raises(InvalidArgumentError, match=what):
+            calibrate.binom_cdf(*args)
+
+
 def test_binom_cdf_huge_n_no_overflow():
     # log-space terms keep 1e6-scale problems finite; the streaming sum
     # accumulates rounding over ~1e6 terms so only ask for 1e-7

@@ -284,16 +284,20 @@ def test_nt_operator_matches_dense_scaling():
         W, Winv, _, lam = ref_scaling(blocks, s, z, p)
         nt = ipm._NT(sp.cones, np.stack((s, z)))
         assert_rel(nt.lam, lam)
-        assert_rel(nt.apply(v), W @ v)
-        assert_rel(nt.apply(Winv @ v), v)
-        assert_rel(nt.apply(z), nt.lam)
-        assert_rel(nt.apply(nt.lam), s)  # W^{-1} s = lam
+        # unscale(d) = (W d[0], W^{-1} d[1])
+        for got, want in zip(nt.unscale(np.stack((v, v))), (W @ v, Winv @ v)):
+            assert_rel(got, want)
+        for got in nt.unscale(np.stack((Winv @ v, W @ v))):
+            assert_rel(got, v)
+        for got in nt.unscale(np.stack((z, s))):  # W z = W^{-1} s = lam
+            assert_rel(got, nt.lam)
+        for got, want in zip(nt.unscale(np.stack((nt.lam, nt.lam))), (s, z)):
+            assert_rel(got, want)
         assert_rel(nt.apply_inv(v), Winv @ v)
         # a (3, p) stack maps row by row
         X = rng.normal(size=(3, p))
-        assert_rel(nt.apply(X), X @ W.T)
         assert_rel(nt.apply_inv(X), X @ Winv.T)
-        assert_rel(nt.apply_inv(nt.apply(X)), X)
+        assert_rel(nt.unscale(nt.apply_inv(X[:2]))[0], X[0])
 
         # the scaled KKT system: only its W^{-1}G blocks and W^{-1}h follow W
         kkt = ipm._KKT(sp)

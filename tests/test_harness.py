@@ -88,6 +88,42 @@ def test_violation_rate_semidefinite():
     assert hz.violation_rate(spec, [1.0], np.vstack([good, bad])) == 0.5
 
 
+def test_violation_metrics_read_the_decision_and_points():
+    """A non-finite or misshapen x, point or rhs is an InvalidArgumentError,
+    not a score of 0.0 or NaN or a leaked reshape or matmul error."""
+    spec, samp, mu, sigma = gaussian_instance(3, d=4, b=2.0)
+    x = np.ones(4)
+    for bad in ([1.0, math.nan, 1.0, 1.0], [1.0, math.inf, 1.0, 1.0], np.ones(3),
+                np.ones(5)):
+        with pytest.raises(InvalidArgumentError, match="x"):
+            hz.mc_violation(bad, samp, spec, n_eval=100)
+        with pytest.raises(InvalidArgumentError, match="x"):
+            hz.gaussian_violation(bad, mu, sigma, 2.0)
+        with pytest.raises(InvalidArgumentError, match="x"):
+            hz.violation_rate(spec, bad, np.ones((5, 4)))
+    with pytest.raises(InvalidArgumentError, match="b"):
+        hz.gaussian_violation(x, mu, sigma, math.nan)
+    with pytest.raises(InvalidArgumentError, match="sigma"):
+        hz.gaussian_violation(x, mu, np.eye(3), 2.0)
+    points = np.ones((5, 4))
+    points[2, 1] = math.nan
+    with pytest.raises(InvalidArgumentError, match="non-finite"):
+        hz.violation_rate(spec, x, points)
+    assert hz.violation_rate(spec, x, np.ones((5, 4))) == 1.0
+
+
+def test_mc_violation_seed_and_count_are_ints():
+    spec, samp, _, _ = gaussian_instance(3, d=4, b=2.0)
+    for seed in (-1, 1.5, True, "3"):
+        with pytest.raises(InvalidArgumentError, match="violation seed"):
+            hz.mc_violation(np.ones(4), samp, spec, n_eval=100, seed=seed)
+    for n_eval in (0, 2.5, "5"):
+        with pytest.raises(InvalidArgumentError, match="n_eval"):
+            hz.mc_violation(np.ones(4), samp, spec, n_eval=n_eval)
+    assert hz.mc_violation(np.ones(4), samp, spec, n_eval=100, seed=np.int64(3)) == \
+        hz.mc_violation(np.ones(4), samp, spec, n_eval=100, seed=3)
+
+
 def test_violation_rate_rejects_empty_sample():
     """A 0-row sample has no violation fraction, on every family's branch."""
     cases = [
@@ -548,6 +584,16 @@ def test_shape_options_are_checked(shape, options, match):
                                                method="ro", n=80, n1=20))
     with pytest.raises(InvalidArgumentError, match=match):
         hz.config_from_obj({**obj, "shape": shape, "shape_options": options})
+
+
+def test_unknown_shape_kind_is_an_invalid_argument():
+    spec, samp, _, _ = gaussian_instance(10, d=3, b=6.0)
+    pts = samp.draw(np.random.default_rng(0), 40)
+    for kind in ("blob", ["ball"]):
+        with pytest.raises(InvalidArgumentError, match="unknown shape kind"):
+            hz.fit_shape(kind, pts)
+    with pytest.raises(InvalidArgumentError, match="unknown shape kind"):
+        hz.two_phase_ro(spec, model.Dataset(pts), 20, 0, "blob", None)
 
 
 def test_shape_options_keep_their_defaults():

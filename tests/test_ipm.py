@@ -301,11 +301,25 @@ def test_kkt_matrix_is_nonsingular_with_a_zero_column():
 
 
 def test_unconstrained_programs():
-    sol = conic.solve(ConicProgram(c=[0.0, 0.0], A=np.zeros((0, 2)), b=[],
-                                   cones=()))
+    """A program without rows runs the main loop like any other."""
+    def free(c):
+        return conic.solve(ConicProgram(c=c, A=np.zeros((0, len(c))), b=[], cones=()))
+
+    sol = free([0.0, 0.0])
     assert sol.status is SolveStatus.OPTIMAL
-    sol = conic.solve(ConicProgram(c=[1.0], A=np.zeros((0, 1)), b=[], cones=()))
-    assert sol.status is SolveStatus.UNBOUNDED
+    assert sol.x.tolist() == [0.0, 0.0] and sol.obj == 0.0 and sol.iterations == 1
+    # beyond the dual tolerance: a ray scaled to c'x = -1
+    for c in ([1.0], [-1.0, 0.5], [3.0, -4.0], [1e-6, 0.0]):
+        sol = free(c)
+        assert sol.status is SolveStatus.UNBOUNDED, c
+        assert np.dot(c, sol.x) == pytest.approx(-1.0, rel=1e-12), c
+        assert sol.cert_residual <= ipm.FEAS_TOL, c
+        assert sol.y is sol.z is None and sol.s.size == 0, c
+    # within it: the dual residual |c| / max(1, |c|) is already at tolerance,
+    # so x = 0 is optimal, as for any program whose residuals are that small
+    sol = free([1e-12, 0.0])
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.x.tolist() == [0.0, 0.0] and sol.dres <= ipm.FEAS_TOL
 
 
 def test_dual_point_certifies_objective():
@@ -364,7 +378,7 @@ def test_nonneg_rows_solve_as_one_row_second_order_blocks():
         assert a.iterations == b.iterations, seed
 
 
-def test_trace_is_one_read_only_record_array():
+def test_trace_is_one_read_only_record_array(monkeypatch):
     c, G, h = _random_lp(3, 3, 12, "optimal")
     sol = conic.solve(lp_min(c, G, h))
     assert sol.trace.dtype == conic.TRACE_DTYPE and sol.trace.shape == (sol.iterations,)
@@ -375,11 +389,13 @@ def test_trace_is_one_read_only_record_array():
     assert np.all((step[:-1] > 0.0) & (step[:-1] <= 1.0)) and np.isnan(step[-1])
     with pytest.raises(ValueError):
         sol.trace["mu"][0] = 0.0
-    cut = conic.solve(lp_min(c, G, h), max_iter=2)
+    # a program without rows stops at its first iterate, which it records
+    free = conic.solve(ConicProgram(c=[0.0], A=np.zeros((0, 1)), b=[], cones=()))
+    assert free.trace.dtype == conic.TRACE_DTYPE and free.trace["iter"].tolist() == [1]
+    monkeypatch.setattr(ipm, "MAX_ITER", 2)
+    cut = conic.solve(lp_min(c, G, h))
     assert cut.status is conic.SolveStatus.ITER_LIMIT
     assert cut.trace["step"].tolist() == step[:2].tolist()
-    empty = conic.solve(ConicProgram(c=[0.0], A=np.zeros((0, 1)), b=[], cones=()))
-    assert empty.trace.dtype == conic.TRACE_DTYPE and empty.trace.size == 0
 
 
 def _interleaved(rng, n=3):
@@ -509,13 +525,14 @@ def test_lps_classify_like_highs():
     assert seen == set(_HIGHS_STATUS.values())
 
 
-def test_iteration_limit_reports_reason():
+def test_iteration_limit_reports_reason(monkeypatch):
     split, _ = _split_and_merged(np.random.default_rng(32))
-    sol = conic.solve(split, max_iter=1)
+    assert conic.solve(split).reason is None
+    monkeypatch.setattr(ipm, "MAX_ITER", 1)
+    sol = conic.solve(split)
     assert sol.status is SolveStatus.ITER_LIMIT
     assert sol.reason == "iteration limit"
     assert sol.iterations == 1 and sol.x is not None
-    assert conic.solve(split).reason is None
 
 
 def test_breakdown_reports_its_reason(monkeypatch):

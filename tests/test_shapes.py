@@ -167,6 +167,16 @@ def test_cluster_union_k1_reduction():
     assert np.array_equal(one.sigma, ref.sigma)
 
 
+def test_cluster_count_is_an_int_of_at_least_one():
+    pts = np.random.default_rng(0).normal(size=(40, 2))
+    for k in (2.5, True, "2", 0, -1):
+        with pytest.raises(InvalidArgumentError, match="cluster count"):
+            cluster_union(pts, k=k, seed=0)
+    got = cluster_union(pts, k=np.int64(2), seed=0)
+    want = cluster_union(pts, k=2, seed=0)
+    assert shapes.shape_to_obj(got) == shapes.shape_to_obj(want)
+
+
 def test_cluster_union_degenerate_k():
     pts = np.random.default_rng(0).normal(size=(10, 2))
     with pytest.raises(ClusterDegeneracyError):
