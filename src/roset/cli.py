@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import baselines, calibrate, conic, harness, model, shapes
-from .errors import InfeasibleCalibrationError, RosetError
+from .errors import InfeasibleCalibrationError, InvalidArgumentError, RosetError
 
 TABLE_PAIRS = (
     (0.05, 0.2), (0.05, 0.1), (0.05, 0.05), (0.05, 0.01), (0.05, 0.005),
@@ -59,12 +59,19 @@ def _seed_flag(text: str) -> int:
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _load_spec(path: str) -> model.CcpSpec:
-    return model.spec_from_json(_read_text(path))
+    try:
+        doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InvalidArgumentError(f"invalid CcpSpec JSON: {exc}") from exc
+    return model.spec_from_obj(doc)
 
 
 def _split_sizes(n: int, split: float) -> int:

@@ -23,7 +23,7 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedExportError,
 )
-from .model import Counts, frozen, read_fields
+from .model import Counts, frozen
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,6 @@ class PsdExportOnly(Counts):
 
 
 Cone = Union[Zero, Nonneg, SecondOrder, PsdExportOnly]
-
-_CONE_KINDS = {"zero": Zero, "nonneg": Nonneg, "soc": SecondOrder, "psd": PsdExportOnly}
 
 
 def psd_triu_indices(side: int) -> list[tuple[int, int]]:
@@ -253,15 +251,6 @@ def _cone_to_obj(cone: Cone) -> dict:
     return {"type": cone.kind, "dim": cone.dim}
 
 
-def _cone_from_obj(obj: dict) -> Cone:
-    kind = obj.get("type") if isinstance(obj, dict) else None
-    if not isinstance(kind, str) or kind not in _CONE_KINDS:
-        raise InvalidArgumentError(f"bad cone entry {obj!r}")
-    size = "side" if kind == "psd" else "dim"
-    read_fields(obj, f"{kind} cone", ("type", size), ("type", size))
-    return _CONE_KINDS[kind](obj[size])
-
-
 def _export_json(prog: ConicProgram) -> str:
     payload = {
         "format": "conic-program",
@@ -272,31 +261,6 @@ def _export_json(prog: ConicProgram) -> str:
         "cones": [_cone_to_obj(cone) for cone in prog.cones],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-_PROGRAM_FIELDS = ("format", "objective", "matrix", "offset", "cones")
-
-
-def parse_json(text: str) -> ConicProgram:
-    """Inverse of export(prog, "json"); round-trips exactly."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidArgumentError(f"invalid program JSON: {exc}") from exc
-    read_fields(payload, "conic program document", (*_PROGRAM_FIELDS, "version"),
-                _PROGRAM_FIELDS)
-    if payload["format"] != "conic-program":
-        raise InvalidArgumentError("not a conic program document")
-    try:
-        cones = tuple(_cone_from_obj(o) for o in payload["cones"])
-    except TypeError as exc:
-        raise InvalidArgumentError(f"malformed program document: {exc}") from exc
-    c = frozen(payload["objective"], "objective")
-    A = frozen(payload["matrix"], "constraint matrix")
-    b = frozen(payload["offset"], "offset")
-    if A.size == 0:
-        A = A.reshape(b.size, c.size)
-    return ConicProgram(c=c, A=A, b=b, cones=cones)
 
 
 def _fmt(v: float) -> str:

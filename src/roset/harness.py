@@ -35,7 +35,6 @@ __all__ = [
     "quadratic_wishart_sampler",
     "sdp_wishart_sampler",
     "pca_synthetic_sampler",
-    "sampler_to_obj",
     "sampler_from_obj",
     "gaussian_violation",
     "violation_rate",
@@ -46,7 +45,6 @@ __all__ = [
     "VIOLATION_MODES",
     "two_phase_ro",
     "ExperimentConfig",
-    "config_to_obj",
     "config_from_obj",
     "ReplicationRecord",
     "ExperimentReport",
@@ -324,14 +322,6 @@ _SAMPLERS = {
     "sdp_wishart": sdp_wishart_sampler,
     "pca_synthetic": pca_synthetic_sampler,
 }
-
-
-def sampler_to_obj(sampler: Sampler) -> dict:
-    """{"kind", "params"}: params are the factory's arguments, as JSON data."""
-    names = inspect.signature(_SAMPLERS[sampler.kind]).parameters
-    return {"kind": sampler.kind,
-            "params": {name: np.asarray(sampler.params[name]).tolist()
-                       for name in names}}
 
 
 def sampler_from_obj(obj: dict) -> Sampler:
@@ -830,31 +820,21 @@ def reconstruction_pipeline(data, spec: model.CcpSpec, n1: int, seed: int = 0,
 
 
 _PERTURBATION_FIELDS = ("a0", "a_rows", "mu_minus", "mu_plus", "sigma")
-# field name -> (to document, from document); the other fields are plain
-# values, read by their annotation
-_CONFIG_CODECS = {
-    "spec": (lambda spec: json.loads(model.spec_to_json(spec)),
-             lambda obj: model.spec_from_json(json.dumps(obj))),
-    "sampler": (sampler_to_obj, sampler_from_obj),
-    "perturbation": (
-        lambda pert: None if pert is None else {
-            k: np.asarray(v, dtype=float).tolist() for k, v in pert.items()},
-        lambda obj: None if obj is None else {
-            k: model.frozen(v, f"perturbation {k}") for k, v in model.read_fields(
-                obj, "perturbation", _PERTURBATION_FIELDS).items()}),
+# field name -> reader of its document; the other fields are plain values,
+# read by their annotation
+_CONFIG_READERS = {
+    "spec": model.spec_from_obj,
+    "sampler": sampler_from_obj,
+    "perturbation": lambda obj: None if obj is None else {
+        k: model.frozen(v, f"perturbation {k}") for k, v in model.read_fields(
+            obj, "perturbation", _PERTURBATION_FIELDS).items()},
 }
 _CONFIG_SCALARS = {"str": str}  # the int fields are read by ExperimentConfig
 
 
-def config_to_obj(config: ExperimentConfig) -> dict:
-    """One entry per ExperimentConfig field, in field order."""
-    return {f.name: (_CONFIG_CODECS[f.name][0](getattr(config, f.name))
-                     if f.name in _CONFIG_CODECS else getattr(config, f.name))
-            for f in fields(ExperimentConfig)}
-
-
 def config_from_obj(obj: dict) -> ExperimentConfig:
-    """Inverse of config_to_obj; absent fields take the dataclass defaults."""
+    """The config a parsed JSON document describes, one entry per
+    ExperimentConfig field; absent fields take the dataclass defaults."""
     known = fields(ExperimentConfig)
     model.read_fields(obj, "experiment config", [f.name for f in known],
                       [f.name for f in known if f.default is MISSING])
@@ -863,8 +843,8 @@ def config_from_obj(obj: dict) -> ExperimentConfig:
         if f.name not in obj:
             continue
         value = obj[f.name]
-        if f.name in _CONFIG_CODECS:
-            value = _CONFIG_CODECS[f.name][1](value)
+        if f.name in _CONFIG_READERS:
+            value = _CONFIG_READERS[f.name](value)
         elif f.type in _CONFIG_SCALARS:
             value = model.read_value(value, _CONFIG_SCALARS[f.type],
                                      f"experiment config field {f.name!r}")

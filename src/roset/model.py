@@ -8,9 +8,8 @@ matrices so every consumer agrees on orientation.
 
 from __future__ import annotations
 
-import json
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,8 +26,7 @@ __all__ = [
     "CcpSpec",
     "split_data",
     "load_dataset_csv",
-    "spec_to_json",
-    "spec_from_json",
+    "spec_from_obj",
     "split_quadratic_point",
     "split_semidefinite_point",
     "semidefinite_rhs_matrix",
@@ -362,21 +360,7 @@ def load_dataset_csv(path, skip_header: bool = False) -> Dataset:
     return Dataset(arr)
 
 
-def spec_to_json(spec: CcpSpec) -> str:
-    doc = {
-        "objective": spec.objective.tolist(),
-        "family": {"kind": spec.family.kind, **asdict(spec.family)},
-        "rhs": spec.rhs.tolist(),
-        "det_constraints": None
-        if spec.det is None
-        else {"A_ub": spec.det.a_ub.tolist(), "b_ub": spec.det.b_ub.tolist()},
-        "epsilon": spec.epsilon,
-        "delta": spec.delta,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def _family_from_json(obj):
+def _family_from_obj(obj):
     """A family from {"kind", **fields}; the family reads its own counts."""
     kind = obj.get("kind") if isinstance(obj, dict) else None
     cls = _FAMILY_KINDS.get(kind) if isinstance(kind, str) else None
@@ -390,11 +374,9 @@ def _family_from_json(obj):
 _SPEC_FIELDS = ("objective", "family", "rhs", "epsilon", "delta")
 
 
-def spec_from_json(text: str) -> CcpSpec:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidArgumentError(f"invalid CcpSpec JSON: {exc}") from exc
+def spec_from_obj(doc) -> CcpSpec:
+    """The spec a parsed JSON document describes: objective, family, rhs,
+    epsilon, delta and optionally det_constraints ({"A_ub", "b_ub"})."""
     read_fields(doc, "CcpSpec JSON", (*_SPEC_FIELDS, "det_constraints"), _SPEC_FIELDS)
     det = doc.get("det_constraints")
     if det is not None:
@@ -402,7 +384,7 @@ def spec_from_json(text: str) -> CcpSpec:
         det = DetConstraints(a_ub=det["A_ub"], b_ub=det["b_ub"])
     return CcpSpec(
         objective=doc["objective"],
-        family=_family_from_json(doc["family"]),
+        family=_family_from_obj(doc["family"]),
         rhs=doc["rhs"],
         epsilon=read_value(doc["epsilon"], float, "epsilon"),
         delta=read_value(doc["delta"], float, "delta"),

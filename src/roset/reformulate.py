@@ -353,8 +353,11 @@ def _pca_blocks(shape: shapes.PcaEllipsoid, rho: float, rhs: np.ndarray,
     There it is mu'z + rho ||L'z||, an ellipsoidal row whose center is
     lift'mu and whose tails are L' lift, where z = lift x_emb and lift is
     (M^+)' (M itself when its rows are orthonormal, as a fitted PCA's are).
-    The null-space basis N of M adds the equality rows N'[:, block i] x = 0
-    of every row i in one Zero block, none when M has full column rank.
+    With N the null-space basis of M, the equality rows N'[:, block i] x = 0
+    of every row i act on the same d columns of x, so one Zero block holds
+    an orthonormal basis of their row space instead: at most d rows, its
+    rank read by np.linalg.matrix_rank, and no block when M has full column
+    rank.
     """
     l, r = rhs.size, shape.rank
     u, sv, vt = np.linalg.svd(shape.projection)
@@ -365,8 +368,9 @@ def _pca_blocks(shape: shapes.PcaEllipsoid, rho: float, rhs: np.ndarray,
                               shape.chol.T @ lift, rho, rhs)]
     null = vt[r:].reshape(-1, l, d).transpose(1, 0, 2).reshape(-1, d)
     if null.size:
-        k = null.shape[0]
-        blocks.append(Block(rows_x=null, rows_aux=_no_aux(k), offsets=np.zeros(k),
+        k = np.linalg.matrix_rank(null)
+        basis = np.linalg.svd(null, full_matrices=False)[2][:k]
+        blocks.append(Block(rows_x=basis, rows_aux=_no_aux(k), offsets=np.zeros(k),
                             cones=(conic.Zero(k),)))
     return blocks
 

@@ -8,7 +8,7 @@ covers the whole composite.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional, Union as TUnion
 
 import numpy as np
@@ -21,7 +21,7 @@ from .errors import (
     InvalidArgumentError,
     TooFineGridError,
 )
-from .model import Dataset, frozen, read_fields, read_value
+from .model import Dataset, frozen, read_value
 
 DEFAULT_RIDGE = 1e-8
 _GRID_GUARD = 10**6
@@ -355,9 +355,6 @@ class PredictionSet:
     def dim(self) -> int:
         return self.shape.dim
 
-    def contains(self, xi) -> bool:
-        return bool(transform_eval(self.shape, xi) <= self.size)
-
 
 # ---------------------------------------------------------------------------
 # transforms
@@ -421,11 +418,6 @@ def _distances(pts: np.ndarray, centers: np.ndarray, norm) -> np.ndarray:
     for j in range(pts.shape[1]):
         np.maximum(dist, np.abs(pts[:, j, None] - centers[:, j]), out=dist)
     return dist
-
-
-def transform_eval(shape: Shape, xi) -> float:
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    return float(transform_values(shape, xi[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +615,6 @@ def build_prediction_set(shape: Shape, phase2, epsilon: float,
 # serialization
 
 
-_VARIANTS = {cls.variant: cls for cls in (*_BASIC, Union, Intersection)}
-
-
 def _plain(value):
     """A shape field as JSON-ready data; component shapes become documents."""
     if isinstance(value, np.ndarray):
@@ -643,22 +632,3 @@ def shape_to_obj(shape: Shape) -> dict:
               for f in fields(shape)
               if getattr(shape, f.name) is not None}
     return {"variant": shape.variant, "parameters": params}
-
-
-def shape_from_obj(obj: dict) -> Shape:
-    """Inverse of shape_to_obj; the parameters must name exactly the fields."""
-    read_fields(obj, "shape document", ("variant", "parameters"), ("variant", "parameters"))
-    variant = obj["variant"]
-    cls = _VARIANTS.get(variant) if isinstance(variant, str) else None
-    if cls is None:
-        raise InvalidArgumentError(f"unknown shape variant {variant!r}")
-    par = read_fields(obj["parameters"], f"{variant} parameters",
-                      [f.name for f in fields(cls)],
-                      [f.name for f in fields(cls) if f.default is MISSING])
-    try:
-        if "components" in par:
-            par = {**par, "components": tuple(shape_from_obj(c)
-                                              for c in par["components"])}
-        return cls(**par)
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"malformed {variant} parameters: {exc}") from exc

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from roset import calibrate, cli, harness as hz, model, shapes
+from roset import calibrate, cli, harness as hz
 
 
 @pytest.fixture(scope="module")
@@ -16,25 +16,25 @@ def fixtures(tmp_path_factory):
     mu = rng.uniform(1.0, 3.0, size=5)
     raw = rng.normal(size=(5, 5)) * 0.3
     sigma = raw @ raw.T + 0.5 * np.eye(5)
-    spec = model.CcpSpec(objective=-mu, family=model.SingleLinear(),
-                         rhs=[10.0], epsilon=0.05, delta=0.05)
+    spec = {"objective": (-mu).tolist(), "family": {"kind": "single_linear"},
+            "rhs": [10.0], "epsilon": 0.05, "delta": 0.05}
     spec_path = root / "p.json"
-    spec_path.write_text(model.spec_to_json(spec))
+    spec_path.write_text(json.dumps(spec))
     sampler = hz.gaussian_sampler(mu, sigma)
     data = sampler.draw(np.random.default_rng(7), 120)
     data_path = root / "d.csv"
     np.savetxt(data_path, data, delimiter=",", fmt="%.17g")
-    cfg = hz.ExperimentConfig(spec=spec, sampler=sampler, method="ro",
-                              n=120, n1=60)
+    cfg = {"spec": spec, "method": "ro", "n": 120, "n1": 60,
+           "sampler": {"kind": "gaussian",
+                       "params": {"mu": mu.tolist(), "sigma": sigma.tolist()}}}
     cfg_path = root / "cfg.json"
-    cfg_path.write_text(json.dumps(hz.config_to_obj(cfg)))
+    cfg_path.write_text(json.dumps(cfg))
 
-    spec_q = model.CcpSpec(objective=np.ones(2), family=model.Quadratic(q=2),
-                           rhs=[1.0], epsilon=0.1, delta=0.1,
-                           det=model.DetConstraints(a_ub=np.eye(2),
-                                                    b_ub=[5.0, 5.0]))
+    spec_q = {"objective": [1.0, 1.0], "family": {"kind": "quadratic", "q": 2},
+              "rhs": [1.0], "epsilon": 0.1, "delta": 0.1,
+              "det_constraints": {"A_ub": [[1.0, 0.0], [0.0, 1.0]], "b_ub": [5.0, 5.0]}}
     specq_path = root / "pq.json"
-    specq_path.write_text(model.spec_to_json(spec_q))
+    specq_path.write_text(json.dumps(spec_q))
     ptsq = hz.quadratic_wishart_sampler(2, q=2.0).draw(
         np.random.default_rng(0), 80)
     dataq_path = root / "dq.csv"
@@ -258,8 +258,8 @@ def test_fit_round_trips(capsys, fixtures):
     assert code == 0
     doc = json.loads(out)
     assert doc["kind"] == "ball" and doc["rows"] == 120
-    shape = shapes.shape_from_obj(doc["shape"])
-    assert shapes.transform_values(shape, np.zeros((1, 5))).shape == (1,)
+    mean = np.loadtxt(fixtures["data"], delimiter=",").mean(axis=0)
+    assert doc["shape"] == {"variant": "ball", "parameters": {"center": mean.tolist()}}
 
 
 @pytest.mark.parametrize("shape, options, word", [
@@ -306,13 +306,28 @@ def test_experiment_runs_and_is_deterministic(capsys, fixtures, tmp_path):
 
 def test_solve_malformed_spec_is_domain_error(capsys, fixtures, tmp_path):
     bad = tmp_path / "bad_spec.json"
-    bad.write_text('{"objective": [1.0], "family": {"kind": "joint_linear"},'
-                   ' "rhs": [0.0], "epsilon": 0.1, "delta": 0.1}')
-    code, out, err = run_cli(capsys, ["solve", "--spec", str(bad),
-                                      "--data", fixtures["data"]])
-    assert code == 1 and out == ""
-    doc = json.loads(err.strip().splitlines()[-1])
-    assert doc["error"]["type"] == "InvalidArgumentError"
+    for text in ('{"objective": [1.0], "family": {"kind": "joint_linear"},'
+                 ' "rhs": [0.0], "epsilon": 0.1, "delta": 0.1}', "{not json"):
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, ["solve", "--spec", str(bad),
+                                          "--data", fixtures["data"]])
+        assert code == 1 and out == ""
+        doc = json.loads(err.strip().splitlines()[-1])
+        assert doc["error"]["type"] == "InvalidArgumentError"
+
+
+def test_non_utf8_spec_and_config_are_domain_errors(capsys, fixtures, tmp_path):
+    # a file that does not decode as UTF-8 gets the JSON error object, not a
+    # traceback from the decoder
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b"\xff\xfe{")
+    for argv in (["solve", "--spec", str(bad), "--data", fixtures["data"]],
+                 ["experiment", "--config", str(bad)]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        doc = json.loads(err.strip().splitlines()[-1])
+        assert doc["error"]["type"] == "InvalidArgumentError"
+        assert "UTF-8" in doc["error"]["message"]
 
 
 def test_experiment_bad_config_is_domain_error(capsys, tmp_path):

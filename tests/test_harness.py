@@ -12,6 +12,15 @@ from roset import conic, harness as hz, model, shapes
 from roset.errors import InvalidArgumentError
 
 EPS = DELTA = 0.05
+EYE3 = np.eye(3).tolist()
+# a literal experiment config document: ro on Gaussian d = 3 data under one
+# linear row, with n2 = 60 Phase-2 rows
+CONFIG_DOC = {
+    "spec": {"objective": [-1.0, -2.0, -1.5], "family": {"kind": "single_linear"},
+             "rhs": [6.0], "epsilon": EPS, "delta": DELTA},
+    "sampler": {"kind": "gaussian", "params": {"mu": [1.0, 2.0, 1.5], "sigma": EYE3}},
+    "method": "ro", "n": 80, "n1": 20,
+}
 
 
 def gaussian_instance(seed, d=11, b=10.0):
@@ -162,24 +171,28 @@ def test_rows_violated_matches_mean_of_any():
 
 
 def test_sampler_round_trip_and_dims():
-    rng = np.random.default_rng(1)
-    sig = np.eye(3) * 2.0
-    samplers = [
-        hz.gaussian_sampler(np.arange(3.0), sig),
-        hz.mixture_sampler([0.3, 0.7], rng.normal(size=(2, 3)),
-                           np.stack([np.eye(3), 2 * np.eye(3)])),
-        hz.scaled_beta_sampler(rng.normal(size=4), rng.normal(size=(6, 4))),
-        hz.quadratic_wishart_sampler(3, q=4.0),
-        hz.sdp_wishart_sampler(np.stack([np.eye(2), 2 * np.eye(2)])),
-        hz.pca_synthetic_sampler(np.zeros(2), np.eye(2),
-                                 rng.normal(size=(10, 2))),
+    # each document names its factory's arguments; reading it gives the
+    # sampler the factory builds from the same values, draw for draw
+    eye3 = np.eye(3).tolist()
+    docs = [
+        ("gaussian", {"mu": [0.0, 1.0, 2.0], "sigma": [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0],
+                                                       [0.0, 0.0, 2.0]]}),
+        ("mixture", {"weights": [0.3, 0.7], "means": [[0.1, -0.4, 1.2], [2.0, 0.5, -1.0]],
+                     "sigmas": [eye3, (2 * np.eye(3)).tolist()]}),
+        ("scaled_beta", {"a0": [1.0, 2.0], "a_rows": [[0.3, 0.1], [0.0, 0.4], [0.1, 0.2]],
+                         "alpha": 3.0}),
+        ("quadratic_wishart", {"d": 3, "q": 4.0}),
+        ("sdp_wishart", {"a_mats": [np.eye(2).tolist(), (2 * np.eye(2)).tolist()],
+                         "dof": 3}),
+        ("pca_synthetic", {"mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]],
+                           "projection": np.arange(20.0).reshape(10, 2).tolist()}),
     ]
-    for samp in samplers:
-        obj = json.loads(json.dumps(hz.sampler_to_obj(samp)))
-        back = hz.sampler_from_obj(obj)
-        assert hz.sampler_to_obj(back) == obj
+    for kind, params in docs:
+        obj = {"kind": kind, "params": params}
+        back = hz.sampler_from_obj(json.loads(json.dumps(obj)))
         with pytest.raises(InvalidArgumentError, match="param"):
             hz.sampler_from_obj({**obj, "param": obj["params"]})
+        samp = getattr(hz, f"{kind}_sampler")(**params)
         assert back.kind == samp.kind
         r1 = np.random.Generator(np.random.PCG64(5))
         r2 = np.random.Generator(np.random.PCG64(5))
@@ -514,19 +527,21 @@ def test_experiment_config_validation():
     with pytest.raises(InvalidArgumentError, match="analytic"):
         hz.ExperimentConfig(spec=spec, sampler=mix, method="sg", n=1,
                             violation="analytic")
-    obj = hz.config_to_obj(hz.ExperimentConfig(spec=spec, sampler=mix,
-                                               method="sg", n=1))
+    mix_doc = {"kind": "mixture", "params": {"weights": [1.0], "means": [[0.0] * 3],
+                                             "sigmas": [EYE3]}}
+    obj = {**CONFIG_DOC, "sampler": mix_doc, "method": "sg", "n": 1, "n1": 0}
     with pytest.raises(InvalidArgumentError, match="analytic"):
         hz.config_from_obj({**obj, "violation": "analytic"})
     # a Monte Carlo violation needs at least one draw; the config says so
     # instead of the run aborting after the first solve
-    for sampler, violation in ((mix, "auto"), (mix, "mc"), (samp, "mc")):
+    for sampler, doc, violation in ((mix, mix_doc, "auto"), (mix, mix_doc, "mc"),
+                                    (samp, CONFIG_DOC["sampler"], "mc")):
         with pytest.raises(InvalidArgumentError, match="n_eval"):
             hz.ExperimentConfig(spec=spec, sampler=sampler, method="sg", n=8,
                                 n_eval=0, violation=violation)
         with pytest.raises(InvalidArgumentError, match="n_eval"):
-            hz.config_from_obj({**obj, "sampler": hz.sampler_to_obj(sampler),
-                                "n_eval": 0, "violation": violation})
+            hz.config_from_obj({**obj, "sampler": doc, "n_eval": 0,
+                                "violation": violation})
     # the closed form draws nothing, so n_eval is not read
     cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method="sg", n=8, n_eval=0)
     assert hz.run_replications(cfg, 1, master_seed=0).failures == 0
@@ -549,14 +564,12 @@ def test_experiment_config_reads_its_counts():
 def test_experiment_config_rejects_a_too_small_phase_2():
     spec, samp, _, _ = gaussian_instance(10, d=3, b=6.0)
     # n2 = 59 is the minimum at epsilon = delta = 0.05
-    obj = hz.config_to_obj(hz.ExperimentConfig(spec=spec, sampler=samp,
-                                               method="ro", n=79, n1=20))
     for method in ("ro", "ro_reconstructed"):
         with pytest.raises(InvalidArgumentError, match="59"):
             hz.ExperimentConfig(spec=spec, sampler=samp, method=method,
                                 n=8, n1=4)
         with pytest.raises(InvalidArgumentError, match="59"):
-            hz.config_from_obj({**obj, "method": method, "n": 78})
+            hz.config_from_obj({**CONFIG_DOC, "method": method, "n": 78})  # n1 = 20
     # scenario methods have no Phase 2
     hz.ExperimentConfig(spec=spec, sampler=samp, method="sg", n=8)
 
@@ -580,10 +593,8 @@ def test_shape_options_are_checked(shape, options, match):
     with pytest.raises(InvalidArgumentError, match=match):
         hz.ExperimentConfig(spec=spec, sampler=samp, method="ro", n=80,
                             n1=20, shape=shape, shape_options=options)
-    obj = hz.config_to_obj(hz.ExperimentConfig(spec=spec, sampler=samp,
-                                               method="ro", n=80, n1=20))
     with pytest.raises(InvalidArgumentError, match=match):
-        hz.config_from_obj({**obj, "shape": shape, "shape_options": options})
+        hz.config_from_obj({**CONFIG_DOC, "shape": shape, "shape_options": options})
 
 
 def test_unknown_shape_kind_is_an_invalid_argument():
@@ -608,12 +619,13 @@ def test_shape_options_keep_their_defaults():
 
 
 def test_experiment_config_document_round_trip_and_strictness():
-    spec, samp, _, _ = gaussian_instance(10, d=3, b=6.0)
-    cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method="ro", n=80,
-                              n1=20, shape="ball", n_eval=500)
-    obj = hz.config_to_obj(cfg)
+    obj = {**CONFIG_DOC, "shape": "ball", "n_eval": 500}
     back = hz.config_from_obj(json.loads(json.dumps(obj)))
-    assert hz.config_to_obj(back) == obj
+    assert (back.method, back.n, back.n1, back.shape, back.n_eval) == ("ro", 80, 20, "ball", 500)
+    assert np.array_equal(back.spec.objective, obj["spec"]["objective"])
+    assert back.spec.rhs.tolist() == [6.0] and back.spec.epsilon == EPS
+    assert back.sampler.kind == "gaussian"
+    assert np.array_equal(back.sampler.params["sigma"], EYE3)
     # absent optional fields take the dataclass defaults
     minimal = {k: obj[k] for k in ("spec", "sampler", "method", "n")}
     dflt = hz.config_from_obj(minimal)

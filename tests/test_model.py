@@ -129,52 +129,32 @@ def test_family_data_dims():
 
 
 def test_spec_json_roundtrip_exact():
-    eps = 0.05000000000000001
-    delta = 1e-5
-    spec = model.CcpSpec(
-        objective=[-1.25, 3.0, 0.1],
-        family=model.JointLinear(l=2),
-        rhs=[10.0, -0.5],
-        epsilon=eps,
-        delta=delta,
-        det=model.DetConstraints(a_ub=[[-1.0, 0.0, 0.0]], b_ub=[0.0]),
-    )
-    back = model.spec_from_json(model.spec_to_json(spec))
-    assert back.epsilon == eps and back.delta == delta
-    assert np.array_equal(back.objective, spec.objective)
-    assert np.array_equal(back.rhs, spec.rhs)
+    text = ('{"objective": [-1.25, 3.0, 0.1], "family": {"kind": "joint_linear", "l": 2},'
+            ' "rhs": [10.0, -0.5], "epsilon": 0.05000000000000001, "delta": 1e-05,'
+            ' "det_constraints": {"A_ub": [[-1.0, 0.0, 0.0]], "b_ub": [0.0]}}')
+    back = model.spec_from_obj(json.loads(text))
+    assert back.epsilon == 0.05000000000000001 and back.delta == 1e-5
+    assert np.array_equal(back.objective, [-1.25, 3.0, 0.1])
+    assert np.array_equal(back.rhs, [10.0, -0.5])
     assert isinstance(back.family, model.JointLinear) and back.family.l == 2
-    assert np.array_equal(back.det.a_ub, spec.det.a_ub)
+    assert np.array_equal(back.det.a_ub, [[-1.0, 0.0, 0.0]])
 
 
 def test_spec_json_rejects_garbage():
-    with pytest.raises(InvalidArgumentError):
-        model.spec_from_json("{not json")
-    with pytest.raises(InvalidArgumentError):
-        model.spec_from_json('{"objective": [1.0]}')
-    with pytest.raises(InvalidArgumentError):
-        model.spec_from_json(
-            '{"objective": [1.0], "family": {"kind": "mystery"}, "rhs": [0.0],'
-            ' "epsilon": 0.1, "delta": 0.1}'
-        )
-    with pytest.raises(InvalidArgumentError):
-        model.spec_from_json(
-            '{"objective": [1.0], "family": {"kind": "joint_linear"}, "rhs": [0.0],'
-            ' "epsilon": 0.1, "delta": 0.1}'
-        )
-    with pytest.raises(InvalidArgumentError):
-        model.spec_from_json(
-            '{"objective": [1.0], "family": {"kind": "single_linear"}, "rhs": [0.0],'
-            ' "epsilon": 0.1, "delta": 0.1, "det_constraints": {"A_ub": [[1.0]]}}'
-        )
+    single = {"objective": [1.0], "family": {"kind": "single_linear"}, "rhs": [0.0],
+              "epsilon": 0.1, "delta": 0.1}
+    for bad in ("{not json", [1.0], {"objective": [1.0]},
+                {**single, "family": {"kind": "mystery"}},
+                {**single, "family": {"kind": "joint_linear"}},
+                {**single, "det_constraints": {"A_ub": [[1.0]]}}):
+        with pytest.raises(InvalidArgumentError):
+            model.spec_from_obj(bad)
     # a misspelled optional key, a fractional row count, a string number and
     # an unknown family field are errors, not dropped or cast
-    good = json.loads(model.spec_to_json(model.CcpSpec(
-        objective=[1.0, 2.0], family=model.JointLinear(l=2), rhs=[0.0, 1.0],
-        epsilon=0.1, delta=0.1,
-        det=model.DetConstraints(a_ub=[[-1.0, 0.0]], b_ub=[0.0]))))
-    assert model.spec_to_json(model.spec_from_json(json.dumps(good))) == \
-        json.dumps(good, indent=2, sort_keys=True)
+    good = {"objective": [1.0, 2.0], "family": {"kind": "joint_linear", "l": 2},
+            "rhs": [0.0, 1.0], "epsilon": 0.1, "delta": 0.1,
+            "det_constraints": {"A_ub": [[-1.0, 0.0]], "b_ub": [0.0]}}
+    assert model.spec_from_obj(good).family == model.JointLinear(l=2)
     misspelled = {("det_constraint" if k == "det_constraints" else k): v
                   for k, v in good.items()}
     for bad, match in (
@@ -185,7 +165,7 @@ def test_spec_json_rejects_garbage():
             ({**good, "epsilon": "0.1"}, "epsilon"),
             ({**good, "det_constraints": {**good["det_constraints"], "c": 1}}, "c")):
         with pytest.raises(InvalidArgumentError, match=match):
-            model.spec_from_json(json.dumps(bad))
+            model.spec_from_obj(bad)
 
 
 def test_quadratic_point_layout():

@@ -1,7 +1,6 @@
 """Robust counterpart correctness: closed forms, dual oracles, LMI structure."""
 
 import itertools
-import json
 from dataclasses import replace
 from functools import partial
 
@@ -400,8 +399,8 @@ def _block_aligned_pca(rng, d, ranks):
 def test_pca_joint_rows_oracle(ranks):
     """Joint rows against a PCA set whose projection rows each lie in one row
     block.  The program has no auxiliary column, one SOC(1 + min(r, d)) per
-    row and one Zero(l (m - r)) block for the null space of M (none at
-    r = m).  Its row i is the worst case of row i over the set: attained at a
+    row and one Zero(d - min(ranks)) block for the null space of M, which in
+    every block is the span of Q[:, min(ranks):] (none at r = m).  Its row i is the worst case of row i over the set: attained at a
     point of the set, above every sampled point of it, and the pinned x is
     feasible just above it and infeasible just below."""
     rng = np.random.default_rng(sum(ranks) * 10 + len(ranks))
@@ -417,7 +416,7 @@ def test_pca_joint_rows_oracle(ranks):
                          epsilon=0.5, delta=0.5)
     program = rf.assemble_ro(spec, pset_with_size(pca, s)).program
     assert program.n_vars == d
-    null_cones = (conic.Zero(l * (m - r)),) if r < m else ()
+    null_cones = (conic.Zero(d - min(ranks)),) if r < m else ()
     assert program.cones == (conic.SecondOrder(1 + min(r, d)),) * l + null_cones
 
     n_samp = 20_000
@@ -436,7 +435,7 @@ def test_pca_joint_rows_oracle(ranks):
         analytic[i] = pca.center_reduced @ mx + rho * np.linalg.norm(tail)
         worst = (pca.center_reduced + rho * pca.chol @ tail / np.linalg.norm(tail)) \
             @ pca.projection
-        assert shapes.transform_eval(pca, worst) <= s * (1 + 1e-12)
+        assert shapes.transform_values(pca, worst[None])[0] <= s * (1 + 1e-12)
         assert abs(worst[i * d: (i + 1) * d] @ x - analytic[i]) <= 1e-9 * (1 + abs(analytic[i]))
     assert np.all(sampled <= analytic + 1e-9)
 
@@ -452,6 +451,46 @@ def test_pca_joint_rows_oracle(ranks):
         # row space of M that row's worst case is unbounded
         assert not feasible_at(pin_spec(np.zeros(d), fam, np.full(l, 1e3), x + q[:, -1]),
                                pset_with_size(pca, s))
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_pca_equality_block_is_a_minimal_basis(l):
+    """The equality rows N'[:, block i] x = 0 of every row i, N the null-space
+    basis of M, act on the same d columns of x.  The Zero block holds an
+    orthonormal basis of their row space: at most d rows spanning all
+    l (m - r) of them, and the same optimum as the program that keeps them
+    all.  A full-rank projection has no block."""
+    rng = np.random.default_rng(50 + l)
+    d = 4
+    m = l * d
+    for r in sorted({1, m // 2, m - 1, m}):
+        proj = np.linalg.qr(rng.normal(size=(m, r)))[0].T
+        raw = rng.normal(size=(r, r))
+        pca = shapes.PcaEllipsoid(projection=proj, center_reduced=rng.uniform(0.5, 1.5, r),
+                                  sigma_reduced=0.1 * raw @ raw.T + 0.2 * np.eye(r))
+        box = model.DetConstraints(a_ub=np.vstack([np.eye(d), -np.eye(d)]),
+                                   b_ub=np.full(2 * d, 10.0))
+        spec = model.CcpSpec(objective=rng.normal(size=d), family=model.JointLinear(l=l),
+                             rhs=rng.uniform(3.0, 5.0, l), epsilon=0.5, delta=0.5, det=box)
+        prog = rf.assemble_ro(spec, pset_with_size(pca, 1.7)).program
+        cone, rows = prog.cone_slices()[-1]
+        if r == m:
+            assert not isinstance(cone, conic.Zero)
+            continue
+        assert isinstance(cone, conic.Zero) and cone.dim <= d
+        basis = prog.A[rows, :d]
+        assert prog.A.shape[1] == d and not prog.b[rows].any()
+        assert np.abs(basis @ basis.T - np.eye(cone.dim)).max() <= 1e-12
+        vt = np.linalg.svd(proj)[2]
+        parent = vt[r:].reshape(-1, l, d).transpose(1, 0, 2).reshape(-1, d)
+        assert np.abs(parent - parent @ basis.T @ basis).max() <= 1e-12
+        assert np.linalg.matrix_rank(parent) == cone.dim
+        k = parent.shape[0]
+        full = conic.ConicProgram(c=prog.c, A=np.vstack([prog.A[:rows.start], parent]),
+                                  b=np.concatenate([prog.b[:rows.start], np.zeros(k)]),
+                                  cones=prog.cones[:-1] + (conic.Zero(k),))
+        want, got = (_solved_objective(p) for p in (full, prog))
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (l, r)
 
 
 def test_pca_with_rows_not_orthonormal_matches_its_ellipsoid():
@@ -933,19 +972,16 @@ def test_nearest_center_rows_are_the_worst_case_over_the_set():
                 assert np.all(center_values[:, i] <= lhs[row[0]] + 1e-9)
                 boundary = center.copy()
                 boundary[i * d: (i + 1) * d] = worst
-                assert shapes.transform_eval(shape, boundary) <= s * (1 + 1e-12)
+                assert shapes.transform_values(shape, boundary[None])[0] <= s * (1 + 1e-12)
 
 
-def test_union_of_balls_document_assembles_like_ball_basis():
+def test_union_of_balls_assembles_like_ball_basis():
     rng = np.random.default_rng(34)
     pts = rng.normal(size=(12, 4))
     spec = model.CcpSpec(objective=[-1.0, -0.5], family=model.JointLinear(l=2),
                          rhs=[3.0, 2.0], epsilon=0.5, delta=0.5)
-    legacy = shapes.shape_from_obj(json.loads(json.dumps(shapes.shape_to_obj(
-        shapes.Union(components=tuple(shapes.Ball(center=p) for p in pts))))))
-    basis = shapes.shape_from_obj(json.loads(json.dumps(
-        shapes.shape_to_obj(shapes.ball_basis(pts)))))
-    assert isinstance(basis, shapes.BallBasis)
+    legacy = shapes.Union(components=tuple(shapes.Ball(center=p) for p in pts))
+    basis = shapes.ball_basis(pts)
     assert np.array_equal(basis.centers, pts)
     old = rf.assemble_ro(spec, pset_with_size(legacy, 0.3)).program
     new = rf.assemble_ro(spec, pset_with_size(basis, 0.3)).program

@@ -19,6 +19,7 @@ from roset.shapes import (
     DiagEllipsoid,
     Ellipsoid,
     Intersection,
+    PcaEllipsoid,
     Polytope,
     Union,
     ball_basis,
@@ -28,9 +29,7 @@ from roset.shapes import (
     fit_polytope_box,
     grid_histogram,
     pca_ellipsoid,
-    shape_from_obj,
     shape_to_obj,
-    transform_eval,
     transform_values,
 )
 
@@ -40,7 +39,7 @@ def test_fit_ball_square_corners():
     shape = fit_ellipsoid(pts, mode="ball")
     assert isinstance(shape, Ball)
     assert np.allclose(shape.center, [1.0, 1.0])
-    assert transform_eval(shape, [1.0, 3.0]) == pytest.approx(4.0)
+    assert transform_values(shape, [[1.0, 3.0]])[0] == pytest.approx(4.0)
 
 
 def test_fit_full_on_line_regularizes():
@@ -72,7 +71,7 @@ def test_fit_degenerate_single_repeated_point():
 
 def test_transform_identity_ellipsoid():
     shape = Ellipsoid(center=np.zeros(2), sigma=np.eye(2))
-    assert transform_eval(shape, [3.0, 4.0]) == pytest.approx(25.0)
+    assert transform_values(shape, [[3.0, 4.0]])[0] == pytest.approx(25.0)
 
 
 def test_ellipsoid_symmetry_test_matches_allclose():
@@ -105,19 +104,19 @@ def test_ellipsoid_symmetry_test_matches_allclose():
 def test_transform_polytope_unit_box():
     box = Polytope(rows=np.vstack([np.eye(2), -np.eye(2)]),
                    offsets=np.ones(4), interior=np.zeros(2))
-    assert transform_eval(box, [0.5, -0.25]) == pytest.approx(0.5)
-    assert transform_eval(box, [1.0, 0.0]) == pytest.approx(1.0)
+    assert transform_values(box, [[0.5, -0.25]])[0] == pytest.approx(0.5)
+    assert transform_values(box, [[1.0, 0.0]])[0] == pytest.approx(1.0)
 
 
 def test_transform_union_min_map():
     u = Union(components=(Ball(center=np.zeros(2)), Ball(center=np.array([10.0, 0.0]))))
-    assert transform_eval(u, [5.0, 0.0]) == pytest.approx(25.0)
-    assert transform_eval(u, [9.0, 0.0]) == pytest.approx(1.0)
+    assert transform_values(u, [[5.0, 0.0]])[0] == pytest.approx(25.0)
+    assert transform_values(u, [[9.0, 0.0]])[0] == pytest.approx(1.0)
 
 
 def test_transform_dimension_mismatch():
     with pytest.raises(InvalidArgumentError):
-        transform_eval(Ball(center=np.zeros(2)), [1.0, 2.0, 3.0])
+        transform_values(Ball(center=np.zeros(2)), [[1.0, 2.0, 3.0]])
 
 
 def test_ellipsoid_vs_direct_quadratic():
@@ -130,13 +129,13 @@ def test_ellipsoid_vs_direct_quadratic():
     for _ in range(10):
         xi = rng.normal(size=3)
         want = (xi - mu) @ inv @ (xi - mu)
-        assert transform_eval(shape, xi) == pytest.approx(want, rel=1e-10)
+        assert transform_values(shape, xi[None])[0] == pytest.approx(want, rel=1e-10)
 
 
 def test_fit_polytope_box_examples():
     shape = fit_polytope_box(np.array([[0.0, 0.0], [1.0, 2.0]]))
     assert np.allclose(shape.interior, [0.5, 1.0])
-    assert transform_eval(shape, [1.0, 2.0]) == pytest.approx(1.0)
+    assert transform_values(shape, [[1.0, 2.0]])[0] == pytest.approx(1.0)
     with pytest.raises(DegenerateDataError):
         fit_polytope_box(np.array([[1.0, 1.0], [1.0, 1.0]]))
     rng = np.random.default_rng(3)
@@ -228,9 +227,9 @@ def test_pca_latent_factor_cutoff():
 def test_ball_basis():
     u = ball_basis(np.array([[0.0], [10.0]]))
     assert isinstance(u, BallBasis) and len(u.components) == 2
-    assert transform_eval(u, [4.0]) == pytest.approx(16.0)
+    assert transform_values(u, [[4.0]])[0] == pytest.approx(16.0)
     single = ball_basis(np.array([[1.0, 2.0]]))
-    assert transform_eval(single, [1.0, 2.0]) == pytest.approx(0.0)
+    assert transform_values(single, [[1.0, 2.0]])[0] == pytest.approx(0.0)
 
 
 def test_ball_basis_transform_equals_min_over_balls():
@@ -282,9 +281,9 @@ def test_grid_histogram_examples():
     g2 = grid_histogram(np.array([[0.1], [1.9]]), width=1.0)
     assert g2.centers.shape == (2, 1)
     # transform is zero at an occupied center
-    assert transform_eval(g2, g2.centers[0]) == pytest.approx(0.0)
+    assert transform_values(g2, g2.centers[:1])[0] == pytest.approx(0.0)
     # and 1.0 exactly at a box face
-    assert transform_eval(g, [g.centers[0, 0] + 0.5]) == pytest.approx(1.0)
+    assert transform_values(g, [[g.centers[0, 0] + 0.5]])[0] == pytest.approx(1.0)
 
 
 def test_grid_histogram_guard():
@@ -306,7 +305,8 @@ def test_build_prediction_set_max_order_statistic():
     pset = build_prediction_set(Ball(center=np.zeros(1)), phase2, 0.05, 0.05)
     assert pset.calib.i_star == 59
     assert pset.size == pytest.approx(59.0**2)
-    assert pset.contains([59.0]) and not pset.contains([59.1])
+    assert (transform_values(pset.shape, [[59.0], [59.1]]) <= pset.size).tolist() == \
+        [True, False]
 
 
 def test_build_prediction_set_too_small():
@@ -331,9 +331,9 @@ def test_membership_consistency_union_intersection():
     for _ in range(200):
         xi = rng.uniform(-3, 5, size=2)
         s = float(rng.uniform(0.0, 9.0))
-        in_comp = [transform_eval(c, xi) <= s for c in comps]
-        assert (transform_eval(u, xi) <= s) == any(in_comp)
-        assert (transform_eval(inter, xi) <= s) == all(in_comp)
+        in_comp = [transform_values(c, xi[None])[0] <= s for c in comps]
+        assert (transform_values(u, xi[None])[0] <= s) == any(in_comp)
+        assert (transform_values(inter, xi[None])[0] <= s) == all(in_comp)
 
 
 def test_level_sets_nest_in_s():
@@ -356,8 +356,8 @@ def test_ball_transform_rotation_invariant():
     for _ in range(20):
         xi = rng.normal(size=3)
         xi_rot = (xi - mu) @ Q.T + mu
-        assert abs(transform_eval(shape, xi)
-                   - transform_eval(shape_rot, xi_rot)) < 1e-9
+        assert abs(transform_values(shape, xi[None])[0]
+                   - transform_values(shape_rot, xi_rot[None])[0]) < 1e-9
 
 
 def test_phase2_coverage_guarantee():
@@ -395,49 +395,41 @@ def test_polytope_requires_strict_interior():
 
 
 def test_shape_json_round_trip_all_variants():
-    rng = np.random.default_rng(17)
-    pts = rng.normal(size=(50, 2))
-    sigma = np.cov(pts, rowvar=False) + 0.1 * np.eye(2)
-    variants = [
-        Ellipsoid(center=pts.mean(axis=0), sigma=sigma),
-        DiagEllipsoid(center=np.array([1 / 3, 2.0]), variances=np.array([0.1, 7.0])),
-        Ball(center=np.array([np.pi, -1.0])),
-        Polytope(rows=np.vstack([np.eye(2), -np.eye(2)]), offsets=np.ones(4),
-                 interior=np.zeros(2)),
-        pca_ellipsoid(pts, variance_keep=1.0),
-        BoxGrid(centers=np.array([[0.5, 0.5], [1.5, 0.5]]), half_width=0.5),
-        Union(components=(Ball(center=np.zeros(2)), Ball(center=np.ones(2)))),
-        Intersection(components=(Ball(center=np.zeros(2)),
-                                 Ball(center=np.ones(2)))),
+    # roset fit prints these documents: the variant and every field that is
+    # set, arrays as nested lists of the same floats, components as documents
+    ball = {"variant": "ball", "parameters": {"center": [math.pi, -1.0]}}
+    origin = {"variant": "ball", "parameters": {"center": [0.0, 0.0]}}
+    cases = [
+        (Ellipsoid(center=np.array([0.1, 0.2]), sigma=np.array([[2.0, 0.5], [0.5, 1.0]])),
+         {"variant": "ellipsoid",
+          "parameters": {"center": [0.1, 0.2], "sigma": [[2.0, 0.5], [0.5, 1.0]]}}),
+        (DiagEllipsoid(center=np.array([1 / 3, 2.0]), variances=np.array([0.1, 7.0])),
+         {"variant": "diag_ellipsoid",
+          "parameters": {"center": [1 / 3, 2.0], "variances": [0.1, 7.0]}}),
+        (Ball(center=np.array([math.pi, -1.0])), ball),
+        (Polytope(rows=np.array([[1.0, 0.0], [0.0, -1.0]]), offsets=np.array([1.0, 2.0]),
+                  interior=np.zeros(2)),
+         {"variant": "polytope",
+          "parameters": {"rows": [[1.0, 0.0], [0.0, -1.0]], "offsets": [1.0, 2.0],
+                         "interior": [0.0, 0.0]}}),
+        (PcaEllipsoid(projection=np.array([[0.6, 0.8]]), center_reduced=np.array([1.5]),
+                      sigma_reduced=np.array([[0.25]])),
+         {"variant": "pca_ellipsoid",
+          "parameters": {"projection": [[0.6, 0.8]], "center_reduced": [1.5],
+                         "sigma_reduced": [[0.25]]}}),
+        (BallBasis(centers=np.array([[0.0, 1.0], [2.0, 3.0]])),
+         {"variant": "ball_basis", "parameters": {"centers": [[0.0, 1.0], [2.0, 3.0]]}}),
+        (BoxGrid(centers=np.array([[0.5, 0.5], [1.5, 0.5]]), half_width=0.5),
+         {"variant": "box_grid",
+          "parameters": {"centers": [[0.5, 0.5], [1.5, 0.5]], "half_width": 0.5}}),
+        (Union(components=(Ball(center=np.array([math.pi, -1.0])), Ball(center=np.zeros(2)))),
+         {"variant": "union", "parameters": {"components": [ball, origin]}}),
+        (Intersection(components=(Ball(center=np.zeros(2)),
+                                  Ball(center=np.array([math.pi, -1.0])))),
+         {"variant": "intersection", "parameters": {"components": [origin, ball]}}),
     ]
-    for shape in variants:
-        back = shape_from_obj(json.loads(json.dumps(shape_to_obj(shape))))
-        assert type(back) is type(shape)
-        xi = rng.normal(size=2)
-        assert transform_eval(back, xi) == transform_eval(shape, xi)
-
-
-def test_shape_json_rejects_garbage():
-    with pytest.raises(InvalidArgumentError):
-        shape_from_obj([1, 2])
-    with pytest.raises(InvalidArgumentError):
-        shape_from_obj({"variant": "blob", "parameters": {}})
-    with pytest.raises(InvalidArgumentError):
-        shape_from_obj({"variant": "ball", "parameters": {"center": [0.0],
-                                                          "radius": 1.0}})
-    grid = shape_to_obj(BoxGrid(centers=np.array([[0.5, 0.5]]), half_width=0.5))
-    inter = shape_to_obj(Intersection(components=(Ball(center=np.zeros(2)),
-                                                  Ball(center=np.ones(2))),
-                                      blocks=((0, 1), (2, 3))))
-    for doc in (grid, inter):
-        assert shape_to_obj(shape_from_obj(json.loads(json.dumps(doc)))) == doc
-    # unknown keys, strings for numbers and fractional indices are errors
-    for bad in ({**grid, "version": 1},
-                {**grid, "parameters": {**grid["parameters"], "half_width": "0.5"}},
-                {**inter, "parameters": {**inter["parameters"],
-                                         "blocks": [[0.9, 1], [2, 3]]}}):
-        with pytest.raises(InvalidArgumentError):
-            shape_from_obj(bad)
+    for shape, doc in cases:
+        assert json.loads(json.dumps(shape_to_obj(shape))) == doc
 
 
 def test_intersection_blocks_transform_and_dim():
@@ -447,14 +439,14 @@ def test_intersection_blocks_transform_and_dim():
     assert inter.dim == 4
     xi = np.array([2.0, 0.0, 0.0, 0.0])
     # component 1 sees (2, 0), component 2 sees (0, 0)
-    assert transform_eval(inter, xi) == max(1.0, 4.0)
+    assert transform_values(inter, xi[None])[0] == max(1.0, 4.0)
 
 
 def test_intersection_blocks_permuted_coordinates():
     c1 = Ball(center=np.zeros(1))
     c2 = Ball(center=np.zeros(1))
     inter = Intersection(components=(c1, c2), blocks=((1,), (0,)))
-    assert transform_eval(inter, np.array([3.0, 2.0])) == 9.0
+    assert transform_values(inter, [[3.0, 2.0]])[0] == 9.0
 
 
 def test_intersection_blocks_validation():
@@ -474,7 +466,7 @@ def test_intersection_blocks_json_round_trip():
         components=(Ball(center=np.zeros(2)), Ball(center=np.ones(2))),
         blocks=((2, 3), (0, 1)),
     )
-    back = shape_from_obj(json.loads(json.dumps(shape_to_obj(inter))))
-    assert back.blocks == ((2, 3), (0, 1))
-    xi = np.array([0.5, -0.5, 1.5, 0.25])
-    assert transform_eval(back, xi) == transform_eval(inter, xi)
+    doc = json.loads(json.dumps(shape_to_obj(inter)))
+    assert doc["parameters"]["blocks"] == [[2, 3], [0, 1]]
+    assert [c["parameters"]["center"] for c in doc["parameters"]["components"]] == \
+        [[0.0, 0.0], [1.0, 1.0]]
