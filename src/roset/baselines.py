@@ -68,7 +68,7 @@ def sg_solve(spec: model.CcpSpec, scenarios) -> conic.Solution:
     from the solver are passed through untouched.
     """
     fam = spec.family
-    if not isinstance(fam, (model.SingleLinear, model.JointLinear)):
+    if not isinstance(fam, model.JointLinear):
         raise UnsupportedCombinationError(
             "scenario generation is implemented for linear constraint "
             "families only"

@@ -76,7 +76,7 @@ def _load_spec(path: str) -> model.CcpSpec:
 
 def _split_sizes(n: int, split: float) -> int:
     if not 0.0 < split < 1.0:
-        raise RosetError(f"--split must lie in (0, 1); got {split}")
+        raise InvalidArgumentError(f"--split must lie in (0, 1); got {split}")
     return int(n * split)
 
 
@@ -193,7 +193,7 @@ def _cmd_experiment(args) -> int:
     try:
         obj = json.loads(_read_text(args.config))
     except json.JSONDecodeError as exc:
-        raise RosetError(f"invalid experiment config JSON: {exc}") from exc
+        raise InvalidArgumentError(f"invalid experiment config JSON: {exc}") from exc
     config = harness.config_from_obj(obj)
     _log(f"running {args.reps} replications of {config.method} "
          f"(n={config.n}, seed={args.seed})")

@@ -27,42 +27,32 @@ from .model import Counts, frozen
 
 
 @dataclass(frozen=True)
-class Zero(Counts):
-    """Equality rows: b - Ax = 0."""
+class _Rows(Counts):
+    """A cone of dim rows."""
 
     dim: int
+
+    @property
+    def rows(self) -> int:
+        return self.dim
+
+
+class Zero(_Rows):
+    """Equality rows: b - Ax = 0."""
 
     kind = "zero"
 
-    @property
-    def rows(self) -> int:
-        return self.dim
 
-
-@dataclass(frozen=True)
-class Nonneg(Counts):
+class Nonneg(_Rows):
     """Componentwise rows: b - Ax >= 0."""
-
-    dim: int
 
     kind = "nonneg"
 
-    @property
-    def rows(self) -> int:
-        return self.dim
 
-
-@dataclass(frozen=True)
-class SecondOrder(Counts):
+class SecondOrder(_Rows):
     """Rows (t, u) with t >= ||u||_2; dim counts t plus the entries of u."""
 
-    dim: int
-
     kind = "soc"
-
-    @property
-    def rows(self) -> int:
-        return self.dim
 
 
 @dataclass(frozen=True)
@@ -137,7 +127,7 @@ class ConicProgram:
         cones = tuple(self.cones)
         total = 0
         for cone in cones:
-            if not isinstance(cone, (Zero, Nonneg, SecondOrder, PsdExportOnly)):
+            if not isinstance(cone, (_Rows, PsdExportOnly)):
                 raise InvalidArgumentError(f"unknown cone {cone!r}")
             total += cone.rows
         if total != A.shape[0]:

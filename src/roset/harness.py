@@ -383,7 +383,7 @@ def violation_rate(spec: model.CcpSpec, x, points) -> float:
 def _violation_rate(spec: model.CcpSpec, x: np.ndarray, pts: np.ndarray) -> float:
     """violation_rate at a read x and (n, data_dim) points."""
     fam = spec.family
-    if isinstance(fam, (model.SingleLinear, model.JointLinear)):
+    if isinstance(fam, model.JointLinear):
         return _rows_violated(reformulate.linear_row_values(pts, x, fam.n_rows()),
                               spec)
     if isinstance(fam, model.Quadratic):
@@ -432,7 +432,7 @@ def mc_violation(x, sampler: Sampler, spec: model.CcpSpec,
     x = _decision(x, spec.d)
     rng = np.random.Generator(np.random.PCG64(seed))
     fam = spec.family
-    if not isinstance(fam, (model.SingleLinear, model.JointLinear)):
+    if not isinstance(fam, model.JointLinear):
         return _violation_rate(spec, x, sampler.draw(rng, n_eval))
     embed = np.kron(np.eye(fam.n_rows()), x[:, None])
     return _rows_violated(sampler.draw(rng, n_eval, project=embed), spec)
@@ -507,10 +507,11 @@ class ExperimentConfig:
     scale: str = "auto"      # one of SCALE_POLICIES
 
     def __post_init__(self):
-        # the counts, also those of a config document, are read here
-        for name in ("n", "n1", "n_eval"):
+        # the counts and names, also those of a config document, are read here
+        for name, kind in (("method", str), ("n", int), ("n1", int), ("shape", str),
+                           ("n_eval", int), ("violation", str), ("scale", str)):
             object.__setattr__(self, name, model.read_value(
-                getattr(self, name), int, f"experiment config field {name!r}"))
+                getattr(self, name), kind, f"experiment config field {name!r}"))
         if self.method not in _METHODS:
             raise InvalidArgumentError(
                 f"method must be one of {', '.join(_METHODS)}")
@@ -519,11 +520,15 @@ class ExperimentConfig:
             raise InvalidArgumentError("n must be >= 1")
         if not (0 <= self.n1 <= self.n):
             raise InvalidArgumentError("need 0 <= n1 <= n")
-        need = min_phase2_size(self.spec.epsilon, self.spec.delta)
-        if self.method in ("ro", "ro_reconstructed") and self.n2 < need:
-            raise InvalidArgumentError(
-                f"Phase 2 has n - n1 = {self.n2} rows; calibrating at this "
-                f"epsilon and delta needs at least {need}")
+        if self.method in ("ro", "ro_reconstructed"):
+            if self.n1 < 1:
+                raise InvalidArgumentError(
+                    f"{self.method} fits its shape on n1 Phase-1 rows; need n1 >= 1")
+            need = min_phase2_size(self.spec.epsilon, self.spec.delta)
+            if self.n2 < need:
+                raise InvalidArgumentError(
+                    f"Phase 2 has n - n1 = {self.n2} rows; calibrating at this "
+                    f"epsilon and delta needs at least {need}")
         if self.violation not in VIOLATION_MODES:
             raise InvalidArgumentError("violation must be auto, mc, or analytic")
         if self.scale not in SCALE_POLICIES:
@@ -532,8 +537,7 @@ class ExperimentConfig:
             raise InvalidArgumentError(
                 f"sampler draws dimension {self.sampler.dim} but the family "
                 f"expects {self.spec.data_dim}")
-        if not isinstance(self.spec.family,
-                          (model.SingleLinear, model.JointLinear)):
+        if not isinstance(self.spec.family, model.JointLinear):
             raise InvalidArgumentError(
                 "replicated experiments need a linear constraint family; "
                 "conic families build export-only programs")
@@ -545,15 +549,12 @@ class ExperimentConfig:
             raise InvalidArgumentError(
                 "n_eval must be >= 1 where the violation is estimated by "
                 "Monte Carlo")
-        if self.method in ("safe_hoeffding", "safe_gaussian"):
+        if self.method in _SAFE_METHODS:
             if not isinstance(self.spec.family, model.SingleLinear):
                 raise InvalidArgumentError(
                     "safe approximations apply to the single linear family")
-            pert = self.perturbation or {}
-            need = {"a0", "a_rows"}
-            if self.method == "safe_gaussian":
-                need |= {"mu_minus", "mu_plus", "sigma"}
-            missing = sorted(need - set(pert))
+            missing = [name for name in _SAFE_METHODS[self.method][1]
+                       if name not in (self.perturbation or {})]
             if missing:
                 raise InvalidArgumentError(
                     f"{self.method} needs perturbation fields: {', '.join(missing)}")
@@ -641,20 +642,18 @@ def _method_sg(config: ExperimentConfig, data_rows, seed: int):
     return _solved(config.spec, baselines.sg_solve(config.spec, data_rows))
 
 
-def _method_safe_hoeffding(config: ExperimentConfig, data_rows, seed: int):
-    pert = config.perturbation
-    prog = baselines.safe_hoeffding(
-        config.spec.objective, pert["a0"], pert["a_rows"],
-        float(config.spec.rhs[0]), config.spec.epsilon, det=config.spec.det)
-    return _solved(config.spec, conic.solve(prog))
+# safe method -> (program builder, its perturbation arguments in order)
+_SAFE_METHODS = {
+    "safe_hoeffding": (baselines.safe_hoeffding, ("a0", "a_rows")),
+    "safe_gaussian": (baselines.safe_gaussian,
+                      ("a0", "a_rows", "mu_minus", "mu_plus", "sigma")),
+}
 
 
-def _method_safe_gaussian(config: ExperimentConfig, data_rows, seed: int):
-    pert = config.perturbation
-    prog = baselines.safe_gaussian(
-        config.spec.objective, pert["a0"], pert["a_rows"],
-        pert["mu_minus"], pert["mu_plus"], pert["sigma"],
-        float(config.spec.rhs[0]), config.spec.epsilon, det=config.spec.det)
+def _method_safe(config: ExperimentConfig, data_rows, seed: int):
+    build, names = _SAFE_METHODS[config.method]
+    prog = build(config.spec.objective, *(config.perturbation[k] for k in names),
+                 float(config.spec.rhs[0]), config.spec.epsilon, det=config.spec.det)
     return _solved(config.spec, conic.solve(prog))
 
 
@@ -663,8 +662,7 @@ _METHODS = {
     "ro": _method_ro,
     "ro_reconstructed": _method_ro_reconstructed,
     "sg": _method_sg,
-    "safe_hoeffding": _method_safe_hoeffding,
-    "safe_gaussian": _method_safe_gaussian,
+    **dict.fromkeys(_SAFE_METHODS, _method_safe),
 }
 
 
@@ -762,8 +760,6 @@ def reconstruction_pipeline(data, spec: model.CcpSpec, n1: int, seed: int = 0,
         data = model.Dataset(data)
     split = model.split_data(data, n1, seed)
     ph1 = split.phase1.points
-    if ph1.shape[0] < 1:
-        raise InvalidArgumentError("reconstruction needs at least one Phase-1 row")
 
     fitted = fit_shape(shape, split.phase1, shape_options)
     values = np.sort(shapes.transform_values(fitted, ph1))
@@ -819,17 +815,16 @@ def reconstruction_pipeline(data, spec: model.CcpSpec, n1: int, seed: int = 0,
 # experiment configuration files
 
 
-_PERTURBATION_FIELDS = ("a0", "a_rows", "mu_minus", "mu_plus", "sigma")
 # field name -> reader of its document; the other fields are plain values,
-# read by their annotation
+# read by ExperimentConfig
 _CONFIG_READERS = {
     "spec": model.spec_from_obj,
     "sampler": sampler_from_obj,
     "perturbation": lambda obj: None if obj is None else {
         k: model.frozen(v, f"perturbation {k}") for k, v in model.read_fields(
-            obj, "perturbation", _PERTURBATION_FIELDS).items()},
+            obj, "perturbation", dict.fromkeys(
+                name for _, names in _SAFE_METHODS.values() for name in names)).items()},
 }
-_CONFIG_SCALARS = {"str": str}  # the int fields are read by ExperimentConfig
 
 
 def config_from_obj(obj: dict) -> ExperimentConfig:
@@ -845,9 +840,6 @@ def config_from_obj(obj: dict) -> ExperimentConfig:
         value = obj[f.name]
         if f.name in _CONFIG_READERS:
             value = _CONFIG_READERS[f.name](value)
-        elif f.type in _CONFIG_SCALARS:
-            value = model.read_value(value, _CONFIG_SCALARS[f.type],
-                                     f"experiment config field {f.name!r}")
         kwargs[f.name] = value
     return ExperimentConfig(**kwargs)
 

@@ -9,7 +9,7 @@ matrices so every consumer agrees on orientation.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -140,60 +140,23 @@ def split_data(data: Dataset, n1: int, seed: int) -> DataSplit:
     ``seed`` (PCG64 bit stream); row order within each part is the source
     order, so identical inputs reproduce identical splits bit for bit.
 
-    Either part may be empty at the boundaries n1 = 0 or n1 = n.
+    Both parts hold at least one row: n1 must lie in [1, n - 1].
     """
     n1 = read_value(n1, int, "n1")
-    if n1 < 0 or n1 > data.n:
-        raise InvalidArgumentError(f"n1 must lie in [0, {data.n}], got {n1}")
+    if n1 < 1 or n1 >= data.n:
+        raise InvalidArgumentError(f"n1 must lie in [1, {data.n - 1}], got {n1}")
     seed = read_value(seed, int, "split seed", least=0)
     rng = np.random.Generator(np.random.PCG64(seed))
     perm = rng.permutation(data.n)
-    idx1 = np.sort(perm[:n1])
-    idx2 = np.sort(perm[n1:])
-    # Dataset needs at least one row, and n1 = 0 or n1 = n leaves one part
-    # empty; that part becomes the 0 x m marker _EmptyDataset
-    p1 = data.points[idx1]
-    p2 = data.points[idx2]
     return DataSplit(
-        phase1=_maybe_empty(p1, data.m),
-        phase2=_maybe_empty(p2, data.m),
+        phase1=Dataset(data.points[np.sort(perm[:n1])]),
+        phase2=Dataset(data.points[np.sort(perm[n1:])]),
         seed=seed,
     )
 
 
-class _EmptyDataset(Dataset):
-    """Zero-row stand-in used only by split_data boundary cases."""
-
-    def __init__(self, m: int):
-        arr = np.empty((0, m), dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "points", arr)
-
-
-def _maybe_empty(rows: np.ndarray, m: int) -> Dataset:
-    if rows.shape[0] == 0:
-        return _EmptyDataset(m)
-    return Dataset(rows)
-
-
 # ---------------------------------------------------------------------------
 # Constraint families
-
-@dataclass(frozen=True)
-class SingleLinear:
-    """xi'x <= b with xi in R^d."""
-
-    kind = "single_linear"
-
-    def data_dim(self, d: int) -> int:
-        return d
-
-    def n_rows(self) -> int:
-        return 1
-
-    def rhs_size(self) -> int:
-        return 1
-
 
 @dataclass(frozen=True)
 class JointLinear(Counts):
@@ -210,6 +173,14 @@ class JointLinear(Counts):
 
     def rhs_size(self) -> int:
         return self.l
+
+
+@dataclass(frozen=True)
+class SingleLinear(JointLinear):
+    """xi'x <= b with xi in R^d: the one-row JointLinear."""
+
+    l: int = field(default=1, init=False)
+    kind = "single_linear"
 
 
 @dataclass(frozen=True)
@@ -283,7 +254,7 @@ class CcpSpec:
     """A chance-constrained program: min c'x s.t. P(safety) >= 1 - epsilon."""
 
     objective: np.ndarray
-    family: SingleLinear | JointLinear | Quadratic | Semidefinite
+    family: JointLinear | Quadratic | Semidefinite
     rhs: np.ndarray            # per-row right-hand side; see family docstrings
     epsilon: float
     delta: float
@@ -361,12 +332,13 @@ def load_dataset_csv(path, skip_header: bool = False) -> Dataset:
 
 
 def _family_from_obj(obj):
-    """A family from {"kind", **fields}; the family reads its own counts."""
+    """A family from {"kind", **fields}; the family reads its own counts.
+    SingleLinear fixes its row count, so a single_linear document names none."""
     kind = obj.get("kind") if isinstance(obj, dict) else None
     cls = _FAMILY_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise InvalidArgumentError(f"unknown constraint family kind: {kind!r}")
-    names = [f.name for f in fields(cls)]
+    names = [f.name for f in fields(cls) if f.init]
     params = read_fields(obj, f"{kind} family", ("kind", *names), names)
     return cls(**{name: params[name] for name in names})
 

@@ -501,7 +501,7 @@ def build_reconstruction_set(x_hat, spec: model.CcpSpec, scale, phase2,
     stays feasible for the reconstructed program).  Only deterministic
     right-hand sides are supported.
     """
-    if not isinstance(spec.family, (model.SingleLinear, model.JointLinear)):
+    if not isinstance(spec.family, model.JointLinear):
         raise UnsupportedCombinationError(
             "reconstruction supports the linear constraint families only"
         )
@@ -605,7 +605,7 @@ def _shape_blocks(spec: model.CcpSpec, pset: shapes.PredictionSet) -> list:
     family = spec.family
     d = spec.d
 
-    if isinstance(family, (model.SingleLinear, model.JointLinear)):
+    if isinstance(family, model.JointLinear):
         return _linear_blocks(shape, s, spec.rhs, d)
 
     if isinstance(family, model.Quadratic):

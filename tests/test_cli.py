@@ -330,13 +330,18 @@ def test_non_utf8_spec_and_config_are_domain_errors(capsys, fixtures, tmp_path):
         assert "UTF-8" in doc["error"]["message"]
 
 
-def test_experiment_bad_config_is_domain_error(capsys, tmp_path):
+def test_experiment_bad_config_is_domain_error(capsys, fixtures, tmp_path):
+    # a config file that is not JSON and a --split outside (0, 1) are input
+    # faults, reported as a spec file that is not JSON is
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    code, out, err = run_cli(capsys, ["experiment", "--config", str(bad)])
-    assert code == 1 and out == ""
-    doc = json.loads(err.strip().splitlines()[-1])
-    assert doc["error"]["type"] == "RosetError"
+    for argv in (["experiment", "--config", str(bad)],
+                 ["solve", "--spec", fixtures["spec"], "--data", fixtures["data"],
+                  "--split", "1.5"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        doc = json.loads(err.strip().splitlines()[-1])
+        assert doc["error"]["type"] == "InvalidArgumentError"
 
 
 def test_experiment_config_checks_happen_on_load(capsys, fixtures, tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from roset import conic, harness as hz, model, shapes
+from roset import baselines, conic, harness as hz, model, shapes
 from roset.errors import InvalidArgumentError
 
 EPS = DELTA = 0.05
@@ -467,6 +467,33 @@ def test_run_replications_aggregates():
     assert rep.config_echo["n2"] == 60
 
 
+def test_safe_methods_run_through_the_replication_harness():
+    """Each safe method's replication solves the baselines program that the
+    config's perturbation describes: the same objective, bit for bit, in
+    every replication, scored over the scaled-beta law of that model."""
+    a0, a_rows = np.array([1.0, 2.0, 1.5]), 0.2 * np.eye(3)
+    spec = model.CcpSpec(objective=[-1.0, -2.0, -1.5], family=model.SingleLinear(),
+                         rhs=[6.0], epsilon=EPS, delta=DELTA,
+                         det=model.DetConstraints(a_ub=-np.eye(3), b_ub=np.zeros(3)))
+    pert = {"a0": a0, "a_rows": a_rows, "mu_minus": np.full(3, -0.1),
+            "mu_plus": np.full(3, 0.1), "sigma": np.ones(3)}
+    progs = {
+        "safe_hoeffding": baselines.safe_hoeffding(
+            spec.objective, a0, a_rows, 6.0, EPS, det=spec.det),
+        "safe_gaussian": baselines.safe_gaussian(
+            spec.objective, a0, a_rows, pert["mu_minus"], pert["mu_plus"],
+            pert["sigma"], 6.0, EPS, det=spec.det),
+    }
+    for method, prog in progs.items():
+        cfg = hz.ExperimentConfig(spec=spec, sampler=hz.scaled_beta_sampler(a0, a_rows),
+                                  method=method, n=1, n_eval=2000, perturbation=pert)
+        rep = hz.run_replications(cfg, 3, master_seed=4)
+        want = float(spec.objective @ conic.solve(prog).x[:3])
+        assert rep.statuses == {"optimal": 3}
+        assert [rec.objective for rec in rep.records] == [want] * 3
+        assert rep.eps_hat <= EPS
+
+
 def test_run_replications_counts_failures_against_delta():
     # d=30 with only 40 scenarios: SG is frequently unbounded
     spec, samp, _, _ = gaussian_instance(9, d=30, b=8.0)
@@ -513,6 +540,19 @@ def test_experiment_config_validation():
         hz.ExperimentConfig(spec=spec, sampler=samp, method="bogus", n=10)
     with pytest.raises(InvalidArgumentError):
         hz.ExperimentConfig(spec=spec, sampler=samp, method="ro", n=10, n1=11)
+    # a method name that is not a string is an InvalidArgumentError, not an
+    # unhashable-type TypeError from the method table
+    with pytest.raises(InvalidArgumentError, match="'method'"):
+        hz.ExperimentConfig(spec=spec, sampler=samp, method=["ro"], n=80, n1=20)
+    # the two-phase methods fit their shape on Phase 1, so n1 = 0 (also the
+    # default of a document that leaves n1 out) is refused when the config is
+    # built, not once per replication
+    for method in ("ro", "ro_reconstructed"):
+        with pytest.raises(InvalidArgumentError, match="n1 >= 1"):
+            hz.ExperimentConfig(spec=spec, sampler=samp, method=method, n=80)
+        doc = {k: v for k, v in CONFIG_DOC.items() if k != "n1"}
+        with pytest.raises(InvalidArgumentError, match="n1 >= 1"):
+            hz.config_from_obj({**doc, "method": method})
     with pytest.raises(InvalidArgumentError):
         hz.ExperimentConfig(spec=spec, sampler=samp, method="safe_hoeffding",
                             n=10, perturbation={"a0": np.zeros(3)})
@@ -626,9 +666,10 @@ def test_experiment_config_document_round_trip_and_strictness():
     assert back.spec.rhs.tolist() == [6.0] and back.spec.epsilon == EPS
     assert back.sampler.kind == "gaussian"
     assert np.array_equal(back.sampler.params["sigma"], EYE3)
-    # absent optional fields take the dataclass defaults
-    minimal = {k: obj[k] for k in ("spec", "sampler", "method", "n")}
-    dflt = hz.config_from_obj(minimal)
+    # absent optional fields take the dataclass defaults; sg has no Phase 1,
+    # so it is the method that admits the default n1 = 0
+    minimal = {k: obj[k] for k in ("spec", "sampler", "n")}
+    dflt = hz.config_from_obj({**minimal, "method": "sg"})
     assert (dflt.n1, dflt.shape, dflt.n_eval, dflt.violation, dflt.scale) == \
         (0, "ellipsoid", 10_000, "auto", "auto")
     # a misspelled key is rejected instead of silently ignored

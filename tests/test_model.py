@@ -24,17 +24,27 @@ def test_dataset_immutable():
 
 
 def test_split_all_rows_phase1():
+    """n1 = n would leave Phase 2 without rows: an InvalidArgumentError.
+    At n1 = n - 1 Phase 2 holds one row, and the parts partition the data."""
     d = model.Dataset(np.arange(20.0).reshape(10, 2))
-    sp = model.split_data(d, 10, seed=7)
-    assert sp.phase2.n == 0
-    assert np.array_equal(sp.phase1.points, d.points)
+    with pytest.raises(InvalidArgumentError, match=r"\[1, 9\]"):
+        model.split_data(d, 10, seed=7)
+    sp = model.split_data(d, 9, seed=7)
+    assert (sp.phase1.n, sp.phase2.n) == (9, 1)
+    merged = np.vstack([sp.phase1.points, sp.phase2.points])
+    assert sorted(map(tuple, merged)) == sorted(map(tuple, d.points))
 
 
 def test_split_empty_phase1():
+    """n1 = 0 would leave Phase 1 without rows: an InvalidArgumentError.
+    At n1 = 1 Phase 1 holds one row, and the parts partition the data."""
     d = model.Dataset(np.arange(20.0).reshape(10, 2))
-    sp = model.split_data(d, 0, seed=7)
-    assert sp.phase1.n == 0
-    assert np.array_equal(sp.phase2.points, d.points)
+    with pytest.raises(InvalidArgumentError, match=r"\[1, 9\]"):
+        model.split_data(d, 0, seed=7)
+    sp = model.split_data(d, 1, seed=7)
+    assert (sp.phase1.n, sp.phase2.n) == (1, 9)
+    merged = np.vstack([sp.phase1.points, sp.phase2.points])
+    assert sorted(map(tuple, merged)) == sorted(map(tuple, d.points))
 
 
 def test_split_deterministic():
@@ -123,6 +133,8 @@ def test_ccp_spec_validation():
 
 def test_family_data_dims():
     assert model.SingleLinear().data_dim(4) == 4
+    assert isinstance(model.SingleLinear(), model.JointLinear)
+    assert model.SingleLinear().l == 1 and model.SingleLinear().n_rows() == 1
     assert model.JointLinear(l=3).data_dim(4) == 12
     assert model.Quadratic(q=4).data_dim(4) == 21
     assert model.Semidefinite(p=3).data_dim(2) == 18
@@ -155,6 +167,8 @@ def test_spec_json_rejects_garbage():
             "rhs": [0.0, 1.0], "epsilon": 0.1, "delta": 0.1,
             "det_constraints": {"A_ub": [[-1.0, 0.0]], "b_ub": [0.0]}}
     assert model.spec_from_obj(good).family == model.JointLinear(l=2)
+    # single_linear is the one-row joint_linear: its document names no count
+    assert model.spec_from_obj(single).family == model.SingleLinear()
     misspelled = {("det_constraint" if k == "det_constraints" else k): v
                   for k, v in good.items()}
     for bad, match in (
@@ -162,6 +176,8 @@ def test_spec_json_rejects_garbage():
             ({**good, "family": {"kind": "joint_linear", "l": 2.9}}, "'l'"),
             ({**good, "family": {"kind": "joint_linear", "l": True}}, "'l'"),
             ({**good, "family": {"kind": "joint_linear", "l": 2, "q": 1}}, "q"),
+            ({**single, "family": {"kind": "single_linear", "l": 1}},
+             "unknown single_linear family field"),
             ({**good, "epsilon": "0.1"}, "epsilon"),
             ({**good, "det_constraints": {**good["det_constraints"], "c": 1}}, "c")):
         with pytest.raises(InvalidArgumentError, match=match):
