@@ -77,7 +77,12 @@ def _load_spec(path: str) -> model.CcpSpec:
 def _split_sizes(n: int, split: float) -> int:
     if not 0.0 < split < 1.0:
         raise InvalidArgumentError(f"--split must lie in (0, 1); got {split}")
-    return int(n * split)
+    n1 = int(n * split)
+    if n1 < 1:
+        raise InvalidArgumentError(
+            f"--split {split} on {n} rows gives n1 = floor({n} * {split}) = 0 "
+            "Phase-1 rows; need n1 >= 1")
+    return n1
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ and the set-reconstruction pipeline.
 
 A replication draws a fresh dataset, runs one solution method end to end,
 and scores the returned decision by its true (analytic or simulated)
-constraint violation probability. Aggregates follow the usual two-level
-reading: eps_hat is the mean violation probability of the returned
-solutions, delta_hat the fraction of replications whose solution misses
-the epsilon target.
+constraint violation probability; a safe method reads no data, so its one
+solve per experiment is scored anew in each replication. Aggregates follow
+the usual two-level reading: eps_hat is the mean violation probability of
+the returned solutions, delta_hat the fraction of replications whose
+solution misses the epsilon target.
 """
 
 from __future__ import annotations
@@ -73,38 +74,9 @@ class Sampler:
     kind: str
     params: dict
 
-    def draw(self, rng: np.random.Generator, n: int,
-             project: np.ndarray | None = None) -> np.ndarray:
-        """n observations as an (n, m) array, or draw(rng, n) @ project.
-
-        ``project`` is an (m, l) matrix.  The gaussian and scaled-beta laws
-        are affine in their base variates (mu + z chol', a0 + (2 zeta - 1)
-        a_rows); for them the projection is folded into that map and each
-        block of base variates goes straight to its l columns, so no n x m
-        array is formed.  The base variates come from the same blocks with
-        or without ``project``, so the random stream is the same.  Other
-        kinds draw the points and multiply.
-        """
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n observations as an (n, m) array."""
         n = model.read_value(n, int, "draw count", least=0)
-        if project is None:
-            return self._points(rng, n)
-        project = np.asarray(project, dtype=float)
-        p = self.params
-        if self.kind == "gaussian":
-            fill, lin, off = _normal, p["chol"].T, p["mu"]
-        elif self.kind == "scaled_beta":
-            # a0 + (2 zeta - 1) a_rows = (a0 - 1'a_rows) + zeta (2 a_rows)
-            fill = _zeta_fill(p)
-            lin, off = 2.0 * p["a_rows"], p["a0"] - p["a_rows"].sum(axis=0)
-        else:
-            pts = self._points(rng, n)
-            return pts @ _projection(project, pts.shape[1])
-        project = _projection(project, off.size)
-        out = _variates(rng, n, lin.shape[0], fill, lin @ project)
-        out += off @ project
-        return out
-
-    def _points(self, rng: np.random.Generator, n: int) -> np.ndarray:
         p = self.params
         if self.kind == "gaussian":
             z = _variates(rng, n, p["mu"].size, _normal)
@@ -184,13 +156,6 @@ def _variates(rng: np.random.Generator, n: int, m: int, fill,
         fill(rng, block)
         np.matmul(block, lin, out=out[i: i + _BLOCK_ROWS])
     return out
-
-
-def _projection(project: np.ndarray, m: int) -> np.ndarray:
-    if project.ndim != 2 or project.shape[0] != m:
-        raise InvalidArgumentError(
-            f"project must be ({m}, l), got shape {project.shape}")
-    return project
 
 
 def _normal(rng: np.random.Generator, out: np.ndarray) -> None:
@@ -420,22 +385,40 @@ def mc_violation(x, sampler: Sampler, spec: model.CcpSpec,
                  n_eval: int = 10_000, seed: int = 0) -> float:
     """Monte Carlo estimate of the violation probability at x.
 
-    For the linear families the draw is projected through X, the (m, l)
-    block embedding of x (column j holds x in row block j), so each block
-    of draws maps straight to its l row values a_j(xi)'x and the (n_eval,
-    m) sample is never formed.  The stream, and so the estimate, is that of
-    violation_rate(spec, x, sampler.draw(rng, n_eval)).  Other families
-    score the drawn points with violation_rate.
+    It is violation_rate(spec, x, sampler.draw(rng, n_eval)).  The gaussian
+    and scaled-beta laws are affine in their base variates (mu + z chol',
+    a0 + (2 zeta - 1) a_rows); for them and a linear family that map is
+    composed with X, the (m, l) block embedding of x (column j holds x in
+    row block j), so each block of the base variates draw would take maps
+    straight to its l row values and no (n_eval, m) sample is formed.
     """
     n_eval = model.read_value(n_eval, int, "n_eval", least=1)
     seed = model.read_value(seed, int, "violation seed", least=0)
     x = _decision(x, spec.d)
     rng = np.random.Generator(np.random.PCG64(seed))
-    fam = spec.family
-    if not isinstance(fam, model.JointLinear):
-        return _violation_rate(spec, x, sampler.draw(rng, n_eval))
+    fam, p = spec.family, sampler.params
+    if not (isinstance(fam, model.JointLinear)
+            and sampler.kind in ("gaussian", "scaled_beta")):
+        pts = sampler.draw(rng, n_eval)
+        _check_dim(pts.shape[1], spec)
+        return _violation_rate(spec, x, pts)
+    if sampler.kind == "gaussian":
+        fill, lin, off = _normal, p["chol"].T, p["mu"]
+    else:
+        # a0 + (2 zeta - 1) a_rows = (a0 - 1'a_rows) + zeta (2 a_rows)
+        fill = _zeta_fill(p)
+        lin, off = 2.0 * p["a_rows"], p["a0"] - p["a_rows"].sum(axis=0)
+    _check_dim(off.size, spec)
     embed = np.kron(np.eye(fam.n_rows()), x[:, None])
-    return _rows_violated(sampler.draw(rng, n_eval, project=embed), spec)
+    rows = _variates(rng, n_eval, lin.shape[0], fill, lin @ embed)
+    rows += off @ embed
+    return _rows_violated(rows, spec)
+
+
+def _check_dim(m: int, spec: model.CcpSpec) -> None:
+    if m != spec.data_dim:
+        raise InvalidArgumentError(
+            f"sampler draws dimension {m} but the family expects {spec.data_dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +516,7 @@ class ExperimentConfig:
             raise InvalidArgumentError("violation must be auto, mc, or analytic")
         if self.scale not in SCALE_POLICIES:
             raise InvalidArgumentError("scale must be auto, margin, or std")
-        if self.sampler.dim != self.spec.data_dim:
-            raise InvalidArgumentError(
-                f"sampler draws dimension {self.sampler.dim} but the family "
-                f"expects {self.spec.data_dim}")
+        _check_dim(self.sampler.dim, self.spec)
         if not isinstance(self.spec.family, model.JointLinear):
             raise InvalidArgumentError(
                 "replicated experiments need a linear constraint family; "
@@ -650,14 +630,15 @@ _SAFE_METHODS = {
 }
 
 
-def _method_safe(config: ExperimentConfig, data_rows, seed: int):
+def _method_safe(config: ExperimentConfig, data_rows, seed):
     build, names = _SAFE_METHODS[config.method]
     prog = build(config.spec.objective, *(config.perturbation[k] for k in names),
                  float(config.spec.rhs[0]), config.spec.epsilon, det=config.spec.det)
     return _solved(config.spec, conic.solve(prog))
 
 
-# method name -> (config, data rows, split seed) -> (status, x or None, note)
+# method name -> (config, data rows, split seed) -> (status, x or None, note);
+# the safe methods read neither, and are given None
 _METHODS = {
     "ro": _method_ro,
     "ro_reconstructed": _method_ro_reconstructed,
@@ -666,20 +647,17 @@ _METHODS = {
 }
 
 
-def _run_one(config: ExperimentConfig, master_seed: int, r: int) -> ReplicationRecord:
-    seed, eval_seed = _rep_seeds(master_seed, r)
-    rng = np.random.Generator(np.random.PCG64(seed))
+def _outcome(config: ExperimentConfig, seed: int | None):
+    """(status, x or None, note) of the method on n rows drawn from seed.
+
+    Under seed None nothing is drawn: a safe method reads no data.
+    """
     try:
-        data_rows = config.sampler.draw(rng, config.n)
-        status, x, note = _METHODS[config.method](config, data_rows, seed)
+        data_rows = None if seed is None else config.sampler.draw(
+            np.random.Generator(np.random.PCG64(seed)), config.n)
+        return _METHODS[config.method](config, data_rows, seed)
     except RosetError as exc:
-        status, x, note = "error", None, f"{type(exc).__name__}: {exc}"
-    objective = viol = None
-    if x is not None:
-        objective = float(config.spec.objective @ x)
-        viol = _violation_of(config, x, eval_seed)
-    return ReplicationRecord(replication=r, status=status, objective=objective,
-                             violation_probability=viol, note=note)
+        return "error", None, f"{type(exc).__name__}: {exc}"
 
 
 def run_replications(config: ExperimentConfig, r_count: int,
@@ -687,7 +665,17 @@ def run_replications(config: ExperimentConfig, r_count: int,
     """Run R independent replications, in replication order."""
     r_count = model.read_value(r_count, int, "replication count", least=1)
     master_seed = model.read_value(master_seed, int, "master seed", least=0)
-    records = [_run_one(config, master_seed, r) for r in range(r_count)]
+    # a safe method's program depends on the config alone: it is solved once,
+    # and each replication scores that solution with its own evaluation seed
+    safe = config.method in _SAFE_METHODS
+    shared = _outcome(config, None) if safe else None
+    records = []
+    for r in range(r_count):
+        seed, eval_seed = _rep_seeds(master_seed, r)
+        status, x, note = shared if safe else _outcome(config, seed)
+        objective = None if x is None else float(config.spec.objective @ x)
+        viol = None if x is None else _violation_of(config, x, eval_seed)
+        records.append(ReplicationRecord(r, status, objective, viol, note))
     statuses = dict(Counter(rec.status for rec in records))
     failures = r_count - statuses.get("optimal", 0)
     good = [rec for rec in records if rec.violation_probability is not None]
@@ -700,14 +688,16 @@ def run_replications(config: ExperimentConfig, r_count: int,
     over = sum(1 for rec in good
                if rec.violation_probability > config.spec.epsilon)
     delta_hat = (over + failures) / r_count
+    # only what the method reads: sg and the safe methods fit no shape on a split
+    splits = config.method in ("ro", "ro_reconstructed")
     echo = {
         "method": config.method,
-        "shape": config.shape,
+        "shape": config.shape if splits else None,
         "epsilon": config.spec.epsilon,
         "delta": config.spec.delta,
-        "n": config.n,
-        "n1": config.n1,
-        "n2": config.n2,
+        "n": None if safe else config.n,
+        "n1": config.n1 if splits else None,
+        "n2": config.n2 if splits else None,
         "seed": master_seed,
         "n_eval": config.n_eval,
         "violation": config.violation,

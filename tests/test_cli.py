@@ -344,6 +344,21 @@ def test_experiment_bad_config_is_domain_error(capsys, fixtures, tmp_path):
         assert doc["error"]["type"] == "InvalidArgumentError"
 
 
+def test_split_with_no_phase1_rows_names_the_split(capsys, fixtures, tmp_path):
+    # floor(3 * 0.3) = 0 Phase-1 rows: the error names the flag, the row
+    # count and n1, not only the n1 range of the split
+    data = tmp_path / "three.csv"
+    data.write_text("1.0,1.0,1.0,1.0,1.0\n1.2,0.9,1.1,1.0,0.8\n0.9,1.1,1.0,1.2,1.0\n")
+    for command in ("solve", "reconstruct"):
+        code, out, err = run_cli(capsys, [command, "--spec", fixtures["spec"],
+                                          "--data", str(data), "--split", "0.3"])
+        assert code == 1 and out == ""
+        doc = json.loads(err.strip().splitlines()[-1])
+        assert doc["error"]["type"] == "InvalidArgumentError"
+        message = doc["error"]["message"]
+        assert "--split 0.3" in message and "3 rows" in message and "n1" in message
+
+
 def test_experiment_config_checks_happen_on_load(capsys, fixtures, tmp_path):
     with open(fixtures["config"], encoding="utf-8") as f:
         cfg = json.load(f)

@@ -261,37 +261,11 @@ def test_scaled_beta_22_draw_needs_no_more_memory_than_rng_beta():
     assert median <= beta + 1024
 
 
-def _one_sampler_of_each_kind(rng):
-    """(sampler, largest draw count to test) for every kind and beta pair."""
-    a0, a_rows = rng.normal(size=4), rng.normal(size=(6, 4))
-    return [
-        (hz.gaussian_sampler(rng.normal(size=3), np.eye(3) + 0.2), 2500),
-        (hz.mixture_sampler([0.3, 0.7], rng.normal(size=(2, 3)),
-                            np.stack([np.eye(3), 2 * np.eye(3)])), 2500),
-        (hz.scaled_beta_sampler(a0, a_rows), 2500),
-        (hz.scaled_beta_sampler(a0, a_rows, alpha=2.0, beta=3.0), 2500),
-        (hz.quadratic_wishart_sampler(2, q=4.0), 40),
-        (hz.sdp_wishart_sampler(np.stack([np.eye(2), 2 * np.eye(2)])), 40),
-        (hz.pca_synthetic_sampler(np.zeros(2), np.eye(2),
-                                  rng.normal(size=(5, 2))), 2500),
-    ]
-
-
-def test_projected_draw_is_the_draw_times_the_projection():
-    rng = np.random.default_rng(16)
-    for samp, n_max in _one_sampler_of_each_kind(rng):
-        proj = rng.normal(size=(samp.dim, 3))
-        for n in (0, 7, n_max):  # 2500 rows: two full blocks and a partial
-            got = samp.draw(np.random.default_rng(17), n, project=proj)
-            want = samp.draw(np.random.default_rng(17), n) @ proj
-            assert got.shape == (n, 3)
-            scale = max(1.0, float(np.abs(want).max(initial=0.0)))
-            assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale, samp.kind
-        with pytest.raises(InvalidArgumentError, match="project"):
-            samp.draw(np.random.default_rng(17), 5, project=np.ones((samp.dim + 1, 2)))
-
-
 def test_mc_violation_scores_the_unprojected_sample():
+    """The estimate is violation_rate on sampler.draw from the same seed,
+    whether mc_violation folds x into the law (gaussian, scaled beta) or
+    scores the drawn points (mixture, pca_synthetic); 2500 rows are two full
+    1024-row blocks and a partial one."""
     rng = np.random.default_rng(18)
     l, d = 3, 5
     m = l * d
@@ -300,7 +274,11 @@ def test_mc_violation_scores_the_unprojected_sample():
     samplers = [hz.gaussian_sampler(a0, raw @ raw.T + 0.01 * np.eye(m)),
                 hz.scaled_beta_sampler(a0, 0.15 * rng.normal(size=(m, m))),
                 hz.scaled_beta_sampler(a0, 0.15 * rng.normal(size=(m, m)),
-                                       alpha=2.0, beta=3.0)]
+                                       alpha=2.0, beta=3.0),
+                hz.mixture_sampler([0.4, 0.6], [a0, a0 + 0.2],
+                                   np.stack([raw @ raw.T + 0.01 * np.eye(m)] * 2)),
+                hz.pca_synthetic_sampler(np.zeros(2), np.eye(2),
+                                         rng.normal(size=(m, 2)))]
     for samp in samplers:
         for seed in range(3):
             x = rng.uniform(0.5, 1.5, size=d)
@@ -309,11 +287,22 @@ def test_mc_violation_scores_the_unprojected_sample():
             spec = model.CcpSpec(objective=-np.ones(d), family=model.JointLinear(l),
                                  rhs=np.quantile(pilot, 0.8, axis=0),
                                  epsilon=EPS, delta=DELTA)
-            got = hz.mc_violation(x, samp, spec, n_eval=10_000, seed=seed)
-            want = hz.violation_rate(
-                spec, x, samp.draw(np.random.Generator(np.random.PCG64(seed)), 10_000))
+            for n_eval in (1, 7, 2500, 10_000):
+                got = hz.mc_violation(x, samp, spec, n_eval=n_eval, seed=seed)
+                stream = np.random.Generator(np.random.PCG64(seed))
+                want = hz.violation_rate(spec, x, samp.draw(stream, n_eval))
+                assert got == want, (samp.kind, n_eval)
             assert 0.2 < got < 0.8
-            assert got == want
+
+
+def test_mc_violation_rejects_a_sampler_of_another_dimension():
+    spec = model.CcpSpec(objective=-np.ones(2), family=model.JointLinear(2),
+                         rhs=[1.0, 1.0], epsilon=EPS, delta=DELTA)
+    for samp in (hz.gaussian_sampler(np.zeros(3), np.eye(3)),
+                 hz.scaled_beta_sampler(np.zeros(3), np.eye(3)),
+                 hz.mixture_sampler([1.0], [np.zeros(3)], [np.eye(3)])):
+        with pytest.raises(InvalidArgumentError, match="dimension 3"):
+            hz.mc_violation(np.ones(2), samp, spec, n_eval=10)
 
 
 def _peak_bytes(call):
@@ -492,6 +481,70 @@ def test_safe_methods_run_through_the_replication_harness():
         assert rep.statuses == {"optimal": 3}
         assert [rec.objective for rec in rep.records] == [want] * 3
         assert rep.eps_hat <= EPS
+
+
+def test_safe_methods_solve_once_and_draw_nothing(monkeypatch):
+    """A safe method's program depends on the config alone: five
+    replications solve it once, draw no data, and score the one solution
+    with their own evaluation seeds (the Gaussian Monte Carlo estimate folds
+    x into the law, so it draws nothing through Sampler.draw either)."""
+    a0, a_rows = np.array([1.0, 2.0, 1.5]), 0.2 * np.eye(3)
+    spec = model.CcpSpec(objective=[-1.0, -2.0, -1.5], family=model.SingleLinear(),
+                         rhs=[6.0], epsilon=EPS, delta=DELTA,
+                         det=model.DetConstraints(a_ub=-np.eye(3), b_ub=np.zeros(3)))
+    # xi = a0 + zeta a_rows with zeta ~ N(0, I): Hoeffding's margin for
+    # zeta in [-1, 1] leaves a small violation probability that varies by seed
+    samp = hz.gaussian_sampler(a0, a_rows @ a_rows.T)
+    cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method="safe_hoeffding", n=1,
+                              n_eval=2000, violation="mc",
+                              perturbation={"a0": a0, "a_rows": a_rows})
+    want = hz.run_replications(cfg, 5, master_seed=4)
+    x = conic.solve(baselines.safe_hoeffding(spec.objective, a0, a_rows, 6.0, EPS,
+                                             det=spec.det)).x[:3]
+    viols = [hz.mc_violation(x, samp, spec, 2000, seed=hz._rep_seeds(4, r)[1])
+             for r in range(5)]
+    assert [rec.violation_probability for rec in want.records] == viols
+    assert len(set(viols)) > 1
+    solves = []
+    real_solve = conic.solve
+
+    def counted(prog, **kwargs):
+        solves.append(prog)
+        return real_solve(prog, **kwargs)
+
+    def no_draw(self, rng, n):
+        raise AssertionError("a safe method draws no data")
+
+    monkeypatch.setattr(conic, "solve", counted)
+    monkeypatch.setattr(hz.Sampler, "draw", no_draw)
+    rep = hz.run_replications(cfg, 5, master_seed=4)
+    assert len(solves) == 1
+    assert rep.records == want.records and rep.statuses == {"optimal": 5}
+    assert {rec.objective for rec in rep.records} == {float(spec.objective @ x)}
+
+
+def test_config_echo_shows_only_what_the_method_reads():
+    spec, samp, _, _ = gaussian_instance(7, d=3, b=6.0)
+    pert = {"a0": np.ones(3), "a_rows": 0.1 * np.eye(3), "mu_minus": np.full(3, -0.1),
+            "mu_plus": np.full(3, 0.1), "sigma": np.ones(3)}
+    common = {"epsilon": EPS, "delta": DELTA, "seed": 2, "n_eval": 500,
+              "violation": "auto"}
+    cases = [
+        ({"method": "ro", "n": 80, "n1": 20},
+         {"shape": "ellipsoid", "n": 80, "n1": 20, "n2": 60}),
+        ({"method": "ro_reconstructed", "n": 80, "n1": 20, "shape": "ball"},
+         {"shape": "ball", "n": 80, "n1": 20, "n2": 60}),
+        ({"method": "sg", "n": 30},
+         {"shape": None, "n": 30, "n1": None, "n2": None}),
+        ({"method": "safe_hoeffding", "n": 1, "perturbation": pert},
+         {"shape": None, "n": None, "n1": None, "n2": None}),
+        ({"method": "safe_gaussian", "n": 1, "perturbation": pert},
+         {"shape": None, "n": None, "n1": None, "n2": None}),
+    ]
+    for fields, echoed in cases:
+        cfg = hz.ExperimentConfig(spec=spec, sampler=samp, n_eval=500, **fields)
+        echo = hz.run_replications(cfg, 1, master_seed=2).config_echo
+        assert echo == {"method": fields["method"], **common, **echoed}
 
 
 def test_run_replications_counts_failures_against_delta():
