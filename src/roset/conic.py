@@ -147,10 +147,6 @@ class ConicProgram:
     def n_rows(self) -> int:
         return self.b.size
 
-    @property
-    def is_export_only(self) -> bool:
-        return any(isinstance(cone, PsdExportOnly) for cone in self.cones)
-
     def cone_slices(self) -> list[tuple[Cone, slice]]:
         """Each cone paired with its row slice, in order."""
         out = []

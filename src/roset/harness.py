@@ -43,7 +43,6 @@ __all__ = [
     "fit_shape",
     "SHAPE_KINDS",
     "SCALE_POLICIES",
-    "VIOLATION_MODES",
     "two_phase_ro",
     "ExperimentConfig",
     "config_from_obj",
@@ -470,7 +469,6 @@ def fit_shape(kind: str, phase1, options: dict | None = None):
 
 
 SCALE_POLICIES = ("auto", "margin", "std")      # reconstruction scale
-VIOLATION_MODES = ("auto", "mc", "analytic")    # violation evaluation
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,15 +482,14 @@ class ExperimentConfig:
     n1: int = 0
     shape: str = "ellipsoid"
     shape_options: dict | None = None
-    n_eval: int = 10_000
-    violation: str = "auto"  # one of VIOLATION_MODES
+    n_eval: int = 10_000     # Monte Carlo draws, where no closed form applies
     perturbation: dict | None = None
     scale: str = "auto"      # one of SCALE_POLICIES
 
     def __post_init__(self):
         # the counts and names, also those of a config document, are read here
         for name, kind in (("method", str), ("n", int), ("n1", int), ("shape", str),
-                           ("n_eval", int), ("violation", str), ("scale", str)):
+                           ("n_eval", int), ("scale", str)):
             object.__setattr__(self, name, model.read_value(
                 getattr(self, name), kind, f"experiment config field {name!r}"))
         if self.method not in _METHODS:
@@ -512,8 +509,6 @@ class ExperimentConfig:
                 raise InvalidArgumentError(
                     f"Phase 2 has n - n1 = {self.n2} rows; calibrating at this "
                     f"epsilon and delta needs at least {need}")
-        if self.violation not in VIOLATION_MODES:
-            raise InvalidArgumentError("violation must be auto, mc, or analytic")
         if self.scale not in SCALE_POLICIES:
             raise InvalidArgumentError("scale must be auto, margin, or std")
         _check_dim(self.sampler.dim, self.spec)
@@ -521,11 +516,7 @@ class ExperimentConfig:
             raise InvalidArgumentError(
                 "replicated experiments need a linear constraint family; "
                 "conic families build export-only programs")
-        if self.violation == "analytic" and not _has_gaussian_violation(self):
-            raise InvalidArgumentError(
-                "analytic violation needs a gaussian sampler and the single "
-                "linear family")
-        if self.n_eval < 1 and not _analytic_violation(self):
+        if self.n_eval < 1 and not _closed_form(self):
             raise InvalidArgumentError(
                 "n_eval must be >= 1 where the violation is estimated by "
                 "Monte Carlo")
@@ -565,19 +556,14 @@ class ExperimentReport:
     statuses: dict  # replication status -> count
 
 
-def _has_gaussian_violation(config: ExperimentConfig) -> bool:
+def _closed_form(config: ExperimentConfig) -> bool:
+    """Whether the violation is the closed form rather than Monte Carlo."""
     return (config.sampler.kind == "gaussian"
             and isinstance(config.spec.family, model.SingleLinear))
 
 
-def _analytic_violation(config: ExperimentConfig) -> bool:
-    """Whether the violation is the closed form rather than Monte Carlo."""
-    # the config admits "analytic" only where the closed form applies
-    return config.violation != "mc" and _has_gaussian_violation(config)
-
-
 def _violation_of(config: ExperimentConfig, x, eval_seed: int) -> float:
-    if _analytic_violation(config):
+    if _closed_form(config):
         p = config.sampler.params
         return gaussian_violation(x, p["mu"], p["sigma"], float(config.spec.rhs[0]))
     return mc_violation(x, config.sampler, config.spec, config.n_eval,
@@ -690,6 +676,7 @@ def run_replications(config: ExperimentConfig, r_count: int,
     delta_hat = (over + failures) / r_count
     # only what the method reads: sg and the safe methods fit no shape on a split
     splits = config.method in ("ro", "ro_reconstructed")
+    closed = _closed_form(config)
     echo = {
         "method": config.method,
         "shape": config.shape if splits else None,
@@ -699,8 +686,8 @@ def run_replications(config: ExperimentConfig, r_count: int,
         "n1": config.n1 if splits else None,
         "n2": config.n2 if splits else None,
         "seed": master_seed,
-        "n_eval": config.n_eval,
-        "violation": config.violation,
+        "n_eval": None if closed else config.n_eval,
+        "violation": "analytic" if closed else "mc",
     }
     return ExperimentReport(records=tuple(records), mean_objective=mean_obj,
                             eps_hat=eps_hat, delta_hat=float(delta_hat),

@@ -323,9 +323,9 @@ def semidefinite_rhs_matrix(spec: "CcpSpec") -> np.ndarray:
 # ---------------------------------------------------------------------------
 # I/O
 
-def load_dataset_csv(path, skip_header: bool = False) -> Dataset:
+def load_dataset_csv(path) -> Dataset:
     try:
-        arr = np.loadtxt(path, delimiter=",", skiprows=1 if skip_header else 0, ndmin=2)
+        arr = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise InvalidArgumentError(f"could not parse CSV dataset: {exc}") from exc
     return Dataset(arr)

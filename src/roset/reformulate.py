@@ -593,10 +593,6 @@ class RobustProgram:
     set: shapes.PredictionSet
     program: conic.ConicProgram
 
-    @property
-    def is_export_only(self) -> bool:
-        return self.program.is_export_only
-
 
 def _shape_blocks(spec: model.CcpSpec, pset: shapes.PredictionSet) -> list:
     """RC blocks for the spec's protected constraints."""

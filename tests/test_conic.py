@@ -45,7 +45,6 @@ def test_program_immutable():
     with pytest.raises(ValueError):
         p.A[0, 0] = 5.0
     assert p.n_vars == 2 and p.n_rows == 6
-    assert not p.is_export_only
 
 
 def test_cone_slices():
@@ -171,6 +170,5 @@ def test_export_unknown_format():
 
 def test_solve_refuses_psd():
     p = ConicProgram(c=[1.0], A=[[-1.0]], b=[0.0], cones=(PsdExportOnly(1),))
-    assert p.is_export_only
     with pytest.raises(ExportOnlyProgramError):
         conic.solve(p)

@@ -486,18 +486,18 @@ def test_safe_methods_run_through_the_replication_harness():
 def test_safe_methods_solve_once_and_draw_nothing(monkeypatch):
     """A safe method's program depends on the config alone: five
     replications solve it once, draw no data, and score the one solution
-    with their own evaluation seeds (the Gaussian Monte Carlo estimate folds
-    x into the law, so it draws nothing through Sampler.draw either)."""
+    with their own evaluation seeds (the scaled-beta Monte Carlo estimate
+    folds x into the law, so it draws nothing through Sampler.draw either)."""
     a0, a_rows = np.array([1.0, 2.0, 1.5]), 0.2 * np.eye(3)
     spec = model.CcpSpec(objective=[-1.0, -2.0, -1.5], family=model.SingleLinear(),
                          rhs=[6.0], epsilon=EPS, delta=DELTA,
                          det=model.DetConstraints(a_ub=-np.eye(3), b_ub=np.zeros(3)))
-    # xi = a0 + zeta a_rows with zeta ~ N(0, I): Hoeffding's margin for
-    # zeta in [-1, 1] leaves a small violation probability that varies by seed
-    samp = hz.gaussian_sampler(a0, a_rows @ a_rows.T)
+    # xi = a0 + (2 zeta - 1) 3 a_rows: three times the model's spread, so
+    # Hoeffding's margin for it leaves a small violation probability, scored
+    # by Monte Carlo, that varies by seed
+    samp = hz.scaled_beta_sampler(a0, 3 * a_rows)
     cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method="safe_hoeffding", n=1,
-                              n_eval=2000, violation="mc",
-                              perturbation={"a0": a0, "a_rows": a_rows})
+                              n_eval=2000, perturbation={"a0": a0, "a_rows": a_rows})
     want = hz.run_replications(cfg, 5, master_seed=4)
     x = conic.solve(baselines.safe_hoeffding(spec.objective, a0, a_rows, 6.0, EPS,
                                              det=spec.det)).x[:3]
@@ -527,8 +527,12 @@ def test_config_echo_shows_only_what_the_method_reads():
     spec, samp, _, _ = gaussian_instance(7, d=3, b=6.0)
     pert = {"a0": np.ones(3), "a_rows": 0.1 * np.eye(3), "mu_minus": np.full(3, -0.1),
             "mu_plus": np.full(3, 0.1), "sigma": np.ones(3)}
-    common = {"epsilon": EPS, "delta": DELTA, "seed": 2, "n_eval": 500,
-              "violation": "auto"}
+    # the law decides how a solution is scored: the Gaussian single row in
+    # closed form, which draws nothing, and scaled-beta data by n_eval draws
+    scored = [(samp, {"violation": "analytic", "n_eval": None}),
+              (hz.scaled_beta_sampler(np.ones(3), 0.1 * np.eye(3)),
+               {"violation": "mc", "n_eval": 500})]
+    common = {"epsilon": EPS, "delta": DELTA, "seed": 2}
     cases = [
         ({"method": "ro", "n": 80, "n1": 20},
          {"shape": "ellipsoid", "n": 80, "n1": 20, "n2": 60}),
@@ -541,10 +545,11 @@ def test_config_echo_shows_only_what_the_method_reads():
         ({"method": "safe_gaussian", "n": 1, "perturbation": pert},
          {"shape": None, "n": None, "n1": None, "n2": None}),
     ]
-    for fields, echoed in cases:
-        cfg = hz.ExperimentConfig(spec=spec, sampler=samp, n_eval=500, **fields)
-        echo = hz.run_replications(cfg, 1, master_seed=2).config_echo
-        assert echo == {"method": fields["method"], **common, **echoed}
+    for sampler, violation in scored:
+        for fields, echoed in cases:
+            cfg = hz.ExperimentConfig(spec=spec, sampler=sampler, n_eval=500, **fields)
+            echo = hz.run_replications(cfg, 1, master_seed=2).config_echo
+            assert echo == {"method": fields["method"], **common, **violation, **echoed}
 
 
 def test_run_replications_counts_failures_against_delta():
@@ -614,27 +619,16 @@ def test_experiment_config_validation():
     with pytest.raises(InvalidArgumentError):
         hz.ExperimentConfig(spec=spec_q, sampler=hz.quadratic_wishart_sampler(
             2, q=1.0), method="ro", n=10, n1=5)
-    # the closed-form violation needs a gaussian sampler; the config says
-    # so up front instead of failing after the first successful solve
-    mix = hz.mixture_sampler([1.0], np.zeros((1, 3)), np.eye(3)[None])
-    with pytest.raises(InvalidArgumentError, match="analytic"):
-        hz.ExperimentConfig(spec=spec, sampler=mix, method="sg", n=1,
-                            violation="analytic")
-    mix_doc = {"kind": "mixture", "params": {"weights": [1.0], "means": [[0.0] * 3],
-                                             "sigmas": [EYE3]}}
-    obj = {**CONFIG_DOC, "sampler": mix_doc, "method": "sg", "n": 1, "n1": 0}
-    with pytest.raises(InvalidArgumentError, match="analytic"):
-        hz.config_from_obj({**obj, "violation": "analytic"})
     # a Monte Carlo violation needs at least one draw; the config says so
     # instead of the run aborting after the first solve
-    for sampler, doc, violation in ((mix, mix_doc, "auto"), (mix, mix_doc, "mc"),
-                                    (samp, CONFIG_DOC["sampler"], "mc")):
-        with pytest.raises(InvalidArgumentError, match="n_eval"):
-            hz.ExperimentConfig(spec=spec, sampler=sampler, method="sg", n=8,
-                                n_eval=0, violation=violation)
-        with pytest.raises(InvalidArgumentError, match="n_eval"):
-            hz.config_from_obj({**obj, "sampler": doc, "n_eval": 0,
-                                "violation": violation})
+    mix = hz.mixture_sampler([1.0], np.zeros((1, 3)), np.eye(3)[None])
+    mix_doc = {"kind": "mixture", "params": {"weights": [1.0], "means": [[0.0] * 3],
+                                             "sigmas": [EYE3]}}
+    with pytest.raises(InvalidArgumentError, match="n_eval"):
+        hz.ExperimentConfig(spec=spec, sampler=mix, method="sg", n=8, n_eval=0)
+    with pytest.raises(InvalidArgumentError, match="n_eval"):
+        hz.config_from_obj({**CONFIG_DOC, "sampler": mix_doc, "method": "sg", "n": 8,
+                            "n1": 0, "n_eval": 0})
     # the closed form draws nothing, so n_eval is not read
     cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method="sg", n=8, n_eval=0)
     assert hz.run_replications(cfg, 1, master_seed=0).failures == 0
@@ -645,7 +639,7 @@ def test_experiment_config_reads_its_counts():
     # once per replication (n) or out of run_replications (n_eval)
     spec, samp, _, _ = gaussian_instance(10, d=3, b=6.0)
     for counts in ({"n": 130.5}, {"n": 130, "n1": 20.5}, {"n": 130, "n1": True},
-                   {"n": 8, "n_eval": 10.5, "violation": "mc"}):
+                   {"n": 8, "n_eval": 10.5}):
         with pytest.raises(InvalidArgumentError, match="must be int"):
             hz.ExperimentConfig(spec=spec, sampler=samp, method="sg", **counts)
     cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method="ro",
@@ -723,11 +717,13 @@ def test_experiment_config_document_round_trip_and_strictness():
     # so it is the method that admits the default n1 = 0
     minimal = {k: obj[k] for k in ("spec", "sampler", "n")}
     dflt = hz.config_from_obj({**minimal, "method": "sg"})
-    assert (dflt.n1, dflt.shape, dflt.n_eval, dflt.violation, dflt.scale) == \
-        (0, "ellipsoid", 10_000, "auto", "auto")
-    # a misspelled key is rejected instead of silently ignored
-    with pytest.raises(InvalidArgumentError, match="shape_option"):
-        hz.config_from_obj({**obj, "shape_option": {"k": 3}})
+    assert (dflt.n1, dflt.shape, dflt.n_eval, dflt.scale) == \
+        (0, "ellipsoid", 10_000, "auto")
+    # a misspelled key is rejected instead of silently ignored, and so is a
+    # violation mode: the sampler and family decide how a solution is scored
+    for key, value in (("shape_option", {"k": 3}), ("violation", "mc")):
+        with pytest.raises(InvalidArgumentError, match=f"unknown .* field\\(s\\): {key};"):
+            hz.config_from_obj({**obj, key: value})
     with pytest.raises(InvalidArgumentError, match="'n'"):
         hz.config_from_obj({k: v for k, v in obj.items() if k != "n"})
     # counts must be JSON integers: no truncation, bool or string cast

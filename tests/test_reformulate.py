@@ -1111,7 +1111,6 @@ def test_assemble_single_linear_ball_one_cone():
     rp = rf.assemble_ro(spec, pset)
     assert rp.program.cones == (conic.SecondOrder(3),)
     assert rp.program.n_vars == 2
-    assert not rp.is_export_only
 
 
 def test_assemble_ball_basis_shares_one_epigraph():
@@ -1132,10 +1131,10 @@ def test_assemble_quadratic_is_export_only():
     shape = shapes.fit_ellipsoid(data[:100], mode="diag")
     pset = shapes.build_prediction_set(shape, data[100:], 0.05, 0.05)
     rp = rf.assemble_ro(spec, pset)
-    assert rp.is_export_only
     # x, then the one LMI slack tau as the last column: on the certificate
     # matrix tau is diag(-1, I_k, 0_p), with k = 7 directions and p = 2
     (cone,) = rp.program.cones
+    assert isinstance(cone, conic.PsdExportOnly)
     assert rp.program.n_vars == 3
     tau = conic.mat_from_triu(-rp.program.A[:, -1], cone.side)
     np.testing.assert_array_equal(tau, np.diag([-1.0] + [1.0] * 7 + [0.0] * 2))
@@ -1210,7 +1209,6 @@ def test_assemble_semidefinite_ball():
     shape = shapes.fit_ellipsoid(data[:40], mode="ball")
     pset = shapes.build_prediction_set(shape, data[40:], 0.05, 0.05)
     rp = rf.assemble_ro(spec, pset)
-    assert rp.is_export_only
     assert rp.program.cones == (conic.PsdExportOnly(d * p + p),)
 
 
