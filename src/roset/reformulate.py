@@ -50,7 +50,7 @@ __all__ = [
 
 SUPPORTED_PAIRS = (
     "single_linear/joint_linear x {ellipsoid, diag_ellipsoid, ball, polytope, "
-    "pca_ellipsoid, ball_basis, box_grid, union, intersection(blocks)}; "
+    "pca_ellipsoid, ball_basis, box_grid, union, intersection (one component per row)}; "
     "quadratic x {ellipsoid, diag_ellipsoid, ball}; semidefinite x {ball}"
 )
 
@@ -419,8 +419,8 @@ def _linear_blocks(shape, s: float, rhs: np.ndarray, d: int) -> list:
 
     A union replicates the rows once per component, except that a union
     made only of balls is a ball basis and gets its shared-epigraph block.
-    An intersection with coordinate blocks holds constraint-wise sets:
-    component i protects row i, whose coordinates its block must cover.
+    An intersection is the constraint-wise product: it has one component
+    per row, and component i, of dimension d, protects row i.
     """
     l = rhs.size
     if isinstance(shape, shapes.Union):
@@ -429,24 +429,13 @@ def _linear_blocks(shape, s: float, rhs: np.ndarray, d: int) -> list:
                     for blk in _linear_blocks(comp, s, rhs, d)]
         shape = shapes.BallBasis(centers=[comp.center for comp in shape.components])
     if isinstance(shape, shapes.Intersection):
-        if shape.blocks is None:
-            raise UnsupportedCombinationError(
-                "a same-space intersection has no exact linear robust counterpart; "
-                "use an Intersection with coordinate blocks (one per constraint row)"
-            )
         if len(shape.components) != l:
             raise InvalidArgumentError(
-                f"partition has {len(shape.components)} blocks but the family has {l} rows"
+                f"intersection has {len(shape.components)} components "
+                f"but the family has {l} rows"
             )
-        out = []
-        for i, (comp, blk) in enumerate(zip(shape.components, shape.blocks)):
-            if blk != tuple(range(i * d, (i + 1) * d)):
-                raise InvalidArgumentError(
-                    "partition blocks must align with the constraint rows "
-                    f"(block {i} must cover coordinates {i * d}..{(i + 1) * d - 1})"
-                )
-            out.extend(_linear_blocks(comp, s, rhs[i: i + 1], d))
-        return out
+        return [blk for i, comp in enumerate(shape.components)
+                for blk in _linear_blocks(comp, s, rhs[i: i + 1], d)]
     m = l * d
     if shape.dim != m:
         raise InvalidArgumentError(

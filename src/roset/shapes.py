@@ -2,14 +2,14 @@
 
 Each shape defines a scalar transform t(xi); the prediction set at size s is
 the level set {xi : t(xi) <= s}.  Combinators take the min (union) or max
-(intersection) of their component transforms, so a single calibrated size
-covers the whole composite.
+(intersection, each component on its own slice of xi) of their component
+transforms, so a single calibrated size covers the whole composite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Optional, Union as TUnion
+from typing import Union as TUnion
 
 import numpy as np
 
@@ -291,52 +291,25 @@ class Union:
 
 @dataclass(frozen=True, eq=False)
 class Intersection:
-    """t(xi) = max over components; membership in every component level set.
+    """The constraint-wise product of its components.
 
-    By default every component acts on the full vector.  With ``blocks``, the
-    components act on disjoint coordinate groups instead: component i sees
-    xi[blocks[i]], and the blocks together must cover every coordinate exactly
-    once.  This is the max-map over a product of per-block sets, the form used
-    to calibrate one shared size for constraint-wise uncertainty.
+    Component i reads the next components[i].dim coordinates, in order, so
+    dim is the sum of the component dimensions; t(xi) = max over components
+    of each one's transform on its own slice, membership in every component
+    level set.  This max-map calibrates one shared size for constraint-wise
+    uncertainty.
     """
 
     components: tuple
-    blocks: Optional[tuple] = None
 
     variant = "intersection"
 
     def __post_init__(self):
-        if self.blocks is None:
-            object.__setattr__(self, "components", _check_components(self.components))
-            return
-        components = _basic_components(self.components)
-        blocks = tuple(tuple(read_value(i, int, "coordinate block index") for i in blk)
-                       for blk in self.blocks)
-        if len(blocks) != len(components):
-            raise InvalidArgumentError("need one coordinate block per component")
-        seen = []
-        for comp, blk in zip(components, blocks):
-            if len(blk) == 0 or any(i < 0 for i in blk):
-                raise InvalidArgumentError("coordinate blocks must be non-empty")
-            if comp.dim != len(blk):
-                raise InvalidArgumentError(
-                    f"component dimension {comp.dim} != block length {len(blk)}"
-                )
-            seen.extend(blk)
-        if len(set(seen)) != len(seen):
-            raise InvalidArgumentError("coordinate blocks overlap")
-        if sorted(seen) != list(range(len(seen))):
-            raise InvalidArgumentError(
-                "coordinate blocks must partition 0..m-1 with no gaps"
-            )
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "components", _basic_components(self.components))
 
     @property
     def dim(self) -> int:
-        if self.blocks is None:
-            return self.components[0].dim
-        return sum(len(blk) for blk in self.blocks)
+        return sum(comp.dim for comp in self.components)
 
 
 Shape = TUnion[Ellipsoid, DiagEllipsoid, Ball, Polytope, PcaEllipsoid, BallBasis,
@@ -397,13 +370,9 @@ def transform_values(shape: Shape, points) -> np.ndarray:
         vals = [transform_values(comp, pts) for comp in shape.components]
         return np.min(vals, axis=0)
     if isinstance(shape, Intersection):
-        if shape.blocks is None:
-            vals = [transform_values(comp, pts) for comp in shape.components]
-        else:
-            vals = [
-                transform_values(comp, pts[:, list(blk)])
-                for comp, blk in zip(shape.components, shape.blocks)
-            ]
+        ends = np.cumsum([comp.dim for comp in shape.components])
+        vals = [transform_values(comp, pts[:, end - comp.dim : end])
+                for comp, end in zip(shape.components, ends)]
         return np.max(vals, axis=0)
     raise InvalidArgumentError(f"unknown shape {shape!r}")
 
@@ -424,12 +393,22 @@ def _distances(pts: np.ndarray, centers: np.ndarray, norm) -> np.ndarray:
 # fitting
 
 
+def _ridge_level(ridge, tr: float, m: int) -> float:
+    """ridge * tr / m, the floor below which a fitted variance is lifted;
+    ridge must be a finite float >= 0 (a negative or NaN one would turn
+    the lift off)."""
+    ridge = read_value(ridge, float, "ridge", least=0)
+    if not np.isfinite(ridge):
+        raise InvalidArgumentError(f"ridge must be finite, got {ridge}")
+    return ridge * tr / m
+
+
 def _regularize_spd(sigma: np.ndarray, ridge: float) -> np.ndarray:
     m = sigma.shape[0]
     tr = float(np.trace(sigma))
     if tr <= 0:
         raise DegenerateDataError("covariance has zero trace; data are a single point")
-    level = ridge * tr / m
+    level = _ridge_level(ridge, tr, m)
     lam_min = float(np.linalg.eigvalsh(sigma)[0])
     if lam_min <= level:
         sigma = sigma + level * np.eye(m)
@@ -458,7 +437,7 @@ def fit_ellipsoid(phase1, mode: str = "full", ridge: float = DEFAULT_RIDGE) -> S
         tr = float(var.sum())
         if tr <= 0:
             raise DegenerateDataError("all coordinates have zero variance")
-        level = ridge * tr / m
+        level = _ridge_level(ridge, tr, m)
         var[var <= level] += level
         return DiagEllipsoid(center=mu, variances=var)
     raise InvalidArgumentError(f"unknown mode {mode!r}")
@@ -526,6 +505,7 @@ def cluster_union(phase1, k: int, mode: str = "full", seed: int = 0,
     """k-means the data and fit one ellipsoid per cluster; union of the fits."""
     pts = _points_of(phase1)
     k = read_value(k, int, "cluster count k", least=1)
+    seed = read_value(seed, int, "cluster seed", least=0)
     if k == 1:
         return fit_ellipsoid(pts, mode=mode, ridge=ridge)
     if 2 * k > pts.shape[0]:
@@ -628,7 +608,5 @@ def _plain(value):
 
 def shape_to_obj(shape: Shape) -> dict:
     """{"variant", "parameters"}: the parameters are the dataclass fields."""
-    params = {f.name: _plain(getattr(shape, f.name))
-              for f in fields(shape)
-              if getattr(shape, f.name) is not None}
+    params = {f.name: _plain(getattr(shape, f.name)) for f in fields(shape)}
     return {"variant": shape.variant, "parameters": params}

@@ -362,8 +362,7 @@ def test_criterion_07_joint_calibration_conservative():
         joint = shapes.DiagEllipsoid(
             center=np.concatenate([c.center for c in comps]),
             variances=np.concatenate([c.variances for c in comps]))
-        blocks = tuple(tuple(range(i * d, (i + 1) * d)) for i in range(l))
-        inter = shapes.Intersection(components=comps, blocks=blocks)
+        inter = shapes.Intersection(components=comps)
         ps_joint = shapes.build_prediction_set(joint, ph2, EPS, DELTA)
         ps_ind = shapes.build_prediction_set(inter, ph2, EPS, DELTA)
         rho_each = [

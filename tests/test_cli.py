@@ -266,6 +266,9 @@ def test_fit_round_trips(capsys, fixtures):
     ("pca", '{"variance_kep": 0.9}', "variance_kep"),
     ("box_grid", None, "width"),
     ("cluster_union", '{"kk": 3}', "kk"),
+    ("cluster_union", '{"seed": -1}', "seed"),
+    ("pca", '{"ridge": -1}', "ridge"),
+    ("pca", '{"ridge": NaN}', "ridge"),
 ])
 def test_fit_bad_shape_options_are_domain_errors(capsys, fixtures, shape,
                                                  options, word):

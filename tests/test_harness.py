@@ -592,6 +592,17 @@ def test_replication_note_carries_the_solver_reason(monkeypatch):
         assert doc["aggregates"]["statuses"] == {status: 2}
 
 
+def test_bad_cluster_seed_ends_each_replication_in_error():
+    # the option's type is checked on load; its range is the fitter's to read
+    spec, samp, _, _ = gaussian_instance(10, d=3, b=6.0)
+    cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method="ro", n=80, n1=20,
+                              shape="cluster_union", shape_options={"seed": -1})
+    rep = hz.run_replications(cfg, 2, master_seed=3)
+    assert rep.failures == 2 and rep.statuses == {"error": 2}
+    for rec in rep.records:
+        assert rec.note == "InvalidArgumentError: cluster seed must be >= 0, got -1"
+
+
 def test_experiment_config_validation():
     spec, samp, _, _ = gaussian_instance(10, d=3, b=6.0)
     with pytest.raises(InvalidArgumentError):

@@ -994,7 +994,7 @@ def test_partition_single_block_identity():
     rng = np.random.default_rng(17)
     pts = rng.normal(size=(60, 2)) + [1.0, 2.0]
     comp = shapes.fit_ellipsoid(pts, mode="diag")
-    inter = shapes.Intersection(components=(comp,), blocks=((0, 1),))
+    inter = shapes.Intersection(components=(comp,))
     spec = model.CcpSpec(objective=[-1.0, -1.0], family=model.SingleLinear(),
                          rhs=[15.0], epsilon=0.5, delta=0.5)
     direct = rf.assemble_ro(spec, pset_with_size(comp, 1.2))
@@ -1006,7 +1006,7 @@ def test_partition_single_block_identity():
 def test_partition_matches_manual_per_row_stack():
     c1 = shapes.DiagEllipsoid(center=[0.0, 0.5], variances=[1.0, 2.0])
     c2 = shapes.DiagEllipsoid(center=[1.0, -0.5], variances=[2.0, 0.5])
-    inter = shapes.Intersection(components=(c1, c2), blocks=((0, 1), (2, 3)))
+    inter = shapes.Intersection(components=(c1, c2))
     spec = model.CcpSpec(objective=[-1.0, -1.0], family=model.JointLinear(l=2),
                          rhs=[4.0, 4.0], epsilon=0.5, delta=0.5)
     s = 1.5
@@ -1019,22 +1019,21 @@ def test_partition_matches_manual_per_row_stack():
 
 
 def test_partition_misaligned_blocks_rejected():
-    c1 = shapes.Ball(center=np.zeros(2))
-    c2 = shapes.Ball(center=np.zeros(2))
-    inter = shapes.Intersection(components=(c1, c2), blocks=((0, 2), (1, 3)))
+    """One component per row, each of dimension d; the product's dimension
+    alone matches the family's in every case below."""
     spec = model.CcpSpec(objective=[-1.0, -1.0], family=model.JointLinear(l=2),
                          rhs=[4.0, 4.0], epsilon=0.5, delta=0.5)
-    with pytest.raises(InvalidArgumentError):
-        rf.assemble_ro(spec, pset_with_size(inter, 1.0))
-
-
-def test_plain_intersection_unsupported():
-    inter = shapes.Intersection(components=(
-        shapes.Ball(center=np.zeros(2)), shapes.Ball(center=np.ones(2))))
-    spec = model.CcpSpec(objective=[-1.0, -1.0], family=model.SingleLinear(),
-                         rhs=[5.0], epsilon=0.5, delta=0.5)
-    with pytest.raises(UnsupportedCombinationError):
-        rf.assemble_ro(spec, pset_with_size(inter, 1.0))
+    cases = [
+        (shapes.Ball(center=np.zeros(4)),),  # one component for two rows
+        tuple(shapes.Ball(center=np.zeros(1)) for _ in range(4)),  # four
+        (shapes.Ball(center=np.zeros(1)), shapes.Ball(center=np.zeros(3))),
+        (shapes.Ball(center=np.zeros(3)), shapes.Ball(center=np.zeros(1))),
+    ]
+    for comps in cases:
+        inter = shapes.Intersection(components=comps)
+        assert inter.dim == spec.data_dim
+        with pytest.raises(InvalidArgumentError):
+            rf.assemble_ro(spec, pset_with_size(inter, 1.0))
 
 
 def test_joint_vs_individual_conservativeness():
@@ -1054,9 +1053,7 @@ def test_joint_vs_individual_conservativeness():
             center=np.concatenate([c.center for c in comps]),
             variances=np.concatenate([c.variances for c in comps]),
         )
-        inter = shapes.Intersection(
-            components=comps, blocks=tuple(
-                tuple(range(i * d, (i + 1) * d)) for i in range(l)))
+        inter = shapes.Intersection(components=comps)
         ps_joint = shapes.build_prediction_set(joint, ph2, 0.05, 0.05)
         ps_ind = shapes.build_prediction_set(inter, ph2, 0.05, 0.05)
         assert ps_joint.size >= ps_ind.size - 1e-12

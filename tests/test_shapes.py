@@ -1,5 +1,6 @@
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -176,6 +177,32 @@ def test_cluster_count_is_an_int_of_at_least_one():
     assert shapes.shape_to_obj(got) == shapes.shape_to_obj(want)
 
 
+def test_cluster_seed_is_an_int_of_at_least_zero():
+    pts = np.random.default_rng(0).normal(size=(40, 2))
+    for seed in (-1, 2.5, True, "0"):
+        for k in (1, 2):
+            with pytest.raises(InvalidArgumentError, match="cluster seed"):
+                cluster_union(pts, k=k, seed=seed)
+    got = cluster_union(pts, k=2, seed=np.int64(3))
+    want = cluster_union(pts, k=2, seed=3)
+    assert shapes.shape_to_obj(got) == shapes.shape_to_obj(want)
+
+
+def test_ridge_is_a_finite_float_of_at_least_zero():
+    pts = np.random.default_rng(1).normal(size=(40, 3))
+    fitters = (partial(fit_ellipsoid, mode="full"), partial(fit_ellipsoid, mode="diag"),
+               pca_ellipsoid, partial(cluster_union, k=2))
+    for fit in fitters:
+        for ridge in (-1.0, -1e-8, math.nan, math.inf, "0", True):
+            with pytest.raises(InvalidArgumentError, match="ridge"):
+                fit(pts, ridge=ridge)
+        # 0 and an int are fine, and the default is 1e-8
+        assert shapes.shape_to_obj(fit(pts, ridge=0)) == \
+            shapes.shape_to_obj(fit(pts, ridge=0.0))
+        assert shapes.shape_to_obj(fit(pts)) == \
+            shapes.shape_to_obj(fit(pts, ridge=1e-8))
+
+
 def test_cluster_union_degenerate_k():
     pts = np.random.default_rng(0).normal(size=(10, 2))
     with pytest.raises(ClusterDegeneracyError):
@@ -318,9 +345,10 @@ def test_build_prediction_set_too_small():
 def test_build_prediction_set_intersection_max_map():
     comps = (Ball(center=np.zeros(1)), Ball(center=np.array([1.0])))
     inter = Intersection(components=comps)
-    phase2 = np.linspace(-3, 3, 59).reshape(-1, 1)
+    grid = np.linspace(-3, 3, 59)
+    phase2 = np.column_stack([grid, grid[::-1] / 2])
     pset = build_prediction_set(inter, phase2, 0.05, 0.05)
-    want = np.max(np.maximum(phase2[:, 0] ** 2, (phase2[:, 0] - 1.0) ** 2))
+    want = np.max(np.maximum(phase2[:, 0] ** 2, (phase2[:, 1] - 1.0) ** 2))
     assert pset.size == pytest.approx(want)
 
 
@@ -333,7 +361,11 @@ def test_membership_consistency_union_intersection():
         s = float(rng.uniform(0.0, 9.0))
         in_comp = [transform_values(c, xi[None])[0] <= s for c in comps]
         assert (transform_values(u, xi[None])[0] <= s) == any(in_comp)
-        assert (transform_values(inter, xi[None])[0] <= s) == all(in_comp)
+        # the product reads each component on its own slice of a point in R^4
+        pair = rng.uniform(-3, 5, size=4)
+        in_slice = [transform_values(c, pair[None, 2 * i: 2 * i + 2])[0] <= s
+                    for i, c in enumerate(comps)]
+        assert (transform_values(inter, pair[None])[0] <= s) == all(in_slice)
 
 
 def test_level_sets_nest_in_s():
@@ -435,38 +467,30 @@ def test_shape_json_round_trip_all_variants():
 def test_intersection_blocks_transform_and_dim():
     c1 = Ball(center=np.array([1.0, 0.0]))
     c2 = Ball(center=np.array([0.0, 2.0]))
-    inter = Intersection(components=(c1, c2), blocks=((0, 1), (2, 3)))
+    inter = Intersection(components=(c1, c2))
     assert inter.dim == 4
     xi = np.array([2.0, 0.0, 0.0, 0.0])
     # component 1 sees (2, 0), component 2 sees (0, 0)
     assert transform_values(inter, xi[None])[0] == max(1.0, 4.0)
 
 
-def test_intersection_blocks_permuted_coordinates():
-    c1 = Ball(center=np.zeros(1))
-    c2 = Ball(center=np.zeros(1))
-    inter = Intersection(components=(c1, c2), blocks=((1,), (0,)))
-    assert transform_values(inter, [[3.0, 2.0]])[0] == 9.0
-
-
 def test_intersection_blocks_validation():
-    b2 = Ball(center=np.zeros(2))
-    with pytest.raises(InvalidArgumentError):  # overlap
-        Intersection(components=(b2, b2), blocks=((0, 1), (1, 2)))
-    with pytest.raises(InvalidArgumentError):  # gap: index 2 missing
-        Intersection(components=(b2, b2), blocks=((0, 1), (3, 4)))
-    with pytest.raises(InvalidArgumentError):  # block/component dim mismatch
-        Intersection(components=(b2,), blocks=((0, 1, 2),))
-    with pytest.raises(InvalidArgumentError):  # one block per component
-        Intersection(components=(b2, b2), blocks=((0, 1),))
+    b1, b2 = Ball(center=np.zeros(1)), Ball(center=np.zeros(2))
+    inter = Intersection(components=(b2, b1, b2))  # dimensions may differ
+    assert inter.dim == 5
+    # b1 reads coordinate 2 only
+    assert transform_values(inter, [[0.0, 0.0, 3.0, 0.0, 0.0]])[0] == 9.0
+    with pytest.raises(InvalidArgumentError):  # no nesting
+        Intersection(components=(b2, Union(components=(b2,))))
+    with pytest.raises(InvalidArgumentError):  # at least one component
+        Intersection(components=())
 
 
 def test_intersection_blocks_json_round_trip():
     inter = Intersection(
-        components=(Ball(center=np.zeros(2)), Ball(center=np.ones(2))),
-        blocks=((2, 3), (0, 1)),
-    )
+        components=(Ball(center=np.ones(2)), Ball(center=np.zeros(1))))
     doc = json.loads(json.dumps(shape_to_obj(inter)))
-    assert doc["parameters"]["blocks"] == [[2, 3], [0, 1]]
-    assert [c["parameters"]["center"] for c in doc["parameters"]["components"]] == \
-        [[0.0, 0.0], [1.0, 1.0]]
+    assert doc == {"variant": "intersection", "parameters": {"components": [
+        {"variant": "ball", "parameters": {"center": [1.0, 1.0]}},
+        {"variant": "ball", "parameters": {"center": [0.0]}}]}}
+    assert "blocks" not in doc["parameters"]
