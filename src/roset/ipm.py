@@ -20,6 +20,10 @@ convergence separates optimality from infeasibility certificates.
 Every program takes one loop of at most MAX_ITER iterations and one exit,
 ``_solution``.  Without rows the first iterate is x = 0, optimal when the
 dual residual ||c|| / max(1, ||c||) is within FEAS_TOL, else the second is a ray.
+A breakdown ends the loop as ITER_LIMIT at the best iterate, with its reason;
+a tau that is not positive, or whose square underflows to 0 (the deflated gap
+divides by tau^2), is one, so tau's collapse on a badly scaled program is a
+status, not an exception.
 
 The cone layer is blockwise over second-order blocks only: a nonnegative row
 is the one-dimensional second-order cone, so each solve gives every Nonneg row
@@ -453,6 +457,9 @@ def solve(prog: ConicProgram) -> Solution:
             kappa = kappa + a * dkappa
             if tau <= 0.0 or kappa <= 0.0:
                 raise _Breakdown("tau/kappa left the positive orthant")
+            if tau * tau == 0.0:
+                # the deflated gap divides by tau^2
+                raise _Breakdown("tau underflowed: tau^2 is 0")
         except _Breakdown as exc:
             reason = str(exc)
             break

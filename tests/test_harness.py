@@ -230,6 +230,57 @@ def test_scaled_beta_22_draw_has_the_beta22_law():
     assert abs(u.var() - 0.05) < 2e-3
 
 
+def test_scaled_beta_22_draws_lie_inside_the_unit_interval_on_the_32_bit_grid():
+    samp = hz.scaled_beta_sampler(np.zeros(3), np.eye(3))
+    # a0 = 0 and identity rows: each coordinate is 2 zeta - 1, exactly
+    zeta = (samp.draw(np.random.default_rng(16), 20_000).reshape(-1) + 1.0) / 2.0
+    assert np.all((zeta > 0.0) & (zeta < 1.0))
+    k = zeta * 2.0**32 - 0.5
+    assert np.array_equal(k, np.floor(k))
+    assert k.min() >= 0.0 and k.max() <= 2.0**32 - 1.0
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (15, 7), (15, 1025)])
+def test_scaled_beta_22_partial_blocks_of_odd_word_count_repeat(m, n):
+    # 3 r m 32-bit words per block of r rows: odd for each of these last
+    # blocks, so half of the last 64-bit word is left unread
+    rng = np.random.default_rng(17)
+    samp = hz.scaled_beta_sampler(rng.normal(size=m), rng.normal(size=(m, m)))
+    got = samp.draw(np.random.default_rng(5), n)
+    assert got.shape == (n, m) and np.all(np.isfinite(got))
+    assert got.tobytes() == samp.draw(np.random.default_rng(5), n).tobytes()
+    # full blocks come first, so a shorter draw is a prefix of a longer one
+    full = min(n, 1024)
+    assert np.array_equal(got[:full], samp.draw(np.random.default_rng(5), full))
+
+
+def test_scaled_beta_22_violation_agrees_with_an_rng_beta_reference():
+    """The mean of mc_violation over seeds at a rate near 0.16 matches the
+    rate of the same sampler's law drawn by rng.beta within 4 standard
+    errors of the difference."""
+    rng = np.random.default_rng(20)
+    m = 15
+    a0, a_rows = rng.uniform(1.0, 2.0, size=m), 0.15 * rng.normal(size=(m, m))
+    samp = hz.scaled_beta_sampler(a0, a_rows)
+    x = rng.uniform(0.5, 1.5, size=m)
+    ref_rng = np.random.default_rng(21)
+
+    def reference_rows(n):
+        return (a0 + (2.0 * ref_rng.beta(2.0, 2.0, size=(n, m)) - 1.0) @ a_rows) @ x
+
+    spec = model.CcpSpec(objective=-np.ones(m), family=model.SingleLinear(),
+                         rhs=[np.quantile(reference_rows(20_000), 0.84)],
+                         epsilon=EPS, delta=DELTA)
+    rates = np.array([hz.mc_violation(x, samp, spec, n_eval=10_000, seed=seed)
+                      for seed in range(50)])
+    ref_n = 500_000
+    ref = np.mean([np.count_nonzero(reference_rows(50_000) > spec.rhs[0])
+                   for _ in range(ref_n // 50_000)]) / 50_000
+    assert 0.14 < ref < 0.18
+    se = math.sqrt(rates.var(ddof=1) / rates.size + ref * (1.0 - ref) / ref_n)
+    assert abs(rates.mean() - ref) <= 4.0 * se
+
+
 def test_scaled_beta_other_parameters_keep_the_rng_beta_stream():
     rng = np.random.default_rng(13)
     a0, a_rows = rng.normal(size=4), rng.normal(size=(6, 4))

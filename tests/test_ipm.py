@@ -663,3 +663,23 @@ def test_large_data_scales_give_no_false_certificates():
             sol = conic.solve(lp_min(c, G, h))
             assert sol.status is SolveStatus.OPTIMAL, (c, h)
             assert abs(sol.obj - ref.fun) <= 1e-6 * abs(ref.fun), (c, h)
+
+
+def test_tau_underflow_is_a_breakdown_not_an_exception():
+    # an infeasible LP whose rows and columns are scaled by up to 10^+-4:
+    # tau shrinks until tau^2 underflows to 0 before the Farkas test fires,
+    # and the deflated gap s'z / tau^2 then divided by zero
+    c, G, h = _random_lp(64, 5, 40, "infeasible")
+    rng = np.random.default_rng(1064)
+    r = 10 ** rng.uniform(-4, 4, 42)
+    q = 10 ** rng.uniform(-4, 4, 5)
+    c, G, h = c * q, r[:, None] * G * q, r * h
+    sol = conic.solve(lp_min(c, G, h))
+    if sol.status is SolveStatus.ITER_LIMIT:
+        assert "tau" in sol.reason
+    else:
+        # only a Farkas certificate checked on the program's own data:
+        # z >= 0, G'z = 0, h'z = -1
+        assert sol.status is SolveStatus.INFEASIBLE
+        assert np.all(sol.z >= -1e-9) and abs(h @ sol.z + 1.0) <= 1e-9
+        assert np.linalg.norm(G.T @ sol.z) <= 1e-8 * max(1.0, np.linalg.norm(h))
