@@ -163,7 +163,7 @@ def _cmd_reconstruct(args) -> int:
     n1 = _split_sizes(data.points.shape[0], args.split)
     rec = harness.reconstruction_pipeline(
         data, spec, n1, seed=args.seed, shape=args.shape,
-        shape_options=args.shape_options, scale=args.scale)
+        shape_options=args.shape_options)
     _emit({
         "status_initial": rec.status_initial,
         "status_reconstructed": rec.status_reconstructed,
@@ -227,7 +227,7 @@ def _cmd_export(args) -> int:
 # parser
 
 
-def _add_two_phase_flags(sub, with_scale=False):
+def _add_two_phase_flags(sub):
     sub.add_argument("--spec", required=True, help="CCP spec JSON file")
     sub.add_argument("--data", required=True, help="observation CSV file")
     sub.add_argument("--shape", default="ellipsoid",
@@ -238,9 +238,6 @@ def _add_two_phase_flags(sub, with_scale=False):
                      help="Phase-1 fraction; n1 = floor(n * split)")
     sub.add_argument("--seed", type=_seed_flag, default=0,
                      help="seed for the data split")
-    if with_scale:
-        sub.add_argument("--scale", default="auto",
-                         choices=harness.SCALE_POLICIES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve)
 
     p = subs.add_parser("reconstruct", help="solve with set reconstruction")
-    _add_two_phase_flags(p, with_scale=True)
+    _add_two_phase_flags(p)
     p.set_defaults(func=_cmd_reconstruct)
 
     p = subs.add_parser("table1", help="sample-size comparison CSV")

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import baselines, conic, model, reformulate, shapes
 from .calibrate import CalibResult, min_phase2_size
-from .errors import InvalidArgumentError, RosetError
+from .errors import InvalidArgumentError, InvalidScaleError, RosetError
 
 __all__ = [
     "Sampler",
@@ -42,7 +42,6 @@ __all__ = [
     "mc_violation",
     "fit_shape",
     "SHAPE_KINDS",
-    "SCALE_POLICIES",
     "two_phase_ro",
     "ExperimentConfig",
     "config_from_obj",
@@ -480,9 +479,6 @@ def fit_shape(kind: str, phase1, options: dict | None = None):
 # experiment configuration and report
 
 
-SCALE_POLICIES = ("auto", "margin", "std")      # reconstruction scale
-
-
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """One experiment: a CCP, a data law, a method, and split sizes."""
@@ -496,12 +492,11 @@ class ExperimentConfig:
     shape_options: dict | None = None
     n_eval: int = 10_000     # Monte Carlo draws, where no closed form applies
     perturbation: dict | None = None
-    scale: str = "auto"      # one of SCALE_POLICIES
 
     def __post_init__(self):
         # the counts and names, also those of a config document, are read here
         for name, kind in (("method", str), ("n", int), ("n1", int), ("shape", str),
-                           ("n_eval", int), ("scale", str)):
+                           ("n_eval", int)):
             object.__setattr__(self, name, model.read_value(
                 getattr(self, name), kind, f"experiment config field {name!r}"))
         if self.method not in _METHODS:
@@ -521,8 +516,6 @@ class ExperimentConfig:
                 raise InvalidArgumentError(
                     f"Phase 2 has n - n1 = {self.n2} rows; calibrating at this "
                     f"epsilon and delta needs at least {need}")
-        if self.scale not in SCALE_POLICIES:
-            raise InvalidArgumentError("scale must be auto, margin, or std")
         _check_dim(self.sampler.dim, self.spec)
         if not isinstance(self.spec.family, model.JointLinear):
             raise InvalidArgumentError(
@@ -609,8 +602,7 @@ def _method_ro(config: ExperimentConfig, data_rows, seed: int):
 def _method_ro_reconstructed(config: ExperimentConfig, data_rows, seed: int):
     rec = reconstruction_pipeline(data_rows, config.spec, config.n1, seed=seed,
                                   shape=config.shape,
-                                  shape_options=config.shape_options,
-                                  scale=config.scale)
+                                  shape_options=config.shape_options)
     note = (f"rho={rec.rho:.6g}" if rec.rho is not None
             else f"initial={rec.status_initial}")
     return rec.status_reconstructed, rec.x_tilde, note
@@ -732,8 +724,7 @@ class ReconstructionResult:
 
 def reconstruction_pipeline(data, spec: model.CcpSpec, n1: int, seed: int = 0,
                             shape: str = "ellipsoid",
-                            shape_options: dict | None = None,
-                            scale: str = "auto") -> ReconstructionResult:
+                            shape_options: dict | None = None) -> ReconstructionResult:
     """Initial RO solve on a Phase-1 region, then margin-based reshaping.
 
     Phase 1 fits the shape and sizes it to cover ceil(n1(1-eps)) of its own
@@ -742,9 +733,14 @@ def reconstruction_pipeline(data, spec: model.CcpSpec, n1: int, seed: int = 0,
     reconstructed RO, a linear program in the one scalar lambda of
     x = lambda x_hat, is solved in closed form for x_tilde by
     reformulate.solve_reconstruction.
+
+    Row j is scaled by its margin k_j = b_j - mu_j'x_hat, mu_j the Phase-1
+    mean of its coefficients. Where that margin is nonpositive, k_j falls back
+    to the standard deviation of the row's Phase-1 values a_j'x_hat; a
+    UserWarning names those rows and scale_fallback_rows lists them. A
+    nonpositive margin on a row whose Phase-1 values are all equal has no
+    positive scale: InvalidScaleError names the rows.
     """
-    if scale not in SCALE_POLICIES:
-        raise InvalidArgumentError("scale must be auto, margin, or std")
     if not isinstance(data, model.Dataset):
         data = model.Dataset(data)
     split = model.split_data(data, n1, seed)
@@ -769,26 +765,22 @@ def reconstruction_pipeline(data, spec: model.CcpSpec, n1: int, seed: int = 0,
     obj_hat = float(spec.objective @ x_hat)
 
     l = spec.family.n_rows()
-    lhs_rows = reformulate.linear_row_values(ph1, x_hat, l)
-    if scale == "std":
-        k = lhs_rows.std(axis=0, ddof=0)
-        fallback = tuple(range(l))
-    else:
-        mu_rows = ph1.reshape(ph1.shape[0], l, spec.d).mean(axis=0)
-        k = spec.rhs - mu_rows @ x_hat
-        bad = np.flatnonzero(k <= 0.0)
-        if bad.size and scale == "margin":
-            raise InvalidArgumentError(
-                f"margin scale is nonpositive on rows {bad.tolist()}; "
-                "use scale='auto' or 'std'")
-        if bad.size:
-            k = k.copy()
-            k[bad] = lhs_rows[:, bad].std(axis=0, ddof=0)
-            warnings.warn(
-                f"margin scale was nonpositive on rows {bad.tolist()}; "
-                "fell back to the per-row standard deviation",
-                stacklevel=2)
-        fallback = tuple(int(i) for i in bad)
+    mu_rows = ph1.reshape(ph1.shape[0], l, spec.d).mean(axis=0)
+    k = spec.rhs - mu_rows @ x_hat
+    bad = np.flatnonzero(k <= 0.0)
+    if bad.size:
+        lhs_bad = reformulate.linear_row_values(ph1, x_hat, l)[:, bad]
+        flat = bad[np.ptp(lhs_bad, axis=0) == 0.0]
+        if flat.size:
+            raise InvalidScaleError(
+                f"margin scale is nonpositive on rows {flat.tolist()}, whose "
+                "Phase-1 values a_j'x_hat are all equal: no positive scale")
+        k[bad] = lhs_bad.std(axis=0, ddof=0)
+        warnings.warn(
+            f"margin scale was nonpositive on rows {bad.tolist()}; "
+            "fell back to the per-row standard deviation",
+            stacklevel=2)
+    fallback = tuple(int(i) for i in bad)
 
     pset_rec = reformulate.build_reconstruction_set(
         x_hat, spec, k, split.phase2, spec.epsilon, spec.delta)

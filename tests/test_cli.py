@@ -116,6 +116,11 @@ def test_usage_errors_exit_two(capsys):
         cli.main(["experiment", "--config", "cfg.json", "--jobs", "2"])
     assert info.value.code == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as info:  # the margins are the scale
+        cli.main(["reconstruct", "--spec", "spec.json", "--data", "x.csv",
+                  "--scale", "std"])
+    assert info.value.code == 2
+    capsys.readouterr()
     for command in ("solve", "reconstruct", "export", "experiment"):
         flags = (["--config", "cfg.json"] if command == "experiment"
                  else ["--spec", "spec.json", "--data", "x.csv"])
@@ -250,6 +255,25 @@ def test_reconstruct_improves(capsys, fixtures):
                 <= doc["objective_initial"] + 1e-8)
     assert len(doc["x_tilde"]) == 5
     assert doc["scale_fallback_rows"] == []
+
+
+def test_reconstruct_nonpositive_margin_without_spread_exits_one(capsys, tmp_path):
+    # row 1's coefficients are all 1; ball_basis sizes its Phase-1 set at 0,
+    # so x_hat is tight on row 1 and its margin at the Phase-1 mean is not
+    # positive, with no Phase-1 spread to scale the row by instead
+    rng = np.random.default_rng(3)
+    data = np.hstack([rng.normal(1.0, 0.2, (200, 2)), np.ones((200, 2))])
+    np.savetxt(tmp_path / "d.csv", data, delimiter=",", fmt="%.17g")
+    (tmp_path / "p.json").write_text(json.dumps(
+        {"objective": [-1.0, -1.0], "family": {"kind": "joint_linear", "l": 2},
+         "rhs": [20.0, 5.0], "epsilon": 0.05, "delta": 0.05}))
+    code, out, err = run_cli(capsys, [
+        "reconstruct", "--spec", str(tmp_path / "p.json"), "--data",
+        str(tmp_path / "d.csv"), "--shape", "ball_basis", "--seed", "1"])
+    assert code == 1 and out == ""
+    doc = json.loads(err.strip().splitlines()[-1])
+    assert doc["error"]["type"] == "InvalidScaleError"
+    assert "rows [1]" in doc["error"]["message"]
 
 
 def test_fit_round_trips(capsys, fixtures):

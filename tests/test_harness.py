@@ -3,13 +3,14 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from roset import baselines, conic, harness as hz, model, shapes
-from roset.errors import InvalidArgumentError
+from roset.errors import InvalidArgumentError, InvalidScaleError
 
 EPS = DELTA = 0.05
 EYE3 = np.eye(3).tolist()
@@ -779,11 +780,12 @@ def test_experiment_config_document_round_trip_and_strictness():
     # so it is the method that admits the default n1 = 0
     minimal = {k: obj[k] for k in ("spec", "sampler", "n")}
     dflt = hz.config_from_obj({**minimal, "method": "sg"})
-    assert (dflt.n1, dflt.shape, dflt.n_eval, dflt.scale) == \
-        (0, "ellipsoid", 10_000, "auto")
-    # a misspelled key is rejected instead of silently ignored, and so is a
-    # violation mode: the sampler and family decide how a solution is scored
-    for key, value in (("shape_option", {"k": 3}), ("violation", "mc")):
+    assert (dflt.n1, dflt.shape, dflt.n_eval) == (0, "ellipsoid", 10_000)
+    # a misspelled key is rejected instead of silently ignored, and so are a
+    # violation mode and a reconstruction scale: the sampler and family decide
+    # how a solution is scored, and the margins are the scale
+    for key, value in (("shape_option", {"k": 3}), ("violation", "mc"),
+                       ("scale", "std")):
         with pytest.raises(InvalidArgumentError, match=f"unknown .* field\\(s\\): {key};"):
             hz.config_from_obj({**obj, key: value})
     with pytest.raises(InvalidArgumentError, match="'n'"):
@@ -876,36 +878,61 @@ def test_reconstruction_pipeline_runs_one_conic_solve(monkeypatch):
     assert len(programs) == 4
 
 
-def test_reconstruction_scale_std_policy():
-    spec, samp, _, _ = gaussian_instance(46, d=4, b=8.0)
-    data = samp.draw(np.random.default_rng(0), 150)
-    rec = hz.reconstruction_pipeline(data, spec, n1=70, seed=3, scale="std")
-    assert rec.scale is not None and np.all(rec.scale > 0)
-    assert rec.scale_fallback_rows == (0,)
-    assert rec.status_reconstructed == "optimal"
-
-
 def test_reconstruction_margin_scale_values():
     # margin scale: k_j = b_j - mu_j'x_hat with mu_j the Phase-1 mean row.
     # A robust-feasible x_hat against a set containing the Phase-1 mean
-    # always yields k_j > 0, so "margin" and "auto" agree on the same data.
+    # always yields k_j > 0, so no row falls back.
     spec, samp, _, _ = gaussian_instance(47, d=4, b=8.0)
     data = samp.draw(np.random.default_rng(2), 130)
-    rec_m = hz.reconstruction_pipeline(data, spec, n1=65, seed=1,
-                                       scale="margin")
-    rec_a = hz.reconstruction_pipeline(data, spec, n1=65, seed=1,
-                                       scale="auto")
-    assert rec_m.status_reconstructed == "optimal"
-    assert rec_m.scale_fallback_rows == ()
-    assert np.array_equal(rec_m.scale, rec_a.scale)
-    assert np.array_equal(rec_m.x_tilde, rec_a.x_tilde)
+    rec = hz.reconstruction_pipeline(data, spec, n1=65, seed=1)
+    assert rec.status_reconstructed == "optimal"
+    assert rec.scale_fallback_rows == ()
     # recompute Scale 1 by hand from the same Phase-1 split
     split = model.split_data(model.Dataset(data), 65, 1)
     mu_hat = split.phase1.points.mean(axis=0)
-    assert rec_m.scale[0] == pytest.approx(8.0 - mu_hat @ rec_m.x_hat)
-    assert rec_m.scale[0] > 0
-    with pytest.raises(InvalidArgumentError):
-        hz.reconstruction_pipeline(data, spec, n1=65, seed=1, scale="median")
+    assert rec.scale[0] == pytest.approx(8.0 - mu_hat @ rec.x_hat)
+    assert rec.scale[0] > 0
+
+
+def _two_row_instance(monkeypatch, row1, x_hat=(3.0, 3.0)):
+    """A JointLinear(2) instance, d = 2 and rhs (20, 5), whose initial solve
+    returns x_hat: row 0's coefficients are N(1, 0.2^2), so its margin at the
+    Phase-1 mean is about 14, and row 1's are row1, above 5 at x_hat."""
+    def fixed(prog, **kwargs):
+        x = np.zeros(prog.n_vars)
+        x[:2] = x_hat
+        return conic.Solution(
+            status=conic.SolveStatus.OPTIMAL, x=x, y=None, z=None, s=None,
+            obj=None, gap=None, gap_abs=None, pres=None, dres=None, iterations=1)
+
+    monkeypatch.setattr(conic, "solve", fixed)
+    spec = model.CcpSpec(objective=[-1.0, -1.0], family=model.JointLinear(2),
+                         rhs=[20.0, 5.0], epsilon=EPS, delta=DELTA)
+    data = np.hstack([np.random.default_rng(3).normal(1.0, 0.2, (200, 2)), row1])
+    ph1 = model.split_data(model.Dataset(data), 100, 1).phase1.points
+    return spec, data, ph1, np.asarray(x_hat)
+
+
+def test_reconstruction_falls_back_to_the_std_on_a_nonpositive_margin(monkeypatch):
+    row1 = np.random.default_rng(4).normal(1.0, 0.2, (200, 2))
+    spec, data, ph1, x_hat = _two_row_instance(monkeypatch, row1)
+    with pytest.warns(UserWarning, match=r"nonpositive on rows \[1\]"):
+        rec = hz.reconstruction_pipeline(data, spec, n1=100, seed=1)
+    assert rec.scale_fallback_rows == (1,)
+    assert np.array_equal(rec.x_hat, x_hat)
+    assert rec.scale[0] == pytest.approx(20.0 - ph1[:, :2].mean(axis=0) @ x_hat,
+                                         rel=1e-12)
+    assert rec.scale[1] == pytest.approx(np.std(ph1[:, 2:] @ x_hat), rel=1e-12)
+
+
+def test_reconstruction_rejects_a_nonpositive_margin_without_spread(monkeypatch):
+    # row 1 is the same for every point: its Phase-1 values have no spread to
+    # fall back to, so the rows are named at once and nothing is warned
+    spec, data, _, _ = _two_row_instance(monkeypatch, np.ones((200, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidScaleError, match=r"rows \[1\]"):
+            hz.reconstruction_pipeline(data, spec, n1=100, seed=1)
 
 
 def test_reconstruction_collinear_single_row():
