@@ -13,8 +13,9 @@ export       write the reformulated conic program (sdpa or json)
 Results are printed to stdout as JSON (table1 prints CSV; export prints
 the serialized program). Progress notes go to stderr. Exit status 0 on
 success, 1 on domain errors (with a JSON error object on stderr), 2 on
-usage errors. Identical flags and inputs produce byte-identical stdout;
-randomness enters only through explicit --seed flags.
+usage errors. Identical flags and inputs produce byte-identical stdout at
+a fixed BLAS thread count; randomness enters only through explicit --seed
+flags.
 """
 
 from __future__ import annotations

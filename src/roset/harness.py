@@ -442,9 +442,8 @@ _SHAPE_FITTERS = {
     "diag_ellipsoid": (partial(shapes.fit_ellipsoid, mode="diag"), {}),
     "ball": (partial(shapes.fit_ellipsoid, mode="ball"), {}),
     "polytope_box": (shapes.fit_polytope_box, {}),
-    "pca": (shapes.pca_ellipsoid, {"variance_keep": float, "ridge": float}),
-    "cluster_union": (partial(shapes.cluster_union, k=2),
-                      {"k": int, "mode": str, "seed": int}),
+    "pca": (shapes.pca_ellipsoid, {"variance_keep": float}),
+    "cluster_union": (partial(shapes.cluster_union, k=2), {"k": int}),
     "ball_basis": (shapes.ball_basis, {}),
     "box_grid": (shapes.grid_histogram, {"width": float}),
 }

@@ -393,33 +393,24 @@ def _distances(pts: np.ndarray, centers: np.ndarray, norm) -> np.ndarray:
 # fitting
 
 
-def _ridge_level(ridge, tr: float, m: int) -> float:
-    """ridge * tr / m, the floor below which a fitted variance is lifted;
-    ridge must be a finite float >= 0 (a negative or NaN one would turn
-    the lift off)."""
-    ridge = read_value(ridge, float, "ridge", least=0)
-    if not np.isfinite(ridge):
-        raise InvalidArgumentError(f"ridge must be finite, got {ridge}")
-    return ridge * tr / m
-
-
-def _regularize_spd(sigma: np.ndarray, ridge: float) -> np.ndarray:
+def _regularize_spd(sigma: np.ndarray) -> np.ndarray:
     m = sigma.shape[0]
     tr = float(np.trace(sigma))
     if tr <= 0:
         raise DegenerateDataError("covariance has zero trace; data are a single point")
-    level = _ridge_level(ridge, tr, m)
+    level = DEFAULT_RIDGE * tr / m
     lam_min = float(np.linalg.eigvalsh(sigma)[0])
     if lam_min <= level:
         sigma = sigma + level * np.eye(m)
     return sigma
 
 
-def fit_ellipsoid(phase1, mode: str = "full", ridge: float = DEFAULT_RIDGE) -> Shape:
+def fit_ellipsoid(phase1, mode: str = "full") -> Shape:
     """Fit an ellipsoidal shape: sample mean plus (regularized) covariance.
 
     mode "full" keeps the whole covariance matrix, "diag" its diagonal, and
-    "ball" replaces it with the identity.
+    "ball" replaces it with the identity.  A near-singular covariance is
+    lifted by DEFAULT_RIDGE times its mean variance.
     """
     pts = _points_of(phase1)
     n, m = pts.shape
@@ -431,13 +422,13 @@ def fit_ellipsoid(phase1, mode: str = "full", ridge: float = DEFAULT_RIDGE) -> S
     else:
         cov = np.zeros((m, m))
     if mode == "full":
-        return Ellipsoid(center=mu, sigma=_regularize_spd(cov, ridge))
+        return Ellipsoid(center=mu, sigma=_regularize_spd(cov))
     if mode == "diag":
         var = np.diag(cov).copy()
         tr = float(var.sum())
         if tr <= 0:
             raise DegenerateDataError("all coordinates have zero variance")
-        level = _ridge_level(ridge, tr, m)
+        level = DEFAULT_RIDGE * tr / m
         var[var <= level] += level
         return DiagEllipsoid(center=mu, variances=var)
     raise InvalidArgumentError(f"unknown mode {mode!r}")
@@ -458,9 +449,9 @@ def fit_polytope_box(phase1) -> Polytope:
     return Polytope(rows=rows, offsets=offsets, interior=(lo + hi) / 2.0)
 
 
-def _kmeans(pts: np.ndarray, k: int, seed: int):
+def _kmeans(pts: np.ndarray, k: int):
     n = pts.shape[0]
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(0))
     centers = np.empty((k, pts.shape[1]))
     centers[0] = pts[rng.integers(n)]
     d2 = _distances(pts, centers[:1], 2)[:, 0]
@@ -500,19 +491,19 @@ def _kmeans(pts: np.ndarray, k: int, seed: int):
     return labels, centers
 
 
-def cluster_union(phase1, k: int, mode: str = "full", seed: int = 0,
-                  ridge: float = DEFAULT_RIDGE) -> Shape:
-    """k-means the data and fit one ellipsoid per cluster; union of the fits."""
+def cluster_union(phase1, k: int) -> Shape:
+    """k-means the data and fit one full ellipsoid per cluster; union of the
+    fits.  The k-means++ start draws from np.random.PCG64(0), so a fit is
+    a function of the data and k."""
     pts = _points_of(phase1)
     k = read_value(k, int, "cluster count k", least=1)
-    seed = read_value(seed, int, "cluster seed", least=0)
     if k == 1:
-        return fit_ellipsoid(pts, mode=mode, ridge=ridge)
+        return fit_ellipsoid(pts)
     if 2 * k > pts.shape[0]:
         raise ClusterDegeneracyError(
             f"{k} clusters cannot all hold >= 2 of {pts.shape[0]} points"
         )
-    labels, _ = _kmeans(pts, k, seed)
+    labels, _ = _kmeans(pts, k)
     parts = []
     for j in range(k):
         cluster = pts[labels == j]
@@ -520,12 +511,11 @@ def cluster_union(phase1, k: int, mode: str = "full", seed: int = 0,
             raise ClusterDegeneracyError(
                 f"cluster {j} has {cluster.shape[0]} point(s); use a smaller k"
             )
-        parts.append(fit_ellipsoid(cluster, mode=mode, ridge=ridge))
+        parts.append(fit_ellipsoid(cluster))
     return Union(components=tuple(parts))
 
 
-def pca_ellipsoid(phase1, variance_keep: float = 0.9999,
-                  ridge: float = DEFAULT_RIDGE) -> PcaEllipsoid:
+def pca_ellipsoid(phase1, variance_keep: float = 0.9999) -> PcaEllipsoid:
     """Project onto the leading principal components, ellipsoid in that space.
 
     The rank is the smallest r whose components capture at least
@@ -535,6 +525,7 @@ def pca_ellipsoid(phase1, variance_keep: float = 0.9999,
     n, m = pts.shape
     if n < 2:
         raise InvalidArgumentError("need at least two points")
+    variance_keep = read_value(variance_keep, float, "variance_keep")
     if not (0 < variance_keep <= 1):
         raise InvalidArgumentError("variance_keep must be in (0, 1]")
     mu = pts.mean(axis=0)
@@ -554,7 +545,7 @@ def pca_ellipsoid(phase1, variance_keep: float = 0.9999,
         j = int(np.argmax(np.abs(M[i])))
         if M[i, j] < 0:
             M[i] = -M[i]
-    sigma_red = _regularize_spd(np.diag(evals[:r]), ridge)
+    sigma_red = _regularize_spd(np.diag(evals[:r]))
     return PcaEllipsoid(projection=M, center_reduced=M @ mu, sigma_reduced=sigma_red)
 
 
@@ -568,6 +559,7 @@ def grid_histogram(phase1, width: float) -> BoxGrid:
     """Boxes of a regular grid (anchored at the data minimum) that contain
     at least one point."""
     pts = _points_of(phase1)
+    width = read_value(width, float, "width")
     if not (width > 0 and np.isfinite(width)):
         raise InvalidArgumentError("width must be positive")
     lo = pts.min(axis=0)

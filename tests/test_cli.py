@@ -291,6 +291,7 @@ def test_fit_round_trips(capsys, fixtures):
     ("box_grid", None, "width"),
     ("cluster_union", '{"kk": 3}', "kk"),
     ("cluster_union", '{"seed": -1}', "seed"),
+    ("cluster_union", '{"mode": "diag"}', "mode"),
     ("pca", '{"ridge": -1}', "ridge"),
     ("pca", '{"ridge": NaN}', "ridge"),
 ])

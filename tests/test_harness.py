@@ -644,15 +644,16 @@ def test_replication_note_carries_the_solver_reason(monkeypatch):
         assert doc["aggregates"]["statuses"] == {status: 2}
 
 
-def test_bad_cluster_seed_ends_each_replication_in_error():
-    # the option's type is checked on load; its range is the fitter's to read
+def test_removed_shape_options_are_refused_on_load():
+    # cluster_union fits full ellipsoids from a fixed k-means seed, and the
+    # variance floor is fixed: a config naming mode, seed or ridge fails
+    # when it is built, not in each replication
     spec, samp, _, _ = gaussian_instance(10, d=3, b=6.0)
-    cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method="ro", n=80, n1=20,
-                              shape="cluster_union", shape_options={"seed": -1})
-    rep = hz.run_replications(cfg, 2, master_seed=3)
-    assert rep.failures == 2 and rep.statuses == {"error": 2}
-    for rec in rep.records:
-        assert rec.note == "InvalidArgumentError: cluster seed must be >= 0, got -1"
+    for shape, name, value in (("cluster_union", "seed", 0), ("cluster_union", "mode", "full"),
+                               ("cluster_union", "ridge", 1e-8), ("pca", "ridge", 1e-8)):
+        with pytest.raises(InvalidArgumentError, match=f"unknown .*{name}"):
+            hz.ExperimentConfig(spec=spec, sampler=samp, method="ro", n=80, n1=20,
+                                shape=shape, shape_options={name: value})
 
 
 def test_experiment_config_validation():
@@ -760,7 +761,7 @@ def test_unknown_shape_kind_is_an_invalid_argument():
 def test_shape_options_keep_their_defaults():
     pts = np.random.default_rng(0).normal(size=(40, 3))
     for kind, options, default in (
-            ("cluster_union", {"k": 2, "mode": "full", "seed": 0}, {}),
+            ("cluster_union", {"k": 2}, {}),
             ("pca", {"variance_keep": 0.9999}, None),
             ("box_grid", {"width": 1}, {"width": 1.0})):
         want = hz.fit_shape(kind, pts, options)

@@ -771,7 +771,7 @@ def test_union_two_balls_structure_and_direction():
         rng.normal(size=(60, 2)) * 0.4 + [4.0, 4.0],
         rng.normal(size=(60, 2)) * 0.4 + [-4.0, 4.0],
     ])
-    union = shapes.cluster_union(pts, k=2, seed=0)
+    union = shapes.cluster_union(pts, k=2)
     single = shapes.fit_ellipsoid(pts)
     # probe the spread direction: one ellipsoid must span both blobs there
     spec = model.CcpSpec(

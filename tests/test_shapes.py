@@ -1,6 +1,5 @@
 import json
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -46,7 +45,7 @@ def test_fit_ball_square_corners():
 def test_fit_full_on_line_regularizes():
     t = np.linspace(0, 1, 20)
     pts = np.column_stack([t, 2 * t])  # rank-1 spread in R^2
-    shape = fit_ellipsoid(pts, mode="full", ridge=1e-8)
+    shape = fit_ellipsoid(pts, mode="full")
     assert isinstance(shape, Ellipsoid)
     assert np.all(np.linalg.eigvalsh(shape.sigma) > 0)
 
@@ -150,7 +149,7 @@ def test_cluster_union_two_blobs():
     a = rng.normal(size=(80, 2)) * 0.2 + np.array([0.0, 0.0])
     b = rng.normal(size=(80, 2)) * 0.2 + np.array([8.0, 8.0])
     pts = np.vstack([a, b])
-    shape = cluster_union(pts, k=2, mode="full", seed=7)
+    shape = cluster_union(pts, k=2)
     assert isinstance(shape, Union) and len(shape.components) == 2
     centers = sorted(tuple(c.center) for c in shape.components)
     assert np.linalg.norm(np.array(centers[0]) - [0.0, 0.0]) < 0.5
@@ -160,7 +159,7 @@ def test_cluster_union_two_blobs():
 def test_cluster_union_k1_reduction():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(50, 3))
-    one = cluster_union(pts, k=1, mode="full", seed=0)
+    one = cluster_union(pts, k=1)
     ref = fit_ellipsoid(pts, mode="full")
     assert isinstance(one, Ellipsoid)
     assert np.array_equal(one.center, ref.center)
@@ -171,49 +170,23 @@ def test_cluster_count_is_an_int_of_at_least_one():
     pts = np.random.default_rng(0).normal(size=(40, 2))
     for k in (2.5, True, "2", 0, -1):
         with pytest.raises(InvalidArgumentError, match="cluster count"):
-            cluster_union(pts, k=k, seed=0)
-    got = cluster_union(pts, k=np.int64(2), seed=0)
-    want = cluster_union(pts, k=2, seed=0)
+            cluster_union(pts, k=k)
+    got = cluster_union(pts, k=np.int64(2))
+    want = cluster_union(pts, k=2)
     assert shapes.shape_to_obj(got) == shapes.shape_to_obj(want)
-
-
-def test_cluster_seed_is_an_int_of_at_least_zero():
-    pts = np.random.default_rng(0).normal(size=(40, 2))
-    for seed in (-1, 2.5, True, "0"):
-        for k in (1, 2):
-            with pytest.raises(InvalidArgumentError, match="cluster seed"):
-                cluster_union(pts, k=k, seed=seed)
-    got = cluster_union(pts, k=2, seed=np.int64(3))
-    want = cluster_union(pts, k=2, seed=3)
-    assert shapes.shape_to_obj(got) == shapes.shape_to_obj(want)
-
-
-def test_ridge_is_a_finite_float_of_at_least_zero():
-    pts = np.random.default_rng(1).normal(size=(40, 3))
-    fitters = (partial(fit_ellipsoid, mode="full"), partial(fit_ellipsoid, mode="diag"),
-               pca_ellipsoid, partial(cluster_union, k=2))
-    for fit in fitters:
-        for ridge in (-1.0, -1e-8, math.nan, math.inf, "0", True):
-            with pytest.raises(InvalidArgumentError, match="ridge"):
-                fit(pts, ridge=ridge)
-        # 0 and an int are fine, and the default is 1e-8
-        assert shapes.shape_to_obj(fit(pts, ridge=0)) == \
-            shapes.shape_to_obj(fit(pts, ridge=0.0))
-        assert shapes.shape_to_obj(fit(pts)) == \
-            shapes.shape_to_obj(fit(pts, ridge=1e-8))
 
 
 def test_cluster_union_degenerate_k():
     pts = np.random.default_rng(0).normal(size=(10, 2))
     with pytest.raises(ClusterDegeneracyError):
-        cluster_union(pts, k=10, seed=0)
+        cluster_union(pts, k=10)
 
 
 def test_cluster_union_deterministic():
     rng = np.random.default_rng(12)
     pts = np.vstack([rng.normal(size=(40, 2)), rng.normal(size=(40, 2)) + 6.0])
-    s1 = cluster_union(pts, k=2, seed=5)
-    s2 = cluster_union(pts, k=2, seed=5)
+    s1 = cluster_union(pts, k=2)
+    s2 = cluster_union(pts, k=2)
     for c1, c2 in zip(s1.components, s2.components):
         assert np.array_equal(c1.center, c2.center)
 
@@ -231,13 +204,26 @@ def test_pca_full_rank_matches_ellipsoid():
     rng = np.random.default_rng(9)
     mix = np.eye(4) + 0.3 * rng.normal(size=(4, 4))
     pts = rng.normal(size=(300, 4)) @ mix + rng.normal(size=4)
-    full = fit_ellipsoid(pts, mode="full", ridge=0.0)
-    proj = pca_ellipsoid(pts, variance_keep=1.0, ridge=0.0)
+    full = fit_ellipsoid(pts, mode="full")
+    proj = pca_ellipsoid(pts, variance_keep=1.0)
     assert proj.rank == 4
     xi = pts[:20] + 0.1 * rng.normal(size=(20, 4))
     tv_full = transform_values(full, xi)
     tv_proj = transform_values(proj, xi)
     assert np.max(np.abs(tv_full - tv_proj)) < 1e-8
+
+
+def test_pca_and_grid_options_are_floats():
+    # a bool or a string is refused, not read as 1.0 or compared with a number
+    pts = np.random.default_rng(2).normal(size=(40, 2))
+    for fit, name in ((pca_ellipsoid, "variance_keep"), (grid_histogram, "width")):
+        for bad in (True, "0.5"):
+            with pytest.raises(InvalidArgumentError, match=name):
+                fit(pts, **{name: bad})
+    assert shape_to_obj(pca_ellipsoid(pts, variance_keep=1)) == \
+        shape_to_obj(pca_ellipsoid(pts, variance_keep=1.0))
+    assert shape_to_obj(grid_histogram(pts, width=np.int64(1))) == \
+        shape_to_obj(grid_histogram(pts, width=1.0))
 
 
 def test_pca_latent_factor_cutoff():
