@@ -73,7 +73,7 @@ def sg_solve(spec: model.CcpSpec, scenarios) -> conic.Solution:
             "scenario generation is implemented for linear constraint "
             "families only"
         )
-    l = fam.n_rows()
+    l = fam.l
     d = spec.d
     pts = np.asarray(scenarios, dtype=float)
     if pts.size == 0:

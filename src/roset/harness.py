@@ -3,11 +3,11 @@ and the set-reconstruction pipeline.
 
 A replication draws a fresh dataset, runs one solution method end to end,
 and scores the returned decision by its true (analytic or simulated)
-constraint violation probability; a safe method reads no data, so its one
-solve per experiment is scored anew in each replication. Aggregates follow
-the usual two-level reading: eps_hat is the mean violation probability of
-the returned solutions, delta_hat the fraction of replications whose
-solution misses the epsilon target.
+constraint violation probability; a safe method reads no data, so its
+program is built with the config, solved once, and scored anew in each
+replication. Aggregates follow the usual two-level reading: eps_hat is the
+mean violation probability of the returned solutions, delta_hat the
+fraction of replications whose solution misses the epsilon target.
 """
 
 from __future__ import annotations
@@ -359,8 +359,7 @@ def _violation_rate(spec: model.CcpSpec, x: np.ndarray, pts: np.ndarray) -> floa
     """violation_rate at a read x and (n, data_dim) points."""
     fam = spec.family
     if isinstance(fam, model.JointLinear):
-        return _rows_violated(reformulate.linear_row_values(pts, x, fam.n_rows()),
-                              spec)
+        return _rows_violated(reformulate.linear_row_values(pts, x, fam.l), spec)
     if isinstance(fam, model.Quadratic):
         q, d = fam.q, spec.d
         a_part = pts[:, : q * d].reshape(-1, q, d)
@@ -419,7 +418,7 @@ def mc_violation(x, sampler: Sampler, spec: model.CcpSpec,
         fill = _zeta_fill(p)
         lin, off = 2.0 * p["a_rows"], p["a0"] - p["a_rows"].sum(axis=0)
     _check_dim(off.size, spec)
-    embed = np.kron(np.eye(fam.n_rows()), x[:, None])
+    embed = np.kron(np.eye(fam.l), x[:, None])
     rows = _variates(rng, n_eval, lin.shape[0], fill, lin @ embed)
     rows += off @ embed
     return _rows_violated(rows, spec)
@@ -435,37 +434,37 @@ def _check_dim(m: int, spec: model.CcpSpec) -> None:
 # shape fitting by name
 
 
-# shape kind -> (fitter(phase1, **options), {option: type}); an option left
-# out takes the fitter's default, and one without a default must be given
+# shape kind -> (fitter(phase1, **options), {option: the reader the fitter
+# uses}); an option left out takes the fitter's default, and one without a
+# default must be given
 _SHAPE_FITTERS = {
     "ellipsoid": (partial(shapes.fit_ellipsoid, mode="full"), {}),
     "diag_ellipsoid": (partial(shapes.fit_ellipsoid, mode="diag"), {}),
     "ball": (partial(shapes.fit_ellipsoid, mode="ball"), {}),
     "polytope_box": (shapes.fit_polytope_box, {}),
-    "pca": (shapes.pca_ellipsoid, {"variance_keep": float}),
-    "cluster_union": (partial(shapes.cluster_union, k=2), {"k": int}),
+    "pca": (shapes.pca_ellipsoid, {"variance_keep": shapes.read_variance_keep}),
+    "cluster_union": (partial(shapes.cluster_union, k=2), {"k": shapes.read_cluster_count}),
     "ball_basis": (shapes.ball_basis, {}),
-    "box_grid": (shapes.grid_histogram, {"width": float}),
+    "box_grid": (shapes.grid_histogram, {"width": shapes.read_width}),
 }
 SHAPE_KINDS = tuple(_SHAPE_FITTERS)
 # shape kind -> the options whose fitter parameter has no default
 _REQUIRED_OPTIONS = {
-    kind: tuple(name for name in types
+    kind: tuple(name for name in readers
                 if inspect.signature(fitter).parameters[name].default
                 is inspect.Parameter.empty)
-    for kind, (fitter, types) in _SHAPE_FITTERS.items()}
+    for kind, (fitter, readers) in _SHAPE_FITTERS.items()}
 
 
 def _shape_options(kind: str, options) -> dict:
-    """The kind's fitting options, checked by name and type."""
+    """The kind's fitting options, checked by name, type and range."""
     if not isinstance(kind, str) or kind not in _SHAPE_FITTERS:
         raise InvalidArgumentError(
             f"unknown shape kind {kind!r}; known: {', '.join(SHAPE_KINDS)}")
-    types = _SHAPE_FITTERS[kind][1]
+    readers = _SHAPE_FITTERS[kind][1]
     options = model.read_fields({} if options is None else options,
-                                f"{kind} shape options", types, _REQUIRED_OPTIONS[kind])
-    return {name: model.read_value(value, types[name], f"{kind} shape option {name!r}")
-            for name, value in options.items()}
+                                f"{kind} shape options", readers, _REQUIRED_OPTIONS[kind])
+    return {name: readers[name](value) for name, value in options.items()}
 
 
 def fit_shape(kind: str, phase1, options: dict | None = None):
@@ -480,7 +479,8 @@ def fit_shape(kind: str, phase1, options: dict | None = None):
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """One experiment: a CCP, a data law, a method, and split sizes."""
+    """One experiment: a CCP, a data law, a method, and split sizes; a safe
+    method's program, which the config alone decides, is built with it."""
 
     spec: model.CcpSpec
     sampler: Sampler
@@ -491,6 +491,7 @@ class ExperimentConfig:
     shape_options: dict | None = None
     n_eval: int = 10_000     # Monte Carlo draws, where no closed form applies
     perturbation: dict | None = None
+    _program = None  # not a field: a safe method's program, set below
 
     def __post_init__(self):
         # the counts and names, also those of a config document, are read here
@@ -498,9 +499,9 @@ class ExperimentConfig:
                            ("n_eval", int)):
             object.__setattr__(self, name, model.read_value(
                 getattr(self, name), kind, f"experiment config field {name!r}"))
-        if self.method not in _METHODS:
+        if self.method not in _METHODS and self.method not in _SAFE_METHODS:
             raise InvalidArgumentError(
-                f"method must be one of {', '.join(_METHODS)}")
+                f"method must be one of {', '.join([*_METHODS, *_SAFE_METHODS])}")
         _shape_options(self.shape, self.shape_options)
         if self.n < 1:
             raise InvalidArgumentError("n must be >= 1")
@@ -528,11 +529,12 @@ class ExperimentConfig:
             if not isinstance(self.spec.family, model.SingleLinear):
                 raise InvalidArgumentError(
                     "safe approximations apply to the single linear family")
-            missing = [name for name in _SAFE_METHODS[self.method][1]
-                       if name not in (self.perturbation or {})]
-            if missing:
-                raise InvalidArgumentError(
-                    f"{self.method} needs perturbation fields: {', '.join(missing)}")
+            build, names = _SAFE_METHODS[self.method]
+            pert = model.read_fields(self.perturbation or {}, f"{self.method} perturbation",
+                                     _PERTURBATION_FIELDS, names)
+            object.__setattr__(self, "_program", build(
+                self.spec.objective, *(pert[k] for k in names), float(self.spec.rhs[0]),
+                self.spec.epsilon, det=self.spec.det))
 
     @property
     def n2(self) -> int:
@@ -617,32 +619,23 @@ _SAFE_METHODS = {
     "safe_gaussian": (baselines.safe_gaussian,
                       ("a0", "a_rows", "mu_minus", "mu_plus", "sigma")),
 }
-
-
-def _method_safe(config: ExperimentConfig, data_rows, seed):
-    build, names = _SAFE_METHODS[config.method]
-    prog = build(config.spec.objective, *(config.perturbation[k] for k in names),
-                 float(config.spec.rhs[0]), config.spec.epsilon, det=config.spec.det)
-    return _solved(config.spec, conic.solve(prog))
+_PERTURBATION_FIELDS = tuple(
+    dict.fromkeys(name for _, names in _SAFE_METHODS.values() for name in names))
 
 
 # method name -> (config, data rows, split seed) -> (status, x or None, note);
-# the safe methods read neither, and are given None
+# a safe method reads no data, and ExperimentConfig builds its program
 _METHODS = {
     "ro": _method_ro,
     "ro_reconstructed": _method_ro_reconstructed,
     "sg": _method_sg,
-    **dict.fromkeys(_SAFE_METHODS, _method_safe),
 }
 
 
-def _outcome(config: ExperimentConfig, seed: int | None):
-    """(status, x or None, note) of the method on n rows drawn from seed.
-
-    Under seed None nothing is drawn: a safe method reads no data.
-    """
+def _outcome(config: ExperimentConfig, seed: int):
+    """(status, x or None, note) of the method on n rows drawn from seed."""
     try:
-        data_rows = None if seed is None else config.sampler.draw(
+        data_rows = config.sampler.draw(
             np.random.Generator(np.random.PCG64(seed)), config.n)
         return _METHODS[config.method](config, data_rows, seed)
     except RosetError as exc:
@@ -654,10 +647,10 @@ def run_replications(config: ExperimentConfig, r_count: int,
     """Run R independent replications, in replication order."""
     r_count = model.read_value(r_count, int, "replication count", least=1)
     master_seed = model.read_value(master_seed, int, "master seed", least=0)
-    # a safe method's program depends on the config alone: it is solved once,
-    # and each replication scores that solution with its own evaluation seed
+    # a safe method's program, built with the config, is solved once, and
+    # each replication scores that solution with its own evaluation seed
     safe = config.method in _SAFE_METHODS
-    shared = _outcome(config, None) if safe else None
+    shared = _solved(config.spec, conic.solve(config._program)) if safe else None
     records = []
     for r in range(r_count):
         seed, eval_seed = _rep_seeds(master_seed, r)
@@ -763,7 +756,7 @@ def reconstruction_pipeline(data, spec: model.CcpSpec, n1: int, seed: int = 0,
     x_hat = sol0.x[: spec.d]
     obj_hat = float(spec.objective @ x_hat)
 
-    l = spec.family.n_rows()
+    l = spec.family.l
     mu_rows = ph1.reshape(ph1.shape[0], l, spec.d).mean(axis=0)
     k = spec.rhs - mu_rows @ x_hat
     bad = np.flatnonzero(k <= 0.0)
@@ -801,9 +794,8 @@ _CONFIG_READERS = {
     "spec": model.spec_from_obj,
     "sampler": sampler_from_obj,
     "perturbation": lambda obj: None if obj is None else {
-        k: model.frozen(v, f"perturbation {k}") for k, v in model.read_fields(
-            obj, "perturbation", dict.fromkeys(
-                name for _, names in _SAFE_METHODS.values() for name in names)).items()},
+        k: model.frozen(v, f"perturbation {k}")
+        for k, v in model.read_fields(obj, "perturbation", _PERTURBATION_FIELDS).items()},
 }
 
 

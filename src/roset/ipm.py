@@ -108,7 +108,6 @@ class _Cones:
     identity ``e`` are 1, 0 and 1 on a head and -1, 1 and 0 elsewhere.
     """
 
-    dims: np.ndarray
     heads: np.ndarray
     blk: np.ndarray
     J: np.ndarray
@@ -160,7 +159,7 @@ def _split(prog: ConicProgram) -> _Split:
     tail[heads] = 0.0
     c, b, h = prog.c.copy(), prog.b[eq], prog.b[~eq]
     return _Split(c=c, A=prog.A[eq], b=b, G=prog.A[~eq], h=h,
-                  cones=_Cones(dims=dims, heads=heads, blk=blk,
+                  cones=_Cones(heads=heads, blk=blk,
                                J=1.0 - 2.0 * tail, tail=tail, e=1.0 - tail),
                   nu=1.0 + dims.size,  # 1 for the tau*kappa pair
                   scales=tuple(max(1.0, _norm(v))

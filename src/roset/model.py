@@ -130,7 +130,6 @@ class Dataset:
 class DataSplit:
     phase1: Dataset
     phase2: Dataset
-    seed: int
 
 
 def split_data(data: Dataset, n1: int, seed: int) -> DataSplit:
@@ -151,7 +150,6 @@ def split_data(data: Dataset, n1: int, seed: int) -> DataSplit:
     return DataSplit(
         phase1=Dataset(data.points[np.sort(perm[:n1])]),
         phase2=Dataset(data.points[np.sort(perm[n1:])]),
-        seed=seed,
     )
 
 
@@ -167,9 +165,6 @@ class JointLinear(Counts):
 
     def data_dim(self, d: int) -> int:
         return self.l * d
-
-    def n_rows(self) -> int:
-        return self.l
 
     def rhs_size(self) -> int:
         return self.l
@@ -196,9 +191,6 @@ class Quadratic(Counts):
     def data_dim(self, d: int) -> int:
         return self.q * d + d + 1
 
-    def n_rows(self) -> int:
-        return 1
-
     def rhs_size(self) -> int:
         return 1
 
@@ -217,9 +209,6 @@ class Semidefinite(Counts):
 
     def data_dim(self, d: int) -> int:
         return d * self.p * self.p
-
-    def n_rows(self) -> int:
-        return 1
 
     def rhs_size(self) -> int:
         return self.p * self.p

@@ -496,7 +496,7 @@ def build_reconstruction_set(x_hat, spec: model.CcpSpec, scale, phase2,
         )
     x_hat = np.asarray(x_hat, dtype=float).reshape(-1)
     d = spec.d
-    l = spec.family.n_rows()
+    l = spec.family.l
     if x_hat.size != d:
         raise InvalidArgumentError(f"x_hat must have {d} entries")
     norm2 = float(x_hat @ x_hat)

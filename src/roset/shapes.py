@@ -449,6 +449,27 @@ def fit_polytope_box(phase1) -> Polytope:
     return Polytope(rows=rows, offsets=offsets, interior=(lo + hi) / 2.0)
 
 
+def read_cluster_count(k) -> int:
+    """cluster_union's option k, an int >= 1."""
+    return read_value(k, int, "cluster count 'k'", least=1)
+
+
+def read_variance_keep(value) -> float:
+    """pca_ellipsoid's option variance_keep, a float in (0, 1]."""
+    value = read_value(value, float, "pca option 'variance_keep'")
+    if 0 < value <= 1:
+        return value
+    raise InvalidArgumentError(f"pca option 'variance_keep' must be in (0, 1], got {value}")
+
+
+def read_width(width) -> float:
+    """grid_histogram's option width, a finite float > 0."""
+    width = read_value(width, float, "box_grid option 'width'")
+    if width > 0 and np.isfinite(width):
+        return width
+    raise InvalidArgumentError(f"box_grid option 'width' must be finite and > 0, got {width}")
+
+
 def _kmeans(pts: np.ndarray, k: int):
     n = pts.shape[0]
     rng = np.random.Generator(np.random.PCG64(0))
@@ -496,7 +517,7 @@ def cluster_union(phase1, k: int) -> Shape:
     fits.  The k-means++ start draws from np.random.PCG64(0), so a fit is
     a function of the data and k."""
     pts = _points_of(phase1)
-    k = read_value(k, int, "cluster count k", least=1)
+    k = read_cluster_count(k)
     if k == 1:
         return fit_ellipsoid(pts)
     if 2 * k > pts.shape[0]:
@@ -525,9 +546,7 @@ def pca_ellipsoid(phase1, variance_keep: float = 0.9999) -> PcaEllipsoid:
     n, m = pts.shape
     if n < 2:
         raise InvalidArgumentError("need at least two points")
-    variance_keep = read_value(variance_keep, float, "variance_keep")
-    if not (0 < variance_keep <= 1):
-        raise InvalidArgumentError("variance_keep must be in (0, 1]")
+    variance_keep = read_variance_keep(variance_keep)
     mu = pts.mean(axis=0)
     cov = np.cov(pts, rowvar=False, ddof=1).reshape(m, m)
     evals, evecs = np.linalg.eigh(cov)
@@ -559,9 +578,7 @@ def grid_histogram(phase1, width: float) -> BoxGrid:
     """Boxes of a regular grid (anchored at the data minimum) that contain
     at least one point."""
     pts = _points_of(phase1)
-    width = read_value(width, float, "width")
-    if not (width > 0 and np.isfinite(width)):
-        raise InvalidArgumentError("width must be positive")
+    width = read_width(width)
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     # counted in floats: a cast to int first would overflow on a tiny width

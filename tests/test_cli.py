@@ -390,9 +390,21 @@ def test_split_with_no_phase1_rows_names_the_split(capsys, fixtures, tmp_path):
 def test_experiment_config_checks_happen_on_load(capsys, fixtures, tmp_path):
     with open(fixtures["config"], encoding="utf-8") as f:
         cfg = json.load(f)
+    pert = {"a0": [1.0] * 5, "a_rows": (0.3 * np.eye(5)).tolist(),
+            "mu_minus": [-0.1] * 5, "mu_plus": [0.1] * 5, "sigma": [1.0] * 5}
     for change in ({"n": 70},  # n2 = 10 < 59
                    {"shape": "box_grid"},
-                   {"shape": "cluster_union", "shape_options": {"kk": 3}}):
+                   {"shape": "cluster_union", "shape_options": {"kk": 3}},
+                   # shape options out of range
+                   {"shape": "cluster_union", "shape_options": {"k": 0}},
+                   {"shape": "pca", "shape_options": {"variance_keep": 1.5}},
+                   {"shape": "box_grid", "shape_options": {"width": -1.0}},
+                   # perturbations the safe program cannot take
+                   {"method": "safe_gaussian",
+                    "perturbation": {**pert, "mu_minus": [0.2] * 5}},
+                   {"method": "safe_hoeffding",
+                    "perturbation": {**pert, "a_rows": [[0.3] * 4] * 5}},
+                   {"method": "safe_hoeffding", "perturbation": {**pert, "a0": [1.0] * 4}}):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**cfg, **change}))
         code, out, err = run_cli(capsys, ["experiment", "--config", str(path)])

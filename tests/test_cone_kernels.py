@@ -182,7 +182,7 @@ def test_layout_keeps_program_row_order():
         for kind, sl in blocks:
             k = sl.stop - sl.start
             dims += [1] * k if kind == "l" else [k]
-        assert sp.cones.dims.tolist() == dims
+        assert np.bincount(sp.cones.blk).tolist() == dims
         assert sp.nu == 1.0 + len(dims)
 
 

@@ -656,6 +656,51 @@ def test_removed_shape_options_are_refused_on_load():
                                 shape=shape, shape_options={name: value})
 
 
+# a safe config on the d = 3 spec of CONFIG_DOC, scored over the scaled-beta
+# law of its perturbation model
+SAFE_DOC = {
+    "spec": CONFIG_DOC["spec"], "method": "safe_gaussian", "n": 1, "n_eval": 500,
+    "sampler": {"kind": "scaled_beta",
+                "params": {"a0": [1.0, 2.0, 1.5], "a_rows": (0.2 * np.eye(3)).tolist()}},
+    "perturbation": {"a0": [1.0, 2.0, 1.5], "a_rows": (0.2 * np.eye(3)).tolist(),
+                     "mu_minus": [-0.1] * 3, "mu_plus": [0.1] * 3, "sigma": [1.0] * 3},
+}
+
+
+@pytest.mark.parametrize("method, change, match", [
+    ("safe_gaussian", {"mu_minus": [0.2] * 3}, "mu_minus <= mu_plus"),
+    ("safe_hoeffding", {"a_rows": [[0.2, 0.0]] * 3}, "2 columns"),
+    ("safe_gaussian", {"a0": [1.0, 2.0]}, "nominal vector has 2"),
+])
+def test_malformed_perturbation_is_refused_on_load(method, change, match):
+    # the safe program depends on the config alone and is built with it, so
+    # a perturbation it cannot take fails the config, not each replication
+    doc = {**SAFE_DOC, "method": method,
+           "perturbation": {**SAFE_DOC["perturbation"], **change}}
+    with pytest.raises(InvalidArgumentError, match=match):
+        hz.config_from_obj(doc)
+    good = hz.config_from_obj(SAFE_DOC)
+    with pytest.raises(InvalidArgumentError, match=match):
+        hz.ExperimentConfig(spec=good.spec, sampler=good.sampler, method=method, n=1,
+                            perturbation={**good.perturbation, **change})
+
+
+def test_a_fit_that_fails_on_the_drawn_data_ends_in_error():
+    # a 1e-4 grid over 150 Phase-1 rows of spread about 0.3 spans far more
+    # boxes than the guard allows: the config loads, and each replication's
+    # fit fails on its data
+    doc = {**CONFIG_DOC,
+           "spec": {**CONFIG_DOC["spec"], "objective": [-1.0, -1.0], "rhs": [10.0]},
+           "sampler": {"kind": "gaussian",
+                       "params": {"mu": [1.0, 1.2], "sigma": [[0.1, 0.0], [0.0, 0.1]]}},
+           "n": 300, "n1": 150, "shape": "box_grid", "shape_options": {"width": 1e-4}}
+    rep = hz.run_replications(hz.config_from_obj(doc), 3, master_seed=5)
+    assert rep.statuses == {"error": 3} and rep.failures == 3
+    for rec in rep.records:
+        assert rec.note.startswith("TooFineGridError:")
+        assert rec.objective is None and rec.violation_probability is None
+
+
 def test_experiment_config_validation():
     spec, samp, _, _ = gaussian_instance(10, d=3, b=6.0)
     with pytest.raises(InvalidArgumentError):
@@ -735,6 +780,10 @@ def test_experiment_config_rejects_a_too_small_phase_2():
     ("box_grid", {"width": True}, "'width'"),
     ("ellipsoid", {"k": 2}, "known: none"),
     ("ball", [["k", 2]], "object"),
+    # out of range: the fitter's reader refuses these when a config loads
+    ("cluster_union", {"k": 0}, "'k' must be >= 1"),
+    ("pca", {"variance_keep": 1.5}, r"'variance_keep' must be in \(0, 1\]"),
+    ("box_grid", {"width": -1.0}, "'width' must be finite and > 0"),
 ])
 def test_shape_options_are_checked(shape, options, match):
     spec, samp, _, _ = gaussian_instance(10, d=3, b=6.0)

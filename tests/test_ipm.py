@@ -356,7 +356,7 @@ def test_nonneg_blocks_merge_across_zero_rows():
     for trial in range(5):
         split, merged = _split_and_merged(rng)
         cones = ipm._split(split).cones
-        assert cones.dims.tolist() == [1] * 13  # 13 one-row blocks
+        assert np.bincount(cones.blk).tolist() == [1] * 13  # 13 one-row blocks
         a, b = conic.solve(split), conic.solve(merged)
         assert a.status is b.status is SolveStatus.OPTIMAL, trial
         assert np.array_equal(a.x, b.x), trial
@@ -364,7 +364,7 @@ def test_nonneg_blocks_merge_across_zero_rows():
     soc_between = ConicProgram(c=[1.0, 1.0], A=np.zeros((5, 2)), b=np.ones(5),
                                cones=(Nonneg(1), SecondOrder(3), Nonneg(1)))
     cones = ipm._split(soc_between).cones
-    assert cones.dims.tolist() == [1, 3, 1]
+    assert np.bincount(cones.blk).tolist() == [1, 3, 1]
 
 
 def test_nonneg_rows_solve_as_one_row_second_order_blocks():

@@ -176,6 +176,32 @@ def test_cluster_count_is_an_int_of_at_least_one():
     assert shapes.shape_to_obj(got) == shapes.shape_to_obj(want)
 
 
+def test_kmeans_repairs_an_empty_cluster(monkeypatch):
+    # on these 22 points the second assignment leaves a cluster empty; the
+    # repair moves its center to the point farthest from its own, and the
+    # fit goes on to four clusters of at least two points each
+    rng = np.random.default_rng(28982)
+    for bounds in ((1, 4), (6, 40), (2, 6)):
+        rng.integers(*bounds)
+    pts = rng.normal(size=(22, 2)) * 2.0
+    pts[:7] += 8.0
+    counts = []
+    bincount = np.bincount
+
+    def recorded(*args, **kwargs):
+        counts.append(bincount(*args, **kwargs))
+        return counts[-1]
+
+    monkeypatch.setattr(np, "bincount", recorded)
+    union = cluster_union(pts, 4)
+    monkeypatch.undo()
+    assert any(np.any(c == 0) for c in counts)
+    assert len(union.components) == 4
+    centers = np.array([comp.center for comp in union.components])
+    nearest = np.argmin(((pts[:, None, :] - centers) ** 2).sum(axis=2), axis=1)
+    assert np.bincount(nearest, minlength=4).min() >= 2
+
+
 def test_cluster_union_degenerate_k():
     pts = np.random.default_rng(0).normal(size=(10, 2))
     with pytest.raises(ClusterDegeneracyError):
