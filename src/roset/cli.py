@@ -201,8 +201,8 @@ def _cmd_experiment(args) -> int:
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"invalid experiment config JSON: {exc}") from exc
     config = harness.config_from_obj(obj)
-    _log(f"running {args.reps} replications of {config.method} "
-         f"(n={config.n}, seed={args.seed})")
+    size = f"n={config.n}, " if "n" in harness._READS[config.method] else ""
+    _log(f"running {args.reps} replications of {config.method} ({size}seed={args.seed})")
     report = harness.run_replications(config, args.reps, args.seed)
     if args.records_csv:
         with open(args.records_csv, "w", encoding="utf-8") as fh:

@@ -479,13 +479,14 @@ def fit_shape(kind: str, phase1, options: dict | None = None):
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """One experiment: a CCP, a data law, a method, and split sizes; a safe
-    method's program, which the config alone decides, is built with it."""
+    """One experiment: a CCP, a data law, a method and the fields it reads
+    (_READS), each other field left at its default; a safe method's program,
+    which the config alone decides, is built with it."""
 
     spec: model.CcpSpec
     sampler: Sampler
     method: str
-    n: int
+    n: int = 0
     n1: int = 0
     shape: str = "ellipsoid"
     shape_options: dict | None = None
@@ -494,20 +495,28 @@ class ExperimentConfig:
     _program = None  # not a field: a safe method's program, set below
 
     def __post_init__(self):
-        # the counts and names, also those of a config document, are read here
-        for name, kind in (("method", str), ("n", int), ("n1", int), ("shape", str),
-                           ("n_eval", int)):
-            object.__setattr__(self, name, model.read_value(
-                getattr(self, name), kind, f"experiment config field {name!r}"))
-        if self.method not in _METHODS and self.method not in _SAFE_METHODS:
-            raise InvalidArgumentError(
-                f"method must be one of {', '.join([*_METHODS, *_SAFE_METHODS])}")
-        _shape_options(self.shape, self.shape_options)
-        if self.n < 1:
-            raise InvalidArgumentError("n must be >= 1")
-        if not (0 <= self.n1 <= self.n):
-            raise InvalidArgumentError("need 0 <= n1 <= n")
-        if self.method in ("ro", "ro_reconstructed"):
+        # the names and counts, also those of a config document, are read here
+        object.__setattr__(self, "method", model.read_value(
+            self.method, str, "experiment config field 'method'"))
+        if self.method not in _READS:
+            raise InvalidArgumentError(f"method must be one of {', '.join(_READS)}")
+        reads = _READS[self.method]
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # compared by type first, so an array value is refused, not tested
+            if not (f.default is MISSING or f.name in reads
+                    or type(value) is type(f.default) and value == f.default):
+                raise InvalidArgumentError(
+                    f"{self.method} does not read experiment config field {f.name!r}; "
+                    f"it reads {', '.join(reads)}")
+        for name, kind, least in (("n", int, 1), ("n1", int, None), ("shape", str, None),
+                                  ("n_eval", int, None)):
+            if name in reads:
+                object.__setattr__(self, name, model.read_value(
+                    getattr(self, name), kind, f"experiment config field {name!r}", least))
+        if "shape" in reads:
+            _shape_options(self.shape, self.shape_options)
+        if "n1" in reads:
             if self.n1 < 1:
                 raise InvalidArgumentError(
                     f"{self.method} fits its shape on n1 Phase-1 rows; need n1 >= 1")
@@ -525,13 +534,15 @@ class ExperimentConfig:
             raise InvalidArgumentError(
                 "n_eval must be >= 1 where the violation is estimated by "
                 "Monte Carlo")
-        if self.method in _SAFE_METHODS:
+        if "perturbation" in reads:
             if not isinstance(self.spec.family, model.SingleLinear):
                 raise InvalidArgumentError(
                     "safe approximations apply to the single linear family")
             build, names = _SAFE_METHODS[self.method]
-            pert = model.read_fields(self.perturbation or {}, f"{self.method} perturbation",
-                                     _PERTURBATION_FIELDS, names)
+            pert = {k: model.frozen(v, f"perturbation {k}") for k, v in model.read_fields(
+                {} if self.perturbation is None else self.perturbation,
+                f"{self.method} perturbation", _PERTURBATION_FIELDS, names).items()}
+            object.__setattr__(self, "perturbation", pert)
             object.__setattr__(self, "_program", build(
                 self.spec.objective, *(pert[k] for k in names), float(self.spec.rhs[0]),
                 self.spec.epsilon, det=self.spec.det))
@@ -631,6 +642,12 @@ _METHODS = {
     "sg": _method_sg,
 }
 
+# method name -> the config fields it reads besides spec, sampler and method;
+# every method lists n_eval, which the law, not the method, decides to read
+_SPLIT_FIELDS = ("n", "n1", "shape", "shape_options", "n_eval")
+_READS = {"ro": _SPLIT_FIELDS, "ro_reconstructed": _SPLIT_FIELDS, "sg": ("n", "n_eval"),
+          **dict.fromkeys(_SAFE_METHODS, ("perturbation", "n_eval"))}
+
 
 def _outcome(config: ExperimentConfig, seed: int):
     """(status, x or None, note) of the method on n rows drawn from seed."""
@@ -649,12 +666,12 @@ def run_replications(config: ExperimentConfig, r_count: int,
     master_seed = model.read_value(master_seed, int, "master seed", least=0)
     # a safe method's program, built with the config, is solved once, and
     # each replication scores that solution with its own evaluation seed
-    safe = config.method in _SAFE_METHODS
-    shared = _solved(config.spec, conic.solve(config._program)) if safe else None
+    shared = (None if config._program is None
+              else _solved(config.spec, conic.solve(config._program)))
     records = []
     for r in range(r_count):
         seed, eval_seed = _rep_seeds(master_seed, r)
-        status, x, note = shared if safe else _outcome(config, seed)
+        status, x, note = shared or _outcome(config, seed)
         objective = None if x is None else float(config.spec.objective @ x)
         viol = None if x is None else _violation_of(config, x, eval_seed)
         records.append(ReplicationRecord(r, status, objective, viol, note))
@@ -670,17 +687,16 @@ def run_replications(config: ExperimentConfig, r_count: int,
     over = sum(1 for rec in good
                if rec.violation_probability > config.spec.epsilon)
     delta_hat = (over + failures) / r_count
-    # only what the method reads: sg and the safe methods fit no shape on a split
-    splits = config.method in ("ro", "ro_reconstructed")
+    # only what the method reads, and n2 where it reads n1
+    reads = _READS[config.method]
     closed = _closed_form(config)
     echo = {
         "method": config.method,
-        "shape": config.shape if splits else None,
         "epsilon": config.spec.epsilon,
         "delta": config.spec.delta,
-        "n": None if safe else config.n,
-        "n1": config.n1 if splits else None,
-        "n2": config.n2 if splits else None,
+        **{name: getattr(config, name) if name in reads else None
+           for name in ("shape", "n", "n1")},
+        "n2": config.n2 if "n1" in reads else None,
         "seed": master_seed,
         "n_eval": None if closed else config.n_eval,
         "violation": "analytic" if closed else "mc",
@@ -788,32 +804,14 @@ def reconstruction_pipeline(data, spec: model.CcpSpec, n1: int, seed: int = 0,
 # experiment configuration files
 
 
-# field name -> reader of its document; the other fields are plain values,
-# read by ExperimentConfig
-_CONFIG_READERS = {
-    "spec": model.spec_from_obj,
-    "sampler": sampler_from_obj,
-    "perturbation": lambda obj: None if obj is None else {
-        k: model.frozen(v, f"perturbation {k}")
-        for k, v in model.read_fields(obj, "perturbation", _PERTURBATION_FIELDS).items()},
-}
-
-
 def config_from_obj(obj: dict) -> ExperimentConfig:
     """The config a parsed JSON document describes, one entry per
     ExperimentConfig field; absent fields take the dataclass defaults."""
     known = fields(ExperimentConfig)
     model.read_fields(obj, "experiment config", [f.name for f in known],
                       [f.name for f in known if f.default is MISSING])
-    kwargs = {}
-    for f in known:
-        if f.name not in obj:
-            continue
-        value = obj[f.name]
-        if f.name in _CONFIG_READERS:
-            value = _CONFIG_READERS[f.name](value)
-        kwargs[f.name] = value
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**{**obj, "spec": model.spec_from_obj(obj["spec"]),
+                               "sampler": sampler_from_obj(obj["sampler"])})
 
 
 # ---------------------------------------------------------------------------

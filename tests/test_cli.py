@@ -89,6 +89,16 @@ def test_calibrate_reads_confidence_off_the_upper_rank_table(capsys, monkeypatch
         assert doc["confidence"] == calibrate.binom_cdf(doc["i_star"] - 1, n2, 1.0 - eps)
 
 
+def test_calibrate_reports_a_missing_lower_rank_as_null(capsys):
+    # at n2 = 5 the upper rank exists (eps = 0.9 needs few points), but no
+    # lower rank reaches confidence 1 - delta
+    code, out, _ = run_cli(capsys, ["calibrate", "--eps", "0.9", "--delta", "0.05",
+                                    "--n2", "5"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["i_lower"] is None and doc["i_star"] == 3
+
+
 def test_calibrate_rejects_small_n2(capsys):
     code, out, err = run_cli(capsys, ["calibrate", "--eps", "0.05",
                                       "--delta", "0.05", "--n2", "10"])
@@ -322,7 +332,7 @@ def test_experiment_runs_and_is_deterministic(capsys, fixtures, tmp_path):
     assert doc["aggregates"]["delta_hat"] == 0.0
     assert doc["config"]["method"] == "ro"
     assert doc["aggregates"]["statuses"] == {"optimal": 5}
-    assert "running 5 replications" in err
+    assert "running 5 replications of ro (n=120, seed=3)" in err
 
     rec_file = tmp_path / "records.csv"
     code, out3, _ = run_cli(capsys, argv + ["--records-csv", str(rec_file)])
@@ -392,26 +402,47 @@ def test_experiment_config_checks_happen_on_load(capsys, fixtures, tmp_path):
         cfg = json.load(f)
     pert = {"a0": [1.0] * 5, "a_rows": (0.3 * np.eye(5)).tolist(),
             "mu_minus": [-0.1] * 5, "mu_plus": [0.1] * 5, "sigma": [1.0] * 5}
-    for change in ({"n": 70},  # n2 = 10 < 59
-                   {"shape": "box_grid"},
-                   {"shape": "cluster_union", "shape_options": {"kk": 3}},
-                   # shape options out of range
-                   {"shape": "cluster_union", "shape_options": {"k": 0}},
-                   {"shape": "pca", "shape_options": {"variance_keep": 1.5}},
-                   {"shape": "box_grid", "shape_options": {"width": -1.0}},
-                   # perturbations the safe program cannot take
-                   {"method": "safe_gaussian",
-                    "perturbation": {**pert, "mu_minus": [0.2] * 5}},
-                   {"method": "safe_hoeffding",
-                    "perturbation": {**pert, "a_rows": [[0.3] * 4] * 5}},
-                   {"method": "safe_hoeffding", "perturbation": {**pert, "a0": [1.0] * 4}}):
+    # a safe method reads neither n nor n1
+    safe = {k: v for k, v in cfg.items() if k not in ("n", "n1")}
+    for config, message in (
+            ({**cfg, "n": 70}, "at least 59"),  # n2 = 10 < 59
+            ({**cfg, "shape": "box_grid"}, "width"),
+            ({**cfg, "shape": "cluster_union", "shape_options": {"kk": 3}}, "kk"),
+            # shape options out of range
+            ({**cfg, "shape": "cluster_union", "shape_options": {"k": 0}}, "'k'"),
+            ({**cfg, "shape": "pca", "shape_options": {"variance_keep": 1.5}},
+             "variance_keep"),
+            ({**cfg, "shape": "box_grid", "shape_options": {"width": -1.0}}, "'width'"),
+            # perturbations the safe program cannot take
+            ({**safe, "method": "safe_gaussian",
+              "perturbation": {**pert, "mu_minus": [0.2] * 5}}, "mu_minus <= mu_plus"),
+            ({**safe, "method": "safe_hoeffding",
+              "perturbation": {**pert, "a_rows": [[0.3] * 4] * 5}}, "columns"),
+            ({**safe, "method": "safe_hoeffding", "perturbation": {**pert, "a0": [1.0] * 4}},
+             "nominal vector")):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**cfg, **change}))
+        path.write_text(json.dumps(config))
         code, out, err = run_cli(capsys, ["experiment", "--config", str(path)])
         assert code == 1 and out == ""
         doc = json.loads(err.strip().splitlines()[-1])
         assert doc["error"]["type"] == "InvalidArgumentError"
+        assert message in doc["error"]["message"]
         assert "running" not in err
+
+
+def test_experiment_note_names_n_only_where_the_method_reads_it(capsys, fixtures,
+                                                              tmp_path):
+    with open(fixtures["config"], encoding="utf-8") as f:
+        cfg = json.load(f)
+    mu = cfg["sampler"]["params"]["mu"]
+    path = tmp_path / "safe.json"
+    path.write_text(json.dumps({
+        "spec": cfg["spec"], "sampler": cfg["sampler"], "method": "safe_hoeffding",
+        "perturbation": {"a0": mu, "a_rows": (0.3 * np.eye(5)).tolist()}}))
+    code, _, err = run_cli(capsys, ["experiment", "--config", str(path), "--reps", "2",
+                                    "--seed", "3"])
+    assert code == 0
+    assert "running 2 replications of safe_hoeffding (seed=3)" in err
 
 
 def test_missing_file_is_domain_error(capsys):

@@ -1,5 +1,6 @@
 """Violation metrics, replication determinism, reconstruction pipeline."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -527,7 +528,7 @@ def test_safe_methods_run_through_the_replication_harness():
     }
     for method, prog in progs.items():
         cfg = hz.ExperimentConfig(spec=spec, sampler=hz.scaled_beta_sampler(a0, a_rows),
-                                  method=method, n=1, n_eval=2000, perturbation=pert)
+                                  method=method, n_eval=2000, perturbation=pert)
         rep = hz.run_replications(cfg, 3, master_seed=4)
         want = float(spec.objective @ conic.solve(prog).x[:3])
         assert rep.statuses == {"optimal": 3}
@@ -548,7 +549,7 @@ def test_safe_methods_solve_once_and_draw_nothing(monkeypatch):
     # Hoeffding's margin for it leaves a small violation probability, scored
     # by Monte Carlo, that varies by seed
     samp = hz.scaled_beta_sampler(a0, 3 * a_rows)
-    cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method="safe_hoeffding", n=1,
+    cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method="safe_hoeffding",
                               n_eval=2000, perturbation={"a0": a0, "a_rows": a_rows})
     want = hz.run_replications(cfg, 5, master_seed=4)
     x = conic.solve(baselines.safe_hoeffding(spec.objective, a0, a_rows, 6.0, EPS,
@@ -592,9 +593,9 @@ def test_config_echo_shows_only_what_the_method_reads():
          {"shape": "ball", "n": 80, "n1": 20, "n2": 60}),
         ({"method": "sg", "n": 30},
          {"shape": None, "n": 30, "n1": None, "n2": None}),
-        ({"method": "safe_hoeffding", "n": 1, "perturbation": pert},
+        ({"method": "safe_hoeffding", "perturbation": pert},
          {"shape": None, "n": None, "n1": None, "n2": None}),
-        ({"method": "safe_gaussian", "n": 1, "perturbation": pert},
+        ({"method": "safe_gaussian", "perturbation": pert},
          {"shape": None, "n": None, "n1": None, "n2": None}),
     ]
     for sampler, violation in scored:
@@ -659,7 +660,7 @@ def test_removed_shape_options_are_refused_on_load():
 # a safe config on the d = 3 spec of CONFIG_DOC, scored over the scaled-beta
 # law of its perturbation model
 SAFE_DOC = {
-    "spec": CONFIG_DOC["spec"], "method": "safe_gaussian", "n": 1, "n_eval": 500,
+    "spec": CONFIG_DOC["spec"], "method": "safe_gaussian", "n_eval": 500,
     "sampler": {"kind": "scaled_beta",
                 "params": {"a0": [1.0, 2.0, 1.5], "a_rows": (0.2 * np.eye(3)).tolist()}},
     "perturbation": {"a0": [1.0, 2.0, 1.5], "a_rows": (0.2 * np.eye(3)).tolist(),
@@ -681,7 +682,7 @@ def test_malformed_perturbation_is_refused_on_load(method, change, match):
         hz.config_from_obj(doc)
     good = hz.config_from_obj(SAFE_DOC)
     with pytest.raises(InvalidArgumentError, match=match):
-        hz.ExperimentConfig(spec=good.spec, sampler=good.sampler, method=method, n=1,
+        hz.ExperimentConfig(spec=good.spec, sampler=good.sampler, method=method,
                             perturbation={**good.perturbation, **change})
 
 
@@ -720,14 +721,23 @@ def test_experiment_config_validation():
         doc = {k: v for k, v in CONFIG_DOC.items() if k != "n1"}
         with pytest.raises(InvalidArgumentError, match="n1 >= 1"):
             hz.config_from_obj({**doc, "method": method})
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match="'a_rows'"):
         hz.ExperimentConfig(spec=spec, sampler=samp, method="safe_hoeffding",
-                            n=10, perturbation={"a0": np.zeros(3)})
+                            perturbation={"a0": np.zeros(3)})
+    # n2 = 60 passes the Phase-2 size check at epsilon = delta = 0.1, so the
+    # family is what the config is refused for
     spec_q = model.CcpSpec(objective=np.ones(2), family=model.Quadratic(q=2),
                            rhs=[1.0], epsilon=0.1, delta=0.1)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match="linear constraint family"):
         hz.ExperimentConfig(spec=spec_q, sampler=hz.quadratic_wishart_sampler(
-            2, q=1.0), method="ro", n=10, n1=5)
+            2, q=1.0), method="ro", n=80, n1=20)
+    # the safe programs protect one row
+    spec_j = model.CcpSpec(objective=-np.ones(2), family=model.JointLinear(2),
+                           rhs=[6.0, 6.0], epsilon=EPS, delta=DELTA)
+    with pytest.raises(InvalidArgumentError, match="single linear family"):
+        hz.ExperimentConfig(spec=spec_j, sampler=hz.gaussian_sampler(np.ones(4), np.eye(4)),
+                            method="safe_hoeffding",
+                            perturbation={"a0": np.ones(2), "a_rows": np.eye(2)})
     # a Monte Carlo violation needs at least one draw; the config says so
     # instead of the run aborting after the first solve
     mix = hz.mixture_sampler([1.0], np.zeros((1, 3)), np.eye(3)[None])
@@ -747,10 +757,10 @@ def test_experiment_config_reads_its_counts():
     # a fractional or boolean count is refused when the config is built, not
     # once per replication (n) or out of run_replications (n_eval)
     spec, samp, _, _ = gaussian_instance(10, d=3, b=6.0)
-    for counts in ({"n": 130.5}, {"n": 130, "n1": 20.5}, {"n": 130, "n1": True},
-                   {"n": 8, "n_eval": 10.5}):
+    for method, counts in (("sg", {"n": 130.5}), ("ro", {"n": 130, "n1": 20.5}),
+                           ("ro", {"n": 130, "n1": True}), ("sg", {"n": 8, "n_eval": 10.5})):
         with pytest.raises(InvalidArgumentError, match="must be int"):
-            hz.ExperimentConfig(spec=spec, sampler=samp, method="sg", **counts)
+            hz.ExperimentConfig(spec=spec, sampler=samp, method=method, **counts)
     cfg = hz.ExperimentConfig(spec=spec, sampler=samp, method="ro",
                               n=np.int64(130), n1=np.int64(40), n_eval=np.int64(500))
     assert (type(cfg.n), type(cfg.n1), type(cfg.n_eval)) == (int, int, int)
@@ -849,7 +859,36 @@ def test_experiment_config_document_round_trip_and_strictness():
     with pytest.raises(InvalidArgumentError, match="kind"):
         hz.config_from_obj({**obj, "spec": {**obj["spec"], "kind": "x"}})
     with pytest.raises(InvalidArgumentError, match="a_0"):
-        hz.config_from_obj({**obj, "perturbation": {"a_0": [1.0]}})
+        hz.config_from_obj({**SAFE_DOC, "perturbation": {"a_0": [1.0]}})
+
+
+def test_a_config_holds_only_what_its_method_reads():
+    """A field the method does not read keeps its default, or the config is
+    refused, by name, whether it is built directly or from a document."""
+    safe = {k: v for k, v in SAFE_DOC.items() if k != "n_eval"}
+    pert = {**SAFE_DOC["perturbation"], "mu_minus": [0.2] * 3}  # above mu_plus
+    for doc, name in (({**safe, "n": 1}, "n"),
+                      ({**safe, "shape": "box_grid"}, "shape"),  # no width, unread
+                      ({**CONFIG_DOC, "perturbation": pert}, "perturbation"),
+                      ({**CONFIG_DOC, "method": "sg", "n1": 90}, "n1"),
+                      ({**CONFIG_DOC, "method": "sg", "n1": 0, "shape": "ball"}, "shape")):
+        match = f"{doc['method']} does not read experiment config field '{name}'"
+        with pytest.raises(InvalidArgumentError, match=match):
+            hz.config_from_obj(doc)
+        built = hz.config_from_obj({k: v for k, v in doc.items() if k != name})
+        with pytest.raises(InvalidArgumentError, match=match):
+            dataclasses.replace(built, **{name: doc[name]})
+    # a value of another type, an array too, is refused the same way
+    spec, samp, _, _ = gaussian_instance(10, d=3, b=6.0)
+    for name, value in (("n1", np.zeros(2)), ("n1", False), ("shape_options", np.zeros(2)),
+                        ("perturbation", {})):
+        with pytest.raises(InvalidArgumentError, match=f"'{name}'"):
+            hz.ExperimentConfig(spec=spec, sampler=samp, method="sg", n=8, **{name: value})
+    # a field left at its default may be named; spec, sampler, method and the
+    # method's own fields are all a safe document needs
+    cfg = hz.config_from_obj({**safe, "n1": 0, "shape": "ellipsoid", "shape_options": None})
+    assert (cfg.n, cfg.n1, cfg.n_eval) == (0, 0, 10_000)
+    assert all(not v.flags.writeable for v in cfg.perturbation.values())
 
 
 def test_theorem_confidence_end_to_end():
